@@ -41,16 +41,17 @@ from .smash import (
     IdealTruncation,
     SmashElement,
     auslander_verdict,
-    default_cutoff,
     naive_ideal_dimension,
 )
 from .symmetry import (
+    CapExceededError,
+    build_subgroup,
     dihedral_group,
-    enumerate_subgroups,
     generate_group,
     reflection,
     rotation,
     scalar_automorphism,
+    subgroup_keys,
     w_subgroup,
 )
 
@@ -253,7 +254,7 @@ def emit(envelope: dict, out_dir: str | None, filename: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _default_degree(args_degree: int | None, fallback: int) -> int:
+def _default_degree(args_degree: int | None, fallback: int | None) -> int | None:
     if args_degree is not None:
         return args_degree
     env = os.environ.get(ENV_DEFAULT_DEGREE)
@@ -343,10 +344,7 @@ def _ok_through(checks) -> int:
 def cmd_auslander(args) -> int:
     started = time.monotonic()
     group, spec = build_group(args.group, args.n)
-    degree = args.degree
-    if degree is None:
-        env = os.environ.get(ENV_DEFAULT_DEGREE)
-        degree = int(env) if env else default_cutoff(args.n, group)
+    degree = _default_degree(args.degree, None)
     report = auslander_verdict(args.n, group, degree, label=spec.canonical())
     emit(
         make_envelope("auslander", report.payload(), started),
@@ -370,9 +368,9 @@ SCAN_CSV_COLUMNS = [
 ]
 
 
-def _scan_job(job: tuple[int, int, int]) -> dict:
-    n, idx, degree = job
-    desc, group = enumerate_subgroups(n)[idx]
+def _scan_job(job: tuple[int, str, int, int | None, int]) -> dict:
+    n, kind, d, j, degree = job
+    desc, group = build_subgroup(n, kind, d, j)
     report = auslander_verdict(n, group, degree, label=desc.label)
     return {
         "n": n,
@@ -392,14 +390,17 @@ def _scan_job(job: tuple[int, int, int]) -> dict:
 
 def run_scan(n_list: list[int], degree: int | None, jobs: int = 1) -> dict:
     """Auslander verdicts for every subgroup of D_n over the grid; the
-    cutoff defaults to 4n+4 per n."""
+    cutoff defaults to 4n+4 per n.  Each job builds only its own subgroup;
+    at most one worker per core and per job is started."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     grid = []
     for n in n_list:
-        d = degree if degree is not None else 4 * n + 4
-        for idx in range(len(enumerate_subgroups(n))):
-            grid.append((n, idx, d))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        cutoff = degree if degree is not None else 4 * n + 4
+        grid += [(n, kind, d, j, cutoff) for kind, d, j in subgroup_keys(n)]
+    workers = min(jobs, os.cpu_count() or 1, len(grid))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_job, grid))
     else:
         rows = [_scan_job(job) for job in grid]
@@ -431,10 +432,7 @@ def cmd_scan(args) -> int:
         print("scan currently supports --all-dihedral-subgroups only", file=sys.stderr)
         return 1
     n_list = [int(x) for x in args.n_list.split(",") if x]
-    degree = args.degree
-    if degree is None:
-        env = os.environ.get(ENV_DEFAULT_DEGREE)
-        degree = int(env) if env else None
+    degree = _default_degree(args.degree, None)
     payload = run_scan(n_list, degree, jobs=args.jobs)
     envelope = make_envelope("scan", payload, started)
     emit(envelope, args.out, "scan.json")
@@ -638,7 +636,7 @@ def main(argv=None) -> int:
     except GroupSpecError as exc:
         print(f"group spec error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, MemoryError) as exc:
+    except (ValueError, KeyError, MemoryError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

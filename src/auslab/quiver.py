@@ -67,11 +67,6 @@ class QuiverA:
     def arrow_target(self, a: ArrowRef) -> int:
         return a.index if a.starred else (a.index + 1) % self.n
 
-    def arrows(self) -> list[ArrowRef]:
-        return [ArrowRef(i, False) for i in range(self.n)] + [
-            ArrowRef(i, True) for i in range(self.n)
-        ]
-
     def arrow_between(self, src: int, dst: int) -> ArrowRef:
         """The unique arrow src -> dst (schurian); raises if none exists."""
         if dst == (src + 1) % self.n:
@@ -82,9 +77,6 @@ class QuiverA:
 
     def arrows_from(self, v: int) -> tuple[ArrowRef, ArrowRef]:
         return ArrowRef(v, False), ArrowRef((v - 1) % self.n, True)
-
-    def arrows_into(self, v: int) -> tuple[ArrowRef, ArrowRef]:
-        return ArrowRef((v - 1) % self.n, False), ArrowRef(v, True)
 
     # -- words -------------------------------------------------------------
 

@@ -51,10 +51,6 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(int(c) for c in num)
 
 
-def euler_phi(m: int) -> int:
-    return len(cyclotomic_polynomial(m)) - 1
-
-
 class CyclotomicContext:
     """The field Q(zeta_m), carried around as the conductor plus Phi_m."""
 

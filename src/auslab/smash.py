@@ -185,6 +185,19 @@ class BlockCoords(NamedTuple):
     tail_start: int          # first identity-component coordinate
 
 
+def _identity_tail_size(n: int, i: int, j: int, d: int) -> int:
+    """Number of identity-component coordinates of e_i (R#G)_d e_j: the l in
+    0..d with i + 2l - d = j (mod n), counted in closed form."""
+    c = (d + j - i) % n
+    if n % 2:
+        r, step = c * (n + 1) // 2 % n, n        # (n + 1) / 2 inverts 2 mod n
+    elif c % 2:
+        return 0
+    else:
+        r, step = c // 2, n // 2
+    return len(range(r, d + 1, step))
+
+
 @dataclass
 class _Block:
     echelon: object | None   # None once saturated
@@ -323,10 +336,9 @@ class IdealTruncation:
     def block_identity_intersection(self, pair: tuple[int, int], d: int) -> int:
         rep = self.pair_rep[pair]
         block = self._layers[d][rep]
-        coords = self.block_coords(*rep, d)
         if block.full:
-            return len(coords.coords) - coords.tail_start
-        return block.echelon.lead_count_at_least(coords.tail_start)
+            return _identity_tail_size(self.n, *rep, d)
+        return block.echelon.lead_count_at_least(self.block_coords(*rep, d).tail_start)
 
     # -- construction -----------------------------------------------------------
 
@@ -694,7 +706,7 @@ class AuslanderReport:
     verdict_basis: str                 # theorem_bound | window | growth | none
     pertinency: int | None
     classifier: str | None             # closed-form verdict when G <= D_n
-    classifier_agrees: bool | None
+    classifier_agrees: bool | None     # None without a classifier or a decisive verdict
 
     def payload(self) -> dict:
         out = {
@@ -756,7 +768,8 @@ def auslander_verdict(
     agrees = None
     if group.is_dihedral_subgroup:
         classifier = classify_auslander(n, group)
-        agrees = verdict == classifier
+        if verdict != "unknown":
+            agrees = verdict == classifier
     return AuslanderReport(
         n=n,
         group_order=len(group),

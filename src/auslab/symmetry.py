@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .preproj import AlgebraElement, NFMonomial
@@ -64,7 +65,7 @@ class Automorphism:
     def unit_scalar(self):
         return Fraction(1)
 
-    @property
+    @cached_property
     def has_scalars(self) -> bool:
         return not all(_is_unit(c) for c in self.xi + self.xi_star)
 
@@ -272,14 +273,9 @@ class FiniteGroup:
         self.identity_index = next(
             i for i, g in enumerate(self.elements) if g.is_identity()
         )
-        self.table = [[0] * size for _ in range(size)]
-        for i, g in enumerate(self.elements):
-            for j, h in enumerate(self.elements):
-                p = g * h
-                k = self._index.get(p)
-                if k is None:
-                    raise ValueError("element set is not closed under composition")
-                self.table[i][j] = k
+        self.has_scalars = any(g.has_scalars for g in self.elements)
+        self.is_dihedral_subgroup = not self.has_scalars
+        self.table = self.composition_table() if self.has_scalars else self.dihedral_table()
         self.inverse = [0] * size
         for i in range(size):
             self.inverse[i] = self.table[i].index(self.identity_index)
@@ -287,6 +283,32 @@ class FiniteGroup:
             tuple(g.vertex_image(v) for v in range(quiver.n)) for g in self.elements
         ]
         self._action_cache: dict = {}
+
+    def composition_table(self) -> list[list[int]]:
+        """Cayley table by composing the automorphisms themselves; the
+        reference for `dihedral_table`.  Raises if the set is not closed."""
+        table = []
+        for g in self.elements:
+            row = [self._index.get(g * h) for h in self.elements]
+            if None in row:
+                raise ValueError("element set is not closed under composition")
+            table.append(row)
+        return table
+
+    def dihedral_table(self) -> list[list[int]]:
+        """Cayley table of a scalar-free group from (rot, refl) alone:
+        rho^a r^s * rho^b r^t = rho^(a -+ b) r^(s xor t), the sign being
+        minus when s is set.  Raises if the set is not closed."""
+        n = self.quiver.n
+        index = {(g.rot, g.refl): i for i, g in enumerate(self.elements)}
+        table = []
+        for g in self.elements:
+            sign = -1 if g.refl else 1
+            row = [index.get(((g.rot + sign * h.rot) % n, g.refl ^ h.refl)) for h in self.elements]
+            if None in row:
+                raise ValueError("element set is not closed under composition")
+            table.append(row)
+        return table
 
     def monomial_action(self, gi: int, m) -> tuple:
         """Cached (scalar, image) of a canonical monomial under element gi."""
@@ -322,27 +344,6 @@ class FiniteGroup:
 
     def index(self, g: Automorphism) -> int:
         return self._index[g]
-
-    def compose(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    @property
-    def is_dihedral_subgroup(self) -> bool:
-        return not any(g.has_scalars for g in self.elements)
-
-    @property
-    def has_scalars(self) -> bool:
-        return any(g.has_scalars for g in self.elements)
-
-    def conductor(self) -> int:
-        """Largest cyclotomic conductor appearing among arrow scalars."""
-        m = 1
-        for g in self.elements:
-            for c in g.xi + g.xi_star:
-                ctx = getattr(c, "context", None)
-                if ctx is not None:
-                    m = max(m, ctx.m)
-        return m
 
     def element_key_set(self) -> frozenset:
         return frozenset(g.sort_key() for g in self.elements)
@@ -439,23 +440,34 @@ class SubgroupDescriptor(NamedTuple):
         )
 
 
-def enumerate_subgroups(n: int) -> list[tuple[SubgroupDescriptor, FiniteGroup]]:
-    """All subgroups of D_n, each once: <rho^d> for d | n, and
-    <rho^d, rho^j r> for d | n and 0 <= j < d."""
-    q = QuiverA(n)
-    out = []
+def subgroup_keys(n: int) -> list[tuple[str, int, int | None]]:
+    """(kind, d, j) of every subgroup of D_n, each once: <rho^d> for d | n,
+    and <rho^d, rho^j r> for d | n and 0 <= j < d."""
+    QuiverA(n)  # rejects n < 3
     divisors = [d for d in range(1, n + 1) if n % d == 0]
-    for d in divisors:
+    return [("cyclic", d, None) for d in divisors] + [
+        ("dihedral", d, j) for d in divisors for j in range(d)
+    ]
+
+
+def build_subgroup(
+    n: int, kind: str, d: int, j: int | None
+) -> tuple[SubgroupDescriptor, FiniteGroup]:
+    """The subgroup of D_n named by one of `subgroup_keys(n)`."""
+    q = QuiverA(n)
+    if kind == "cyclic":
         gens = [rotation(q, d)] if d < n else [identity_automorphism(q)]
-        group = generate_group(gens)
-        out.append((SubgroupDescriptor.describe(q, group, "cyclic", d=d), group))
-    for d in divisors:
-        for j in range(d):
-            gens = [reflection(q, j)] if d == n else [rotation(q, d), reflection(q, j)]
-            group = generate_group(gens)
-            out.append(
-                (SubgroupDescriptor.describe(q, group, "dihedral", d=d, j=j), group)
-            )
+    elif kind == "dihedral":
+        gens = [reflection(q, j)] if d == n else [rotation(q, d), reflection(q, j)]
+    else:
+        raise ValueError(f"unknown subgroup kind {kind!r}")
+    group = generate_group(gens)
+    return SubgroupDescriptor.describe(q, group, kind, d=d, j=j), group
+
+
+def enumerate_subgroups(n: int) -> list[tuple[SubgroupDescriptor, FiniteGroup]]:
+    """All subgroups of D_n, each once, in `subgroup_keys` order."""
+    out = [build_subgroup(n, *key) for key in subgroup_keys(n)]
     keys = [g.element_key_set() for _, g in out]
     if len(set(keys)) != len(keys):
         raise AssertionError("subgroup enumeration produced duplicates")

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 from fractions import Fraction
 
@@ -14,7 +16,7 @@ from auslab.cli import (
     scan_csv_text,
 )
 from auslab.quiver import QuiverA
-from auslab.symmetry import dihedral_group, rotation
+from auslab.symmetry import CapExceededError, dihedral_group, rotation
 
 
 def test_parse_group_basic():
@@ -143,6 +145,93 @@ def test_scan_determinism_small_grid():
     a = run_scan([3, 4], 12)
     b = run_scan([3, 4], 12)
     assert canonical_payload_bytes(a) == canonical_payload_bytes(b)
+
+
+def test_scan_payload_pinned(scan_run):
+    # sha256 of run_scan([3, 4, 5, 6], None) before subgroups were built per job
+    digest = hashlib.sha256(canonical_payload_bytes(scan_run["envelope"]["payload"])).hexdigest()
+    assert digest == "ed01c8b5c31fabf4be5f9039595a24f9802a788704abe89e4bf26787d3a07e9f"
+
+
+def test_scan_builds_each_subgroup_once(monkeypatch):
+    import auslab.symmetry
+
+    calls = []
+    original = auslab.symmetry.generate_group
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(auslab.symmetry, "generate_group", counting)
+    payload = run_scan([12], None)
+    assert len(payload["rows"]) == len(calls) == 6 + 28  # tau(12) + sigma(12)
+
+
+def test_scan_inconclusive_is_not_disagreement(tmp_path):
+    code = main(["scan", "--n-list", "3", "--all-dihedral-subgroups", "--degree", "4", "--out", str(tmp_path)])
+    assert code == 0
+    rows = json.loads((tmp_path / "scan.json").read_text())["payload"]["rows"]
+    unknown = [r for r in rows if r["verdict_empirical"] == "unknown"]
+    assert unknown and all(r["agree"] is None for r in unknown)
+    assert all(r["agree"] is True for r in rows if r["verdict_empirical"] != "unknown")
+    with open(tmp_path / "scan.csv") as fh:
+        cells = {r["subgroup_descriptor"]: r["agree"] for r in csv.DictReader(fh)}
+    assert all(cells[r["subgroup_descriptor"]] == "" for r in unknown)
+
+
+def test_auslander_inconclusive_is_not_disagreement(tmp_path):
+    code = main(["auslander", "--n", "3", "--group", "rot(1)", "--degree", "2", "--out", str(tmp_path)])
+    assert code == 0
+    payload = json.loads((tmp_path / "auslander_n3.json").read_text())["payload"]
+    assert payload["verdict_empirical"] == "unknown"
+    assert payload["verdict_classifier"] == "iso"
+    assert payload["classifier_agrees"] is None
+
+
+def test_cap_exceeded_is_an_error_not_a_traceback(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise CapExceededError("group closure exceeded cap 4096")
+
+    monkeypatch.setattr("auslab.cli.generate_group", refuse)
+    assert main(["auslander", "--n", "3", "--group", "rot(1)"]) == 1
+    assert "exceeded cap" in capsys.readouterr().err
+
+
+def test_scan_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-3"):
+        assert main(["scan", "--n-list", "3", "--all-dihedral-subgroups", "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+
+
+def test_scan_rejects_n_below_three(capsys):
+    for n in ("0", "-3", "2"):
+        assert main(["scan", "--n-list", n, "--all-dihedral-subgroups", "--degree", "2"]) == 1
+        assert "n >= 3" in capsys.readouterr().err
+
+
+def test_scan_pool_clamped_to_cores_and_grid(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("auslab.cli.ProcessPoolExecutor", RecordingPool)
+    inline = run_scan([3], 4)  # six subgroups
+    for cores, jobs in ((4, 1000), (64, 3), (64, 1000), (1, 1000), (None, 8)):
+        monkeypatch.setattr("auslab.cli.os.cpu_count", lambda cores=cores: cores)
+        assert run_scan([3], 4, jobs=jobs) == inline
+    assert started == [4, 3, 6]
 
 
 def test_env_default_degree(tmp_path, monkeypatch):

@@ -21,6 +21,7 @@ from auslab.smash import (
 )
 from auslab.symmetry import (
     dihedral_group,
+    enumerate_subgroups,
     generate_group,
     reflection,
     rotation,
@@ -172,6 +173,23 @@ def test_rho_ideal_saturates():
     grp = generate_group([rotation(q, 1)])
     trunc = build_ideal(grp, 8)
     assert trunc.ideal_dimension(7) == 3 * 8 * 3 == trunc.smash_dimension(7)
+
+
+def test_saturated_block_identity_intersection_is_coordinate_tail():
+    # saturated blocks count their identity tail without building
+    # coordinates; the coordinate scheme is the reference
+    groups = [g for _, g in enumerate_subgroups(6)] + [minus_ones_group()]
+    nonzero = 0
+    for group in groups:
+        trunc = build_ideal(group, 12)
+        for d in range(13):
+            for rep in trunc.orbit_reps:
+                if trunc._layers[d][rep].full:
+                    coords = trunc.block_coords(*rep, d)
+                    tail = len(coords.coords) - coords.tail_start
+                    assert trunc.block_identity_intersection(rep, d) == tail
+                    nonzero += tail > 0
+    assert nonzero > 0
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from auslab.scalars import get_context, make_root_of_unity
 from auslab.symmetry import (
     CapExceededError,
     FiniteGroup,
+    build_subgroup,
     NotAnAutomorphismError,
     ScalarGroupNotClassifiableError,
     apply,
@@ -21,6 +22,7 @@ from auslab.symmetry import (
     reflection,
     rotation,
     scalar_automorphism,
+    subgroup_keys,
     validate,
     vertex_fixing_reflections,
     w_subgroup,
@@ -178,6 +180,18 @@ def test_enumerate_subgroups_against_brute_force(n):
             found.add(group.element_key_set())
     enumerated = {g.element_key_set() for _, g in enumerate_subgroups(n)}
     assert enumerated == found
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_enumeration_is_the_per_key_builds(n):
+    assert enumerate_subgroups(n) == [build_subgroup(n, *key) for key in subgroup_keys(n)]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_dihedral_table_matches_composition(n):
+    for _, group in enumerate_subgroups(n):
+        assert not group.has_scalars
+        assert group.table == group.composition_table()
 
 
 def test_subgroup_descriptors_flag_reflection_content():
