@@ -44,6 +44,7 @@ from .symmetry import (
     reflection,
     rotation,
     scalar_automorphism,
+    scalar_powers,
     validate,
     vertex_fixing_reflections,
     w_subgroup,

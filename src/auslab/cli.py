@@ -36,7 +36,6 @@ from .invariants import (
 )
 from .preproj import AlgebraElement, NFMonomial, RelationIdealOracle, hilbert, nf_basis
 from .quiver import QuiverA
-from .scalars import get_context, make_root_of_unity
 from .smash import (
     IdealTruncation,
     SmashElement,
@@ -50,7 +49,7 @@ from .symmetry import (
     generate_group,
     reflection,
     rotation,
-    scalar_automorphism,
+    scalar_powers,
     subgroup_keys,
     w_subgroup,
 )
@@ -107,10 +106,7 @@ class GroupSpec:
                         f"{len(exps)} and {len(star_exps)}",
                         self.text.find("scalar"),
                     )
-                ctx = get_context(m)
-                xi = [make_root_of_unity(ctx, e) for e in exps]
-                xi_star = [make_root_of_unity(ctx, e) for e in star_exps]
-                gens.append(scalar_automorphism(q, xi, xi_star))
+                gens.append(scalar_powers(q, m, exps, star_exps))
         return gens
 
 
@@ -255,12 +251,17 @@ def emit(envelope: dict, out_dir: str | None, filename: str) -> None:
 
 
 def _default_degree(args_degree: int | None, fallback: int | None) -> int | None:
+    """--degree, else $AUSLAB_DEFAULT_DEGREE, else the command's fallback;
+    a given degree must be an integer >= 0."""
     if args_degree is not None:
-        return args_degree
-    env = os.environ.get(ENV_DEFAULT_DEGREE)
-    if env:
-        return int(env)
-    return fallback
+        source, text = "--degree", str(args_degree)
+    else:
+        source, text = ENV_DEFAULT_DEGREE, os.environ.get(ENV_DEFAULT_DEGREE, "").strip()
+        if not text:
+            return fallback
+    if not text.isdecimal():
+        raise ValueError(f"{source} must be an integer >= 0, got {text}")
+    return int(text)
 
 
 def cmd_hilbert(args) -> int:
@@ -285,8 +286,19 @@ def cmd_invariants(args) -> int:
     started = time.monotonic()
     degree = _default_degree(args.degree, 16)
     group, spec = build_group(args.group, args.n)
-    basis = invariant_basis(group, degree)
     q = QuiverA(args.n)
+    checked = {dihedral_group(q): verify_presentation_dihedral}
+    if args.n % 2 == 0:
+        checked[w_subgroup(q)] = verify_presentation_two_vertex
+    verify_presentation = checked.get(group)
+    if (args.check_presentation or args.check_free_module) and not verify_presentation:
+        print(
+            "presentation and free-module checks exist for the full dihedral "
+            "group and the vertex-reflection subgroup only",
+            file=sys.stderr,
+        )
+        return 1
+    basis = invariant_basis(group, degree)
     payload = {
         "n": args.n,
         "degree": degree,
@@ -301,17 +313,7 @@ def cmd_invariants(args) -> int:
         payload["matrix_dims"] = [basis.matrix_dims(d) for d in range(degree + 1)]
     failures = []
     if args.check_presentation:
-        if group == dihedral_group(q):
-            pres = verify_presentation_dihedral(args.n, degree, basis)
-        elif args.n % 2 == 0 and group == w_subgroup(q):
-            pres = verify_presentation_two_vertex(args.n, degree, basis)
-        else:
-            print(
-                "presentation checks exist for the full dihedral group and the "
-                "vertex-reflection subgroup only",
-                file=sys.stderr,
-            )
-            return 1
+        pres = verify_presentation(args.n, degree, basis)
         payload["presentation"] = {
             "target": pres.target,
             "well_defined": pres.well_defined,

@@ -236,6 +236,13 @@ class RelationIdealOracle:
         return max(self._reps, default=-1)
 
     def extend(self, d: int) -> None:
+        # n << d > limit exactly when d >= bit_length(limit // n); checked
+        # before any degree is built, and without forming n << d.
+        if d >= (ORACLE_WORD_LIMIT // self.quiver.n).bit_length():
+            raise MemoryError(
+                f"free component at degree {d} has {self.quiver.n} * 2^{d} words, over the "
+                f"oracle's limit of {ORACLE_WORD_LIMIT}; the oracle is for desk-scale degrees"
+            )
         while self.built_through() < d:
             self._build_next()
 
@@ -267,11 +274,6 @@ class RelationIdealOracle:
         d = self.built_through() + 1
         n = self.quiver.n
         size = n << d
-        if size > ORACLE_WORD_LIMIT:
-            raise MemoryError(
-                f"free component at degree {d} has {size} words; "
-                "the oracle is a verification tool for desk-scale degrees"
-            )
         parent = list(range(size))
 
         def find(x: int) -> int:

@@ -152,19 +152,3 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
         for i in range(n)
     ]
 
-
-def apply_word_automorphism(g, w: Word) -> tuple[object, Word]:
-    """Image of a word under a quiver automorphism with per-arrow scalars.
-
-    `g` carries the quiver, a vertex map, and an arrow map returning
-    (scalar, image arrow); the image word is composable whenever `w` is,
-    and the returned scalar is the product of the per-arrow scalars.
-    """
-    q = g.quiver
-    scalar = g.unit_scalar()
-    arrows = []
-    for a in w.arrows:
-        c, img = g.arrow_image(a)
-        scalar = scalar * c
-        arrows.append(img)
-    return scalar, q.word(g.vertex_image(w.source), arrows)

@@ -292,6 +292,14 @@ def make_root_of_unity(ctx: CyclotomicContext, e: int) -> ScalarValue:
     return ctx.from_coeffs(coeffs)
 
 
+@lru_cache(maxsize=None)
+def root(m: int, k: int):
+    """zeta_m^k: a Fraction for m <= 2 (the values +-1), else in Q(zeta_m)."""
+    if m <= 2:
+        return Fraction(-1 if k % m else 1)
+    return make_root_of_unity(get_context(m), k)
+
+
 def multiplicative_order(a) -> int | None:
     """Least e >= 1 with a^e = 1, or None when a has infinite order.
 

@@ -412,19 +412,17 @@ class IdealTruncation:
                 block.echelon = None
 
     def _spanning_rows(self, i: int, j: int, d: int):
-        """Left and right degree-1 extensions landing in block (i, j)."""
+        """Left and right degree-1 extensions landing in block (i, j), each
+        through a coordinate map from its source block built once."""
         group, n = self.group, self.n
         index = self.block_coords(i, j, d).index
         # Left multiplication by alpha_i (from block (i+1, j)) adds a nonstar;
         # by alpha_{i-1}* (from block (i-1, j)) adds a star.
         for src_i, dl in (((i + 1) % n, 1), ((i - 1) % n, 0)):
-            src_pair = (src_i, j)
-            for row in self._block_rows(src_pair, d - 1):
-                src_coords = self.block_coords(src_i, j, d - 1).coords
-                yield {
-                    index[(src_coords[idx][0], src_coords[idx][1] + dl)]: c
-                    for idx, c in row.items()
-                }
+            coords = self.block_coords(src_i, j, d - 1).coords
+            remap = [(index[(gi, l + dl)], 1) for gi, l in coords]
+            for row in self._block_rows((src_i, j), d - 1):
+                yield self._transfer_row(row, remap)
         # Right multiplication by (m0 # 1) for the two arrows into j.
         for src_j, m0 in (
             ((j - 1) % n, NFMonomial((j - 1) % n, 1, 0)),
@@ -437,11 +435,7 @@ class IdealTruncation:
                 scalar, img = group.monomial_action(gi, m0)
                 remap.append((index[(gi, l + img.nonstars)], scalar))
             for row in self._block_rows(src_pair, d - 1):
-                out = {}
-                for idx, c in row.items():
-                    tgt, scalar = remap[idx]
-                    out[tgt] = c if scalar == 1 else c * scalar
-                yield out
+                yield self._transfer_row(row, remap)
 
     # -- measurements -------------------------------------------------------------
 
@@ -622,6 +616,11 @@ def _element_order(group: FiniteGroup, gi: int) -> int:
     return order
 
 
+def root_order(m: int, k: int) -> int:
+    """Multiplicative order of zeta_m^k."""
+    return m // gcd(m, k)
+
+
 def _scalar_theorem_bound(group: FiniteGroup) -> tuple[int, str] | None:
     """Zero-tail bound for a cyclic group of vertex-fixing scalar
     automorphisms, when a pure-path construction applies.
@@ -635,31 +634,24 @@ def _scalar_theorem_bound(group: FiniteGroup) -> tuple[int, str] | None:
     scaled by a full-order root (L = m*n), which also covers pairwise
     coprime scalar orders.
     """
-    from .scalars import multiplicative_order
-
     n = group.quiver.n
     order = len(group)
     if order == 1 or any(g.refl or g.rot != 0 for g in group.elements):
         return None
 
-    def pure_length(values) -> int | None:
-        orders = [multiplicative_order(c) for c in values]
-        if any(o is None for o in orders):
-            return None
-        if len(set(values)) == 1 and orders[0] == order:
+    def pure_length(m: int, exps: tuple) -> int | None:
+        # The scalars are zeta_m^k; their product is zeta_m^(sum of the k).
+        if len(set(exps)) == 1 and root_order(m, exps[0]) == order:
             return order
-        prod = values[0]
-        for c in values[1:]:
-            prod = prod * c
-        if multiplicative_order(prod) == order:
+        if root_order(m, sum(exps)) == order:
             return order * n
         return None
 
     for gi, g in enumerate(group.elements):
         if _element_order(group, gi) != order:
             continue
-        l_nonstar = pure_length(g.xi)
-        l_star = pure_length(g.xi_star)
+        l_nonstar = pure_length(g.m, g.e)
+        l_star = pure_length(g.m, g.e_star)
         if l_nonstar is not None and l_star is not None:
             l_max = max(l_nonstar, l_star)
             return 4 * l_max - 1, f"scalar_pure_path_length_{l_max}"

@@ -1,7 +1,8 @@
 """Graded automorphisms of the preprojective algebra and their groups.
 
 An automorphism is a dihedral part (rotation amount plus optional
-reflection) together with one nonzero scalar per arrow.  The dihedral part
+reflection) together with one scalar per arrow, a power of one root of
+unity zeta_m and stored as its integer exponent.  The dihedral part
 permutes vertices; since the doubled quiver is schurian, each arrow must
 land on the unique arrow between the image vertices, scaled by its scalar.
 Rotations are star-preserving, reflections star-inverting, and the
@@ -13,13 +14,15 @@ parametrization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .preproj import AlgebraElement, NFMonomial
-from .quiver import ArrowRef, QuiverA, Word, apply_word_automorphism
+from .quiver import ArrowRef, QuiverA, Word
+from .scalars import ScalarValue, root
 
 
 class NotAnAutomorphismError(ValueError):
@@ -34,25 +37,33 @@ class ScalarGroupNotClassifiableError(ValueError):
     pass
 
 
-def _is_unit(c) -> bool:
-    return c == 1
-
-
 @dataclass(frozen=True)
 class Automorphism:
-    """A graded automorphism: vertex map i -> rot +- i, per-arrow scalars."""
+    """A graded automorphism: vertex map i -> rot +- i, and the scalars
+    zeta_m^e[i] on alpha_i and zeta_m^e_star[i] on alpha_i*.  Exponents are
+    reduced mod m, and m = 1 exactly when every exponent is 0, so equality,
+    hashing and composition are integer arithmetic."""
 
     quiver: QuiverA
     rot: int
     refl: bool
-    xi: tuple          # scalar on alpha_i, indexed by i
-    xi_star: tuple     # scalar on alpha_i*, indexed by i
+    m: int             # conductor: every scalar is a power of zeta_m
+    e: tuple           # exponent of the scalar on alpha_i, indexed by i
+    e_star: tuple      # exponent of the scalar on alpha_i*, indexed by i
 
     # -- actions -------------------------------------------------------------
 
     def vertex_image(self, i: int) -> int:
         n = self.quiver.n
         return (self.rot - i) % n if self.refl else (self.rot + i) % n
+
+    @cached_property
+    def xi(self) -> tuple:
+        return tuple(root(self.m, k) for k in self.e)
+
+    @cached_property
+    def xi_star(self) -> tuple:
+        return tuple(root(self.m, k) for k in self.e_star)
 
     def arrow_image(self, a: ArrowRef) -> tuple[object, ArrowRef]:
         q = self.quiver
@@ -62,114 +73,131 @@ class Automorphism:
         )
         return scalar, img
 
-    def unit_scalar(self):
-        return Fraction(1)
-
-    @cached_property
-    def has_scalars(self) -> bool:
-        return not all(_is_unit(c) for c in self.xi + self.xi_star)
-
     def word_image(self, w: Word) -> tuple[object, Word]:
-        return apply_word_automorphism(self, w)
+        """Image of a word arrow by arrow; the scalar is the product of the
+        arrows' scalar values."""
+        scalar, arrows = Fraction(1), []
+        for a in w.arrows:
+            c, img = self.arrow_image(a)
+            scalar = scalar * c
+            arrows.append(img)
+        return scalar, self.quiver.word(self.vertex_image(w.source), arrows)
 
-    def monomial_image(self, m: NFMonomial) -> tuple[object, NFMonomial]:
+    def monomial_image(self, x: NFMonomial) -> tuple[object, NFMonomial]:
         """Closed form on canonical monomials: rotations shift the source,
         reflections also swap the two arrow counts; the scalar multiplier is
-        the product of per-arrow scalars along the canonical word."""
+        zeta_m to the sum of the exponents along the canonical word."""
         n = self.quiver.n
         if self.refl:
-            img = NFMonomial((self.rot - m.source) % n, m.stars, m.nonstars)
+            img = NFMonomial((self.rot - x.source) % n, x.stars, x.nonstars)
         else:
-            img = NFMonomial((self.rot + m.source) % n, m.nonstars, m.stars)
-        if not self.has_scalars:
+            img = NFMonomial((self.rot + x.source) % n, x.nonstars, x.stars)
+        if self.m == 1:
             return Fraction(1), img
-        coeff = Fraction(1)
-        i, l = m.source, m.nonstars
-        for t in range(l):
-            coeff = coeff * self.xi[(i + t) % n]
-        for t in range(m.stars):
-            coeff = coeff * self.xi_star[(i + l - 1 - t) % n]
-        return coeff, img
+        i, l = x.source, x.nonstars
+        k = sum(self.e[(i + t) % n] for t in range(l))
+        k += sum(self.e_star[(i + l - 1 - t) % n] for t in range(x.stars))
+        return root(self.m, k % self.m), img
 
     # -- group structure -------------------------------------------------------
 
     def __mul__(self, other: "Automorphism") -> "Automorphism":
-        """Composition, left factor applied last: (g*h)(x) = g(h(x))."""
-        if self.quiver != other.quiver:
+        """Composition, left factor applied last: (g*h)(x) = g(h(x)).  The
+        scalar on an arrow a is h's on a times g's on h(a), over zeta_lcm."""
+        q = self.quiver
+        if q != other.quiver:
             raise ValueError("automorphisms live over different quivers")
-        n = self.quiver.n
+        n = q.n
         rot = (self.rot + (-other.rot if self.refl else other.rot)) % n
         refl = self.refl ^ other.refl
-        xi, xi_star = [], []
-        for i in range(n):
-            for starred, bucket in ((False, xi), (True, xi_star)):
-                a = ArrowRef(i, starred)
-                c_inner, mid = other.arrow_image(a)
-                c_outer, _ = self.arrow_image(mid)
-                bucket.append(c_outer * c_inner)
-        return Automorphism(self.quiver, rot, refl, tuple(xi), tuple(xi_star))
+        m = lcm(self.m, other.m)
+        if m == 1:
+            return Automorphism(q, rot, refl, 1, other.e, other.e_star)
+        a, b = m // self.m, m // other.m
+        # h sends alpha_i to alpha_{r+i}, or when it reflects to alpha_{r-i-1}*
+        # (and the starred arrows to the other kind likewise).
+        if other.refl:
+            at = [(other.rot - i - 1) % n for i in range(n)]
+            outer, outer_star = self.e_star, self.e
+        else:
+            at = [(other.rot + i) % n for i in range(n)]
+            outer, outer_star = self.e, self.e_star
+        e = tuple((b * k + a * outer[j]) % m for k, j in zip(other.e, at))
+        e_star = tuple((b * k + a * outer_star[j]) % m for k, j in zip(other.e_star, at))
+        if not any(e) and not any(e_star):
+            m = 1
+        return Automorphism(q, rot, refl, m, e, e_star)
+
+    def lift(self, m: int) -> "Automorphism":
+        """The same automorphism over zeta_m, for a multiple m of its conductor."""
+        f = m // self.m
+        e, e_star = tuple(f * k for k in self.e), tuple(f * k for k in self.e_star)
+        return self if self.m == 1 else replace(self, m=m, e=e, e_star=e_star)
 
     def is_identity(self) -> bool:
-        return self.rot == 0 and not self.refl and not self.has_scalars
+        return self.rot == 0 and not self.refl and self.m == 1
 
     def fixed_vertices(self) -> list[int]:
         return [i for i in range(self.quiver.n) if self.vertex_image(i) == i]
 
     def sort_key(self):
-        return (self.refl, self.rot, _scalar_key(self.xi), _scalar_key(self.xi_star))
+        return (self.refl, self.rot, self.m, self.e, self.e_star)
 
     def __str__(self):
         parts = []
         if self.rot or self.refl:
             parts.append(f"rho^{self.rot}" + (" r" if self.refl else ""))
-        if self.has_scalars:
+        if self.m != 1:
             parts.append(f"xi={tuple(str(c) for c in self.xi)}")
         return " ".join(parts) or "id"
-
-
-def _scalar_key(values) -> tuple:
-    out = []
-    for v in values:
-        if isinstance(v, Fraction) or isinstance(v, int):
-            f = Fraction(v)
-            out.append((0, (f.numerator, f.denominator)))
-        elif v.is_rational():
-            f = v.rational_value()
-            out.append((0, (f.numerator, f.denominator)))
-        else:
-            out.append(
-                (v.context.m, tuple((c.numerator, c.denominator) for c in v.coeffs))
-            )
-    return tuple(out)
 
 
 # -- constructors -------------------------------------------------------------
 
 
-def _units(n: int) -> tuple:
-    return (Fraction(1),) * n
-
-
 def identity_automorphism(q: QuiverA) -> Automorphism:
-    return Automorphism(q, 0, False, _units(q.n), _units(q.n))
+    return rotation(q, 0)
 
 
 def rotation(q: QuiverA, a: int = 1) -> Automorphism:
-    return Automorphism(q, a % q.n, False, _units(q.n), _units(q.n))
+    return Automorphism(q, a % q.n, False, 1, (0,) * q.n, (0,) * q.n)
 
 
 def reflection(q: QuiverA, j: int = 0) -> Automorphism:
     """rho^j r: the reflection i -> j - i."""
-    return Automorphism(q, j % q.n, True, _units(q.n), _units(q.n))
+    return Automorphism(q, j % q.n, True, 1, (0,) * q.n, (0,) * q.n)
+
+
+def scalar_powers(q: QuiverA, m: int, e: Sequence[int], e_star: Sequence[int]) -> Automorphism:
+    """The vertex-fixing automorphism scaling alpha_i by zeta_m^e[i] and
+    alpha_i* by zeta_m^e_star[i]."""
+    if len(e) != q.n or len(e_star) != q.n:
+        raise ValueError(f"need one scalar per arrow family ({q.n} each)")
+    e, e_star = tuple(k % m for k in e), tuple(k % m for k in e_star)
+    return Automorphism(q, 0, False, m if any(e + e_star) else 1, e, e_star)
+
+
+def _root_exponent(c) -> tuple[int, int]:
+    """(m, k) with c = zeta_m^k: m is 1 or 2 for the rationals 1 and -1, and
+    otherwise the conductor of the field c lies in."""
+    if isinstance(c, ScalarValue) and not c.is_rational():
+        m = c.context.m
+    else:
+        m = 1 if c == 1 else 2
+    for k in range(m):
+        if root(m, k) == c:
+            return m, k
+    raise ValueError(f"arrow scalar {c} is neither +-1 nor a power of zeta_m in its own field")
 
 
 def scalar_automorphism(q: QuiverA, xi: Sequence, xi_star: Sequence) -> Automorphism:
-    xi, xi_star = tuple(xi), tuple(xi_star)
-    if len(xi) != q.n or len(xi_star) != q.n:
-        raise ValueError(f"need one scalar per arrow family ({q.n} each)")
-    if any(not c for c in xi + xi_star):
-        raise ValueError("arrow scalars must be nonzero")
-    return Automorphism(q, 0, False, xi, xi_star)
+    """The vertex-fixing automorphism with the given scalar values, each of
+    them +-1 or a power of the root of unity of its own field."""
+    xi = tuple(xi)
+    powers = [_root_exponent(c) for c in xi + tuple(xi_star)]
+    m = lcm(*(c for c, _ in powers))
+    exps = [k * (m // c) for c, k in powers]
+    return scalar_powers(q, m, exps[: len(xi)], exps[len(xi) :])
 
 
 # -- validation ----------------------------------------------------------------
@@ -196,8 +224,6 @@ def validate(g: Automorphism) -> Validation:
     and that the per-vertex products xi_i * xi_i* agree.  Raises
     NotAnAutomorphismError with the offending component otherwise."""
     q = g.quiver
-    if any(not c for c in g.xi + g.xi_star):
-        raise NotAnAutomorphismError("arrow scalars must be nonzero")
     omega = _omega_words(q)
     image: dict[Word, object] = {}
     for w, sign in omega.items():
@@ -264,47 +290,28 @@ class FiniteGroup:
     arithmetic downstream is on element indices.
     """
 
-    def __init__(self, quiver: QuiverA, elements: list[Automorphism], generators=None):
+    def __init__(self, quiver: QuiverA, elements: list[Automorphism]):
         self.quiver = quiver
-        self.elements = sorted(elements, key=lambda g: g.sort_key())
-        self.generators = list(generators or [])
+        self.elements = sorted(elements, key=Automorphism.sort_key)
         self._index = {g: i for i, g in enumerate(self.elements)}
-        size = len(self.elements)
         self.identity_index = next(
             i for i, g in enumerate(self.elements) if g.is_identity()
         )
-        self.has_scalars = any(g.has_scalars for g in self.elements)
+        self.has_scalars = any(g.m != 1 for g in self.elements)
         self.is_dihedral_subgroup = not self.has_scalars
-        self.table = self.composition_table() if self.has_scalars else self.dihedral_table()
-        self.inverse = [0] * size
-        for i in range(size):
-            self.inverse[i] = self.table[i].index(self.identity_index)
+        self.table = self._cayley_table()
+        self.inverse = [row.index(self.identity_index) for row in self.table]
         self.vertex_maps = [
             tuple(g.vertex_image(v) for v in range(quiver.n)) for g in self.elements
         ]
         self._action_cache: dict = {}
 
-    def composition_table(self) -> list[list[int]]:
-        """Cayley table by composing the automorphisms themselves; the
-        reference for `dihedral_table`.  Raises if the set is not closed."""
+    def _cayley_table(self) -> list[list[int]]:
+        """Cayley table by composing the elements, which is integer
+        arithmetic on their exponents.  Raises if the set is not closed."""
         table = []
         for g in self.elements:
             row = [self._index.get(g * h) for h in self.elements]
-            if None in row:
-                raise ValueError("element set is not closed under composition")
-            table.append(row)
-        return table
-
-    def dihedral_table(self) -> list[list[int]]:
-        """Cayley table of a scalar-free group from (rot, refl) alone:
-        rho^a r^s * rho^b r^t = rho^(a -+ b) r^(s xor t), the sign being
-        minus when s is set.  Raises if the set is not closed."""
-        n = self.quiver.n
-        index = {(g.rot, g.refl): i for i, g in enumerate(self.elements)}
-        table = []
-        for g in self.elements:
-            sign = -1 if g.refl else 1
-            row = [index.get(((g.rot + sign * h.rot) % n, g.refl ^ h.refl)) for h in self.elements]
             if None in row:
                 raise ValueError("element set is not closed under composition")
             table.append(row)
@@ -319,19 +326,15 @@ class FiniteGroup:
             self._action_cache[key] = hit
         return hit
 
-    @property
+    @cached_property
     def inverse_vertex_maps(self) -> list[tuple[int, ...]]:
-        cached = self.__dict__.get("_inv_vertex_maps")
-        if cached is None:
-            n = self.quiver.n
-            cached = []
-            for vm in self.vertex_maps:
-                inv = [0] * n
-                for j, image in enumerate(vm):
-                    inv[image] = j
-                cached.append(tuple(inv))
-            self.__dict__["_inv_vertex_maps"] = cached
-        return cached
+        out = []
+        for vm in self.vertex_maps:
+            inv = [0] * len(vm)
+            for j, image in enumerate(vm):
+                inv[image] = j
+            out.append(tuple(inv))
+        return out
 
     def __len__(self):
         return len(self.elements)
@@ -363,7 +366,8 @@ def generate_group(
     generators: Sequence[Automorphism], cap: int = 512, check: bool = True
 ) -> FiniteGroup:
     """Closure of the generators under composition, capped to guard against
-    runaway (e.g. infinite-order scalar) inputs."""
+    runaway inputs.  The generators are first written over the lcm M of
+    their conductors, so every scalar of the group lies in Q or Q(zeta_M)."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator (or use trivial_group)")
@@ -371,6 +375,8 @@ def generate_group(
     if check:
         for g in gens:
             validate(g)
+    conductor = lcm(*(g.m for g in gens))
+    gens = [g.lift(conductor) for g in gens]
     seen = {identity_automorphism(q)}
     frontier = list(seen)
     while frontier:
@@ -387,7 +393,7 @@ def generate_group(
                     seen.add(p)
                     nxt.append(p)
         frontier = nxt
-    return FiniteGroup(q, list(seen), generators=gens)
+    return FiniteGroup(q, list(seen))
 
 
 def trivial_group(q: QuiverA) -> FiniteGroup:

@@ -263,3 +263,100 @@ def test_scan_worker_pool_matches_inline():
     inline = run_scan([3], 10, jobs=1)
     pooled = run_scan([3], 10, jobs=2)
     assert canonical_payload_bytes(inline) == canonical_payload_bytes(pooled)
+
+
+@pytest.mark.parametrize(
+    "argv, report, digest",
+    [
+        (
+            ["auslander", "--n", "5", "--group", "scalar(7;1,1,1,1,1;6,6,6,6,6)"],
+            "auslander_n5.json",
+            "5f7385320039daacf6d7dedd26eb825e9fc5c591c20347485f3f4ec6b0a7debf",
+        ),
+        (
+            ["auslander", "--n", "4", "--group", "scalar(4;1,2,3,1;3,2,1,3)"],
+            "auslander_n4.json",
+            "f0f23061edd8e9dd544be7038d58962d1d1ebd8065abed3b7c892e9239e70103",
+        ),
+        (
+            ["auslander", "--n", "3", "--group", "rot(1),scalar(4;1,1,1;3,3,3)", "--degree", "12"],
+            "auslander_n3.json",
+            "64b7aad88280bc1cf061474426f9ed4e044efaf4b49bb309d7b4671d231d71f0",
+        ),
+        (
+            ["auslander", "--n", "3", "--group", "rot(1),scalar(2;1,1,1;1,1,1)", "--degree", "14"],
+            "auslander_n3.json",
+            "83e9c10f8c884e36cdf3d2579c4b921b46ed5d3cfb6ef321d540d32ea24f673c",
+        ),
+        (
+            ["invariants", "--n", "3", "--group", "scalar(3;1,1,1;2,2,2)", "--degree", "8"],
+            "invariants_n3.json",
+            "3d266e79121c55229fb3a690c6394e63460a46a632c40630c688129b08a11cff",
+        ),
+    ],
+)
+def test_scalar_payload_pinned(tmp_path, argv, report, digest):
+    # sha256 of each payload while scalars were stored as field values
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / report).read_text())["payload"]
+    assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == digest
+
+
+def test_mixed_conductors_embed_into_the_lcm(tmp_path):
+    group = "scalar(3;1,1,1;2,2,2),scalar(4;1,1,1;3,3,3)"
+    assert main(["auslander", "--n", "3", "--group", group, "--degree", "6", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "auslander_n3.json").read_text())["payload"]
+    assert payload["group_order"] == 12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "--n", "3"],
+        ["invariants", "--n", "3", "--group", "rot(1)"],
+        ["auslander", "--n", "3", "--group", "rot(1)"],
+        ["scan", "--n-list", "3", "--all-dihedral-subgroups"],
+        ["verify", "--suite", "smash", "--n", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_degree_is_rejected(tmp_path, capsys, monkeypatch, argv):
+    out = ["--out", str(tmp_path)]
+    assert main(argv + ["--degree", "-1"] + out) == 1
+    assert "--degree must be an integer >= 0, got -1" in capsys.readouterr().err
+    for bad in ("-2", "abc"):
+        monkeypatch.setenv("AUSLAB_DEFAULT_DEGREE", bad)
+        assert main(argv + out) == 1
+        assert f"AUSLAB_DEFAULT_DEGREE must be an integer >= 0, got {bad}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "n, group", [(4, "rot(1)"), (4, "refl(0)"), (4, "rot(2),refl(1)"), (3, "scalar(3;1,1,1;2,2,2)")]
+)
+@pytest.mark.parametrize("check", ["--check-free-module", "--check-presentation"])
+def test_structure_checks_need_a_maximal_reflection_group(tmp_path, capsys, n, group, check):
+    argv = ["invariants", "--n", str(n), "--group", group, "--degree", "4", check, "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "vertex-reflection subgroup only" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_free_module_check_on_the_full_dihedral_group(tmp_path):
+    argv = ["invariants", "--n", "3", "--group", "rot(1),refl(0)", "--degree", "6", "--check-free-module"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "invariants_n3.json").read_text())["payload"]
+    assert payload["free_module_ok_through"] == 6
+
+
+def test_oracle_degree_limit_is_checked_up_front(capsys):
+    from auslab.preproj import ORACLE_WORD_LIMIT, RelationIdealOracle
+
+    oracle = RelationIdealOracle(QuiverA(3))
+    degree = (ORACLE_WORD_LIMIT // 3).bit_length()  # the least degree over the limit
+    assert 3 << degree > ORACLE_WORD_LIMIT >= 3 << (degree - 1)
+    with pytest.raises(MemoryError):
+        oracle.extend(degree)
+    assert oracle.built_through() == -1
+    assert main(["hilbert", "--n", "3", "--degree", "40"]) == 1
+    assert "over the oracle's limit" in capsys.readouterr().err

@@ -365,3 +365,16 @@ def test_mixed_group_ideal_matches_naive_spanning():
     trunc4 = build_ideal(mixed4, 2)
     for d in range(3):
         assert trunc4.ideal_dimension(d) == naive_ideal_dimension(mixed4, d)
+
+
+def test_mixed_conductor_ideal_matches_naive_spanning():
+    # zeta_3 and zeta_4 scalars generate a cyclic group of order 12 whose
+    # scalars all lie in Q(zeta_12)
+    from auslab.cli import build_group
+
+    group, _ = build_group("scalar(3;1,1,1;2,2,2),scalar(4;1,1,1;3,3,3)", 3)
+    assert len(group) == 12 and {g.m for g in group} == {1, 12}
+    assert group == build_group("scalar(12;7,7,7;5,5,5)", 3)[0]
+    trunc = build_ideal(group, 2)
+    for d in range(3):
+        assert trunc.ideal_dimension(d) == naive_ideal_dimension(group, d)

@@ -1,12 +1,18 @@
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from auslab.cli import build_group
 from auslab.preproj import AlgebraElement, NFMonomial, nf_basis, normal_form
 from auslab.quiver import QuiverA
-from auslab.scalars import get_context, make_root_of_unity
+from auslab.scalars import get_context, make_root_of_unity, multiplicative_order, root
+from auslab.smash import _scalar_theorem_bound, root_order
 from auslab.symmetry import (
     CapExceededError,
     FiniteGroup,
@@ -188,10 +194,15 @@ def test_enumeration_is_the_per_key_builds(n):
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_dihedral_table_matches_composition(n):
+def test_subgroup_tables_follow_dihedral_law(n):
+    # rho^a r^s * rho^b r^t = rho^(a -+ b) r^(s xor t), minus when s is set
     for _, group in enumerate_subgroups(n):
         assert not group.has_scalars
-        assert group.table == group.composition_table()
+        for g, row in zip(group.elements, group.table):
+            for h, gh in zip(group.elements, row):
+                product = group.elements[gh]
+                assert product.rot == (g.rot + (-h.rot if g.refl else h.rot)) % n
+                assert product.refl == g.refl ^ h.refl
 
 
 def test_subgroup_descriptors_flag_reflection_content():
@@ -239,3 +250,112 @@ def test_closed_form_scalar_multiplier_matches_wordwise():
                 c2, w2 = g.word_image(m.word(q))
                 assert coeff == c2
                 assert normal_form(q, w2) == img
+
+
+@st.composite
+def group_specs(draw):
+    """(n, spec) for a random group: one scalar term and up to two more
+    rotations, reflections or scalar terms, with conductors up to 6, mixed
+    conductors included.  A scalar term keeps xi_i * xi_i* constant, so
+    every generator is an automorphism."""
+    n = draw(st.integers(3, 6))
+    kinds = ["scalar"] + draw(st.lists(st.sampled_from(["rot", "refl", "scalar"]), max_size=2))
+    terms = []
+    for kind in draw(st.permutations(kinds)):
+        if kind != "scalar":
+            terms.append(f"{kind}({draw(st.integers(0, n - 1))})")
+            continue
+        m = draw(st.integers(1, 6))
+        c = draw(st.integers(0, m - 1))
+        if draw(st.booleans()):
+            exps = [draw(st.integers(0, m - 1))] * n
+        else:
+            exps = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        star = [(c - k) % m for k in exps]
+        terms.append(f"scalar({m};{','.join(map(str, exps))};{','.join(map(str, star))})")
+    return n, ",".join(terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _value_order(value):
+    return multiplicative_order(value)
+
+
+def _value_theorem_bound(group):
+    """The zero-tail bound computed on scalar values rather than exponents."""
+    n, order = group.quiver.n, len(group)
+    if order == 1 or any(g.refl or g.rot for g in group.elements):
+        return None
+
+    def pure_length(values):
+        if len(set(values)) == 1 and _value_order(values[0]) == order:
+            return order
+        return order * n if _value_order(functools.reduce(operator.mul, values)) == order else None
+
+    for g in group.elements:
+        power, g_order = g, 1
+        while not power.is_identity():
+            power, g_order = power * g, g_order + 1
+        lengths = (pure_length(g.xi), pure_length(g.xi_star))
+        if g_order == order and None not in lengths:
+            return 4 * max(lengths) - 1, f"scalar_pure_path_length_{max(lengths)}"
+    return None
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(group_specs(), st.randoms(use_true_random=False))
+def test_cayley_table_matches_the_action(case, rng):
+    n, spec = case
+    try:
+        group, _ = build_group(spec, n, cap=64)
+    except CapExceededError:
+        assume(False)
+    q = group.quiver
+    size, table, ident, inv = len(group), group.table, group.identity_index, group.inverse
+    for g in range(size):
+        assert table[ident][g] == table[g][ident] == g
+        assert table[g][inv[g]] == table[inv[g]][g] == ident
+    for _ in range(300):
+        a, b, c = (rng.randrange(size) for _ in range(3))
+        assert table[table[a][b]][c] == table[a][table[b][c]]
+    # g(h(x)), scalars multiplied, is the action of the table's product
+    monomials = [x for d in range(5) for x in nf_basis(q, d)]
+    for _ in range(12):
+        gi, hi = rng.randrange(size), rng.randrange(size)
+        g, h = group.elements[gi], group.elements[hi]
+        for x in monomials:
+            c_h, y = h.monomial_image(x)
+            c_g, z = g.monomial_image(y)
+            assert group.monomial_action(table[gi][hi], x) == (c_g * c_h, z)
+    # the closed form on exponents agrees with the scalar values arrow by arrow
+    for g in rng.sample(group.elements, min(size, 4)):
+        for x in monomials[: 10 * n]:
+            coeff, img = g.monomial_image(x)
+            c_word, w = g.word_image(x.word(q))
+            assert coeff == c_word and normal_form(q, w) == img
+    # integer orders of zeta_m^k against the orders of the values
+    for g in group.elements:
+        for exps, values in ((g.e, g.xi), (g.e_star, g.xi_star)):
+            for k, value in zip(exps, values):
+                assert root_order(g.m, k) == _value_order(value)
+            product = functools.reduce(operator.mul, values)
+            assert root(g.m, sum(exps) % g.m) == product
+            assert root_order(g.m, sum(exps)) == _value_order(product)
+    assert _scalar_theorem_bound(group) == _value_theorem_bound(group)
+
+
+def test_scalar_values_must_be_roots_of_their_own_field():
+    q = QuiverA(3)
+    z3 = make_root_of_unity(get_context(3), 1)
+    sigma = scalar_automorphism(q, [z3] * 3, [z3 * z3] * 3)
+    assert (sigma.m, sigma.e, sigma.e_star) == (3, (1, 1, 1), (2, 2, 2))
+    assert scalar_automorphism(q, [Fraction(-1)] * 3, [Fraction(1)] * 3).m == 2
+    for bad in (Fraction(2), -z3, Fraction(0)):
+        with pytest.raises(ValueError, match="neither"):
+            scalar_automorphism(q, [bad] * 3, [Fraction(1)] * 3)
