@@ -250,9 +250,9 @@ def emit(envelope: dict, out_dir: str | None, filename: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _default_degree(args_degree: int | None, fallback: int | None) -> int | None:
+def _default_degree(args_degree: int | None, fallback: int | None, least: int = 0) -> int | None:
     """--degree, else $AUSLAB_DEFAULT_DEGREE, else the command's fallback;
-    a given degree must be an integer >= 0."""
+    a given degree must be an integer >= 0, and at least `least`."""
     if args_degree is not None:
         source, text = "--degree", str(args_degree)
     else:
@@ -261,6 +261,11 @@ def _default_degree(args_degree: int | None, fallback: int | None) -> int | None
             return fallback
     if not text.isdecimal():
         raise ValueError(f"{source} must be an integer >= 0, got {text}")
+    if int(text) < least:
+        raise ValueError(
+            f"{source} must be at least {least} for a verdict, "
+            f"which compares two windows of degrees; got {text}"
+        )
     return int(text)
 
 
@@ -345,8 +350,8 @@ def _ok_through(checks) -> int:
 
 def cmd_auslander(args) -> int:
     started = time.monotonic()
+    degree = _default_degree(args.degree, None, least=1)
     group, spec = build_group(args.group, args.n)
-    degree = _default_degree(args.degree, None)
     report = auslander_verdict(args.n, group, degree, label=spec.canonical())
     emit(
         make_envelope("auslander", report.payload(), started),
@@ -434,7 +439,7 @@ def cmd_scan(args) -> int:
         print("scan currently supports --all-dihedral-subgroups only", file=sys.stderr)
         return 1
     n_list = [int(x) for x in args.n_list.split(",") if x]
-    degree = _default_degree(args.degree, None)
+    degree = _default_degree(args.degree, None, least=1)
     payload = run_scan(n_list, degree, jobs=args.jobs)
     envelope = make_envelope("scan", payload, started)
     emit(envelope, args.out, "scan.json")

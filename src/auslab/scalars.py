@@ -1,36 +1,38 @@
 """Exact coefficient arithmetic over Q and cyclotomic extensions Q(zeta_m).
 
-Values are residues modulo the m-th cyclotomic polynomial Phi_m, with
-arbitrary-precision rational coefficients.  Phi_m is irreducible over Q, so
-the residue ring is a field and every nonzero value is invertible via the
-extended Euclidean algorithm.  The conductor m = 1 gives plain rationals;
-a single computation fixes one conductor for its lifetime, with rationals
-embedding into any conductor on demand.
+A value is a residue modulo the m-th cyclotomic polynomial Phi_m, stored as
+integer numerators over one positive common denominator.  Phi_m is monic with
+integer coefficients, so each field reduces the powers a product reaches with
+an integer table built once, and sums and products are integer arithmetic
+followed by one gcd pass that keeps the form canonical.  Phi_m is irreducible
+over Q, so the residue ring is a field; a nonzero value is inverted through
+its Galois conjugates, again in integers.  The conductor m = 1 gives plain
+rationals; a single computation fixes one conductor for its lifetime, with
+rationals embedding into any conductor on demand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Union
 
 Rational = Union[int, Fraction]
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of dense coefficient lists (index = degree)."""
-    num = list(num)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
-    for shift in range(len(num) - len(den), -1, -1):
-        c = num[shift + len(den) - 1] * inv_lead
+def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer coefficient lists (index = degree)
+    by a monic divisor; the remainder has exactly len(den) - 1 entries."""
+    k = len(den) - 1
+    num = list(num) + [0] * (k - len(num))
+    q = [0] * (len(num) - k)
+    for shift in range(len(q) - 1, -1, -1):
+        c = q[shift] = num[shift + k]
         if c:
-            q[shift] = c
             for i, d in enumerate(den):
                 num[shift + i] -= c * d
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return q, num
+    return q, num[:k]
 
 
 @lru_cache(maxsize=None)
@@ -41,25 +43,34 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         raise ValueError("conductor must be a positive integer")
     if m == 1:
         return (-1, 1)
-    num = [Fraction(0)] * (m + 1)
-    num[0], num[m] = Fraction(-1), Fraction(1)
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num, rem = _poly_divmod(num, [Fraction(c) for c in cyclotomic_polynomial(d)])
-            assert rem == [0], "cyclotomic division must be exact"
-    assert all(c.denominator == 1 for c in num)
-    return tuple(int(c) for c in num)
+            num, rem = _divmod_monic(num, cyclotomic_polynomial(d))
+            assert not any(rem), "cyclotomic division must be exact"
+    return tuple(num)
 
 
 class CyclotomicContext:
-    """The field Q(zeta_m), carried around as the conductor plus Phi_m."""
+    """The field Q(zeta_m), carried around as the conductor plus Phi_m.
 
-    __slots__ = ("m", "phi", "degree")
+    `fold[k]` lists the nonzero (i, c) with x^(deg+k) = sum c x^i modulo
+    Phi_m, for every exponent deg+k <= 2*deg-2 a product of two residues
+    reaches; the entries are integers because Phi_m is monic.
+    """
+
+    __slots__ = ("m", "phi", "degree", "fold")
 
     def __init__(self, m: int):
         self.m = m
         self.phi = cyclotomic_polynomial(m)
-        self.degree = len(self.phi) - 1
+        self.degree = deg = len(self.phi) - 1
+        power, fold = [-c for c in self.phi[:deg]], []  # x^deg
+        for _ in range(deg - 1):
+            fold.append(tuple((i, c) for i, c in enumerate(power) if c))
+            top = power[-1]
+            power = [p - top * c for p, c in zip([0] + power[:-1], self.phi)]
+        self.fold = tuple(fold)
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicContext) and self.m == other.m
@@ -71,24 +82,45 @@ class CyclotomicContext:
         return f"CyclotomicContext(m={self.m})"
 
     def zero(self) -> "ScalarValue":
-        return ScalarValue(self, (Fraction(0),) * self.degree)
+        return self.from_rational(0)
 
     def one(self) -> "ScalarValue":
         return self.from_rational(1)
 
     def from_rational(self, value: Rational) -> "ScalarValue":
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(value)
-        return ScalarValue(self, tuple(coeffs))
+        value = Fraction(value)
+        return ScalarValue(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
 
     def from_coeffs(self, coeffs) -> "ScalarValue":
-        """Build a value from a coefficient list of length <= deg Phi_m,
-        reducing modulo Phi_m if necessary."""
+        """Build a value from a coefficient list of any length, reducing
+        modulo Phi_m if it is longer than deg Phi_m."""
         cs = [Fraction(c) for c in coeffs]
-        if len(cs) > self.degree:
-            _, cs = _poly_divmod(cs, [Fraction(c) for c in self.phi])
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return ScalarValue(self, tuple(cs[: self.degree]))
+        den = lcm(1, *(c.denominator for c in cs))
+        _, num = _divmod_monic([c.numerator * (den // c.denominator) for c in cs], self.phi)
+        return self._value(num, den)
+
+    def _product(self, a, b) -> list[int]:
+        """Numerators of a * b mod Phi_m, for numerator lists of length deg."""
+        deg = self.degree
+        nonzero = [(j, y) for j, y in enumerate(b) if y]
+        prod = [0] * (2 * deg - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in nonzero:
+                    prod[i + j] += x * y
+        out = prod[:deg]
+        for row, c in zip(self.fold, prod[deg:]):
+            if c:
+                for i, f in row:
+                    out[i] += c * f
+        return out
+
+    def _value(self, num: list[int], den: int) -> "ScalarValue":
+        """num / den in canonical form: the common factor removed."""
+        g = gcd(den, *num)
+        if g != 1:
+            return ScalarValue(self, tuple(c // g for c in num), den // g)
+        return ScalarValue(self, tuple(num), den)
 
 
 @lru_cache(maxsize=None)
@@ -97,28 +129,35 @@ def get_context(m: int) -> CyclotomicContext:
 
 
 class ScalarValue:
-    """An element of Q(zeta_m) in canonical residue form.
+    """An element of Q(zeta_m): the residue sum(num[i] x^i) / den mod Phi_m.
 
-    Immutable.  Arithmetic mixes freely with int and Fraction (the m = 1
-    embedding); two values with different conductors > 1 refuse to combine.
-    A value whose residue is constant compares and hashes equal to the
-    corresponding Fraction-like rational.
+    Immutable and canonical: `num` holds deg Phi_m integers, `den` > 0 and
+    gcd(den, *num) = 1, so equal values have equal `num` and `den`; `coeffs`
+    is the derived view as Fractions.  Arithmetic mixes freely with int and
+    Fraction (the m = 1 embedding); two values with different conductors > 1
+    refuse to combine.  A value whose residue is constant compares and hashes
+    equal to the corresponding Fraction-like rational.
     """
 
-    __slots__ = ("context", "coeffs")
+    __slots__ = ("context", "num", "den")
 
-    def __init__(self, context: CyclotomicContext, coeffs: tuple[Fraction, ...]):
+    def __init__(self, context: CyclotomicContext, num: tuple[int, ...], den: int):
         self.context = context
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- coercion ---------------------------------------------------------
 
     def _coerce(self, other) -> "ScalarValue | None":
         if isinstance(other, ScalarValue):
-            if other.context == self.context:
+            if other.context.m == self.context.m:
                 return other
             if other.context.m == 1:
-                return self.context.from_rational(other.coeffs[0])
+                return self.context.from_rational(other.rational_value())
             if self.context.m == 1:
                 raise ValueError("cannot mix conductors implicitly; promote explicitly")
             raise ValueError(
@@ -129,31 +168,37 @@ class ScalarValue:
         return None
 
     def is_rational(self) -> bool:
-        return all(not c for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic -------------------------------------------------------
+
+    def _add(self, o: "ScalarValue", sign: int) -> "ScalarValue":
+        a, b = self.den, o.den
+        if a == b:
+            return self.context._value([x + sign * y for x, y in zip(self.num, o.num)], a)
+        return self.context._value([x * b + sign * y * a for x, y in zip(self.num, o.num)], a * b)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ScalarValue(self.context, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._add(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarValue(self.context, tuple(-a for a in self.coeffs))
+        return ScalarValue(self.context, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ScalarValue(self.context, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._add(o, -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -162,36 +207,28 @@ class ScalarValue:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        deg = self.context.degree
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return self.context.from_coeffs(prod)
+        return self.context._value(self.context._product(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ScalarValue":
-        """Field inverse via extended Euclid against Phi_m."""
+        """Field inverse: 1/a is the product of the other Galois conjugates
+        a(x^k), k prime to m, over the norm N(a), which is rational."""
         if not self:
             raise ZeroDivisionError("inversion of zero scalar")
-        if self.context.m == 1 or self.is_rational():
-            return self.context.from_rational(1 / self.coeffs[0])
-        # Bezout: s*self + t*Phi = gcd = const (Phi_m irreducible).
-        r0 = [Fraction(c) for c in self.context.phi]
-        r1 = list(self.coeffs)
-        while len(r1) > 1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                return self.context.from_coeffs([c * inv for c in s1])
-            q, r = _poly_divmod(r0, r1)
-            s = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1, s0, s1 = r1, r, s1, s
+        if self.is_rational():
+            return self.context.from_rational(1 / self.rational_value())
+        ctx = self.context
+        others = [1] + [0] * (ctx.degree - 1)
+        for k in range(2, ctx.m):
+            if gcd(k, ctx.m) == 1:
+                conj = [0] * ctx.m
+                for i, c in enumerate(self.num):
+                    conj[i * k % ctx.m] = c
+                others = ctx._product(others, _divmod_monic(conj, ctx.phi)[1])
+        # N(a) > 0: for m >= 3 complex conjugation pairs the conjugates off.
+        norm = ctx._product(self.num, others)[0]
+        return ctx._value([c * self.den for c in others], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -220,16 +257,16 @@ class ScalarValue:
     # -- comparison / hashing ----------------------------------------------
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and self.num[0] == other.numerator and self.den == other.denominator
         if isinstance(other, ScalarValue):
-            if other.context == self.context:
-                return self.coeffs == other.coeffs
+            if other.context.m == self.context.m:
+                return self.num == other.num and self.den == other.den
             if self.is_rational() and other.is_rational():
-                return self.coeffs[0] == other.coeffs[0]
+                return self.num[0] == other.num[0] and self.den == other.den
             return False
         return NotImplemented
 
@@ -237,15 +274,15 @@ class ScalarValue:
         # Rational-valued residues hash like the underlying Fraction so that
         # mixed Fraction/ScalarValue dict keys behave.
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.context.m, self.coeffs))
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.context.m, self.num, self.den))
 
     def __repr__(self):
         return f"ScalarValue({self})"
 
     def __str__(self):
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(self.rational_value())
         z = f"z{self.context.m}"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -267,29 +304,9 @@ class ScalarValue:
         return out
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
 def make_root_of_unity(ctx: CyclotomicContext, e: int) -> ScalarValue:
     """The canonical residue of x^(e mod m): zeta_m^e."""
-    e %= ctx.m
-    coeffs = [Fraction(0)] * (e + 1)
-    coeffs[e] = Fraction(1)
-    return ctx.from_coeffs(coeffs)
+    return ctx.from_coeffs([0] * (e % ctx.m) + [1])
 
 
 @lru_cache(maxsize=None)
@@ -340,6 +357,6 @@ def as_scalar(value, ctx: CyclotomicContext | None = None):
         if value.context == ctx:
             return value
         if value.is_rational():
-            return ctx.from_rational(value.coeffs[0])
+            return ctx.from_rational(value.rational_value())
         raise ValueError(f"conductor mismatch: {value.context.m} vs {ctx.m}")
     return ctx.from_rational(value)

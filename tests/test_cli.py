@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -293,6 +296,11 @@ def test_scan_worker_pool_matches_inline():
             "invariants_n3.json",
             "3d266e79121c55229fb3a690c6394e63460a46a632c40630c688129b08a11cff",
         ),
+        (
+            ["auslander", "--n", "3", "--group", "scalar(3;1,1,1;2,2,2),scalar(4;1,1,1;3,3,3)", "--degree", "6"],
+            "auslander_n3.json",
+            "dbb56eaa59a016fa8075aca242d3cec59718002a09e2e4f4f5b539d735724179",
+        ),
     ],
 )
 def test_scalar_payload_pinned(tmp_path, argv, report, digest):
@@ -332,7 +340,37 @@ def test_negative_degree_is_rejected(tmp_path, capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "n, group", [(4, "rot(1)"), (4, "refl(0)"), (4, "rot(2),refl(1)"), (3, "scalar(3;1,1,1;2,2,2)")]
+    "argv",
+    [
+        ["auslander", "--n", "3", "--group", "rot(1)"],
+        ["scan", "--n-list", "3", "--all-dihedral-subgroups"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_verdict_needs_a_positive_degree(tmp_path, capsys, monkeypatch, argv):
+    out = ["--out", str(tmp_path)]
+    assert main(argv + ["--degree", "0"] + out) == 1
+    assert "--degree must be at least 1 for a verdict" in capsys.readouterr().err
+    monkeypatch.setenv("AUSLAB_DEFAULT_DEGREE", "0")
+    assert main(argv + out) == 1
+    err = capsys.readouterr().err
+    assert "AUSLAB_DEFAULT_DEGREE must be at least 1 for a verdict" in err and "got 0" in err
+    assert not list(tmp_path.iterdir())
+    monkeypatch.delenv("AUSLAB_DEFAULT_DEGREE")
+    assert main(argv + ["--degree", "1"] + out) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hilbert", "--n", "3"], ["invariants", "--n", "3", "--group", "rot(1)"]],
+    ids=lambda argv: argv[0],
+)
+def test_series_commands_accept_degree_zero(tmp_path, argv):
+    assert main(argv + ["--degree", "0", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "n, group", [(4, "rot(1)"),(4, "refl(0)"), (4, "rot(2),refl(1)"), (3, "scalar(3;1,1,1;2,2,2)")]
 )
 @pytest.mark.parametrize("check", ["--check-free-module", "--check-presentation"])
 def test_structure_checks_need_a_maximal_reflection_group(tmp_path, capsys, n, group, check):
@@ -360,3 +398,11 @@ def test_oracle_degree_limit_is_checked_up_front(capsys):
     assert oracle.built_through() == -1
     assert main(["hilbert", "--n", "3", "--degree", "40"]) == 1
     assert "over the oracle's limit" in capsys.readouterr().err
+
+
+def test_cli_imports_neither_sympy_nor_numpy():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = "import sys, auslab.cli; print(sorted({'sympy', 'numpy'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

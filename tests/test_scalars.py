@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from auslab.scalars import (
     as_scalar,
@@ -117,3 +120,121 @@ def test_conductor_mixing_is_rejected():
     b = make_root_of_unity(get_context(3), 1)
     with pytest.raises(ValueError):
         a * b
+
+
+# -- reference: dense Fraction polynomials reduced modulo Phi_m ---------------
+
+
+def _ref_reduce(cs, m):
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    cs = [Fraction(c) for c in cs] + [Fraction(0)] * (deg - len(cs))
+    for top in range(len(cs) - 1, deg - 1, -1):
+        c = cs[top]
+        for i, p in enumerate(phi):
+            cs[top - deg + i] -= c * p
+    return tuple(cs[:deg])
+
+
+def _ref_mul(a, b, m):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(prod, m)
+
+
+def _ref_str(cs, m):
+    if not any(cs[1:]):
+        return str(cs[0])
+    terms = []
+    for i, c in enumerate(cs):
+        if c:
+            mono = "" if i == 0 else f"z{m}" if i == 1 else f"z{m}^{i}"
+            body = str(abs(c)) if not mono else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+            terms.append(("-" if c < 0 else "+", body))
+    out = ("-" if terms[0][0] == "-" else "") + terms[0][1]
+    return out + "".join(f" {sign} {body}" for sign, body in terms[1:])
+
+
+def _assert_canonical(v):
+    assert len(v.num) == v.context.degree and v.den > 0
+    assert gcd(v.den, *v.num) == 1
+    assert all(isinstance(c, int) for c in v.num + (v.den,))
+
+
+_coefficient = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6]))
+
+
+@st.composite
+def _operands(draw):
+    m = draw(st.integers(1, 30))
+    deg = len(cyclotomic_polynomial(m)) - 1
+    a = draw(st.lists(_coefficient, min_size=deg, max_size=deg))
+    b = draw(st.lists(_coefficient, min_size=deg, max_size=deg))
+    tail = draw(st.lists(_coefficient, max_size=deg))
+    return m, a, b, tail
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_operands())
+@example((7, [Fraction(1, 2), 0, -3, 0, 0, 1], [2, Fraction(-1, 3), 0, 0, 5, 1], [Fraction(1, 4)]))
+@example((12, [1, Fraction(2, 3), 0, -1], [0, 0, Fraction(1, 6), 0], [3, 0, 1]))
+def test_arithmetic_matches_fraction_reference(operands):
+    m, a, b, tail = operands
+    ctx = get_context(m)
+    x, y = ctx.from_coeffs(a), ctx.from_coeffs(b)
+    for v, ref in [
+        (x, tuple(a)),
+        (x * y, _ref_mul(a, b, m)),
+        (y * x, _ref_mul(a, b, m)),
+        (x + y, tuple(p + q for p, q in zip(a, b))),
+        (x - y, tuple(p - q for p, q in zip(a, b))),
+        (ctx.from_coeffs(a + tail), _ref_reduce(a + tail, m)),
+    ]:
+        _assert_canonical(v)
+        assert v.coeffs == ref
+        assert str(v) == _ref_str(ref, m)
+        # equal values carry equal numerators and denominators
+        twin = ctx.from_coeffs(ref)
+        assert twin == v and (twin.num, twin.den) == (v.num, v.den) and hash(twin) == hash(v)
+    if x:
+        inv = x.inverse()
+        _assert_canonical(inv)
+        assert _ref_mul(a, inv.coeffs, m) == _ref_reduce([1], m)
+        assert x * inv == 1 and hash(x * inv) == hash(Fraction(1))
+    q = a[0]
+    r = ctx.from_rational(q)
+    _assert_canonical(r)
+    assert r == q and hash(r) == hash(q) and r.rational_value() == q
+    assert hash(x + y - y) == hash(x)
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 61):
+        expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(m) == tuple(int(c) for c in expected)
+
+
+def test_products_and_inverses_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def poly(coeffs):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x, domain="QQ")
+
+    def coeffs(p, deg):
+        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+        return tuple(cs + [Fraction(0)] * (deg - len(cs)))
+
+    rng = random.Random(60)
+    for m in (3, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24, 30, 60):
+        ctx = get_context(m)
+        phi = sympy.Poly(sympy.cyclotomic_poly(m, x), x, domain="QQ")
+        for _ in range(4):
+            a, b = _random_value(ctx, rng), _random_value(ctx, rng)
+            assert (a * b).coeffs == coeffs(sympy.rem(poly(a.coeffs) * poly(b.coeffs), phi), ctx.degree)
+            if a:
+                assert a.inverse().coeffs == coeffs(sympy.invert(poly(a.coeffs), phi), ctx.degree)
