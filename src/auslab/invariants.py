@@ -1,9 +1,10 @@
-"""Invariant rings R^G: bases by averaging, orbit-sum structure, and the
+"""Invariant rings R^G: orbit-sum bases, Reynolds averaging, and the
 presentations of the two maximal fixed rings.
 
-The basis of each graded piece of R^G is computed by row-reducing Reynolds
-images of the monomial basis -- independently of the orbit-sum bookkeeping,
-which is then verified against it.  For the full dihedral group the fixed
+For a scalar-free group (every subgroup of D_n) each graded piece of R^G has
+the orbit sums of the monomial basis as its basis; groups with scalars
+row-reduce the Reynolds images of the monomial basis instead, and tests
+hold the orbit sums to that averaging.  For the full dihedral group the fixed
 ring is a commutative polynomial ring on one generator in degree 1 and one
 in degree 2; for the index-two reflection subgroup (n even) it is the path
 algebra of a two-vertex quiver with degree-1 arrows u1, u2 and degree-2
@@ -137,16 +138,27 @@ class InvariantBasis:
 
 
 def invariant_basis(group: FiniteGroup, D: int) -> InvariantBasis:
+    """Scalar-free groups: the orbit sums, in `nf_basis` order of their least
+    monomial; orbits are disjoint, so these are the normalized echelon rows
+    of the Reynolds images.  With scalars: the Reynolds images, row-reduced."""
     q = group.quiver
     vectors = []
     for d in range(D + 1):
         basis, index = _coords(q, d)
-        ech = FieldEchelon()
-        for m in basis:
-            img = reynolds(group, AlgebraElement.monomial(q, m))
-            if not img.is_zero():
-                ech.insert(_row(img, index))
-        rows = [ech.pivots[lead] for lead in sorted(ech.pivots)]
+        if group.has_scalars:
+            ech = FieldEchelon()
+            for m in basis:
+                img = reynolds(group, AlgebraElement.monomial(q, m))
+                if not img.is_zero():
+                    ech.insert(_row(img, index))
+            rows = [ech.pivots[lead] for lead in sorted(ech.pivots)]
+        else:
+            rows, seen = [], set()
+            for m in basis:
+                if m not in seen:
+                    orbit = orbit_of(m, group)
+                    seen |= orbit
+                    rows.append({index[o]: Fraction(1) for o in orbit})
         vectors.append([_element(q, row, basis) for row in rows])
     return InvariantBasis(group, D, vectors)
 

@@ -7,17 +7,19 @@ alpha_i alpha_i* = alpha_{i-1}* alpha_{i-1} rewrite a star-before-nonstar
 pair without ever producing zero).  Products then follow a closed form on
 (source, nonstars, stars) triples.
 
-The oracle engine never assumes any of that.  It enumerates all free words
-degree by degree and row-reduces the relation ideal's truncation inside
-each free component.  The ideal is spanned in every degree by differences
-of pairs of words (the generators are binomial and stay binomial under
-left/right multiplication by arrows), so Gaussian elimination on that
-spanning set is exactly the merge of word classes: the reduced basis is
-{w - min(class w)} over non-minimal words, the complement basis is the set
-of class minima under the monomial order (degree, source, then lex on
-arrows with nonstars before stars), and reduction of a word is lookup of
-its class minimum.  The oracle is authoritative; tests hold the closed
-form to it.
+The oracle engine never assumes any of that.  It uses only that the
+relation ideal is two-sided and generated by the binomial vertex relations
+in degree 2.  Binomials stay binomial under left/right multiplication by
+arrows, so the ideal is spanned in every degree by differences of pairs of
+words, and Gaussian elimination on that spanning set is exactly the merge
+of word classes: the reduced basis is {w - min(class w)} over non-minimal
+words, the complement basis is the set of class minima under the monomial
+order (degree, source, then lex on arrows with nonstars before stars), and
+reduction of a word is lookup of its class minimum.  The classes of degree
+d+1 follow from those of degree d by a union-find over labels (class of a
+prefix or suffix, plus the arrow beyond it), so the oracle's cost grows
+with the number of classes, not of words.  The oracle is authoritative;
+tests hold the closed form to it, and hold it to a word-by-word merge.
 """
 
 from __future__ import annotations
@@ -219,21 +221,35 @@ class DegreeSubspace(NamedTuple):
 @dataclass
 class RelationIdealOracle:
     """Degreewise truncation of the two-sided ideal of vertex relations,
-    built incrementally: layer 2 is the n vertex relations, and layer d+1
-    is arrows*layer_d + layer_d*arrows.
+    kept as the partition of each degree's free words into classes.
 
     Words of degree d from source i are encoded as i * 2^d + code where the
     code's bits, most significant first, flag star arrows; numeric order on
-    codes is lex order on arrow sequences (nonstar < star at each slot).
+    codes is lex order on arrow sequences (nonstar < star at each slot), and
+    flat(w) = 2 * flat(prefix) + last bit.
+
+    Assumed: the ideal is two-sided and generated by the degree-2 binomial
+    relations, so layer d+1 is layer_d * arrows + arrows * layer_d.  Two
+    words of degree d+1 are therefore in one class exactly when a chain of
+    shared labels joins them: the R-label (class of the first d arrows,
+    last arrow bit) or the L-label (first arrow bit, class of the last d
+    arrows).  A word a*m*b with m of degree d-1 joins its two labels, and
+    both depend only on (a, [m], b), so one union per (class at d-1, a, b)
+    builds the classes.  Not assumed: the closed form of the classes, their
+    number, or which words share one.
+
+    Classes of degree d are numbered by their minima in order; `_rcls[d]`
+    and `_lcls[d]` give the class of R-label 2c+b and of L-label 2c+a, and a
+    class's minimum is the least 2 * min(c) + b over its R-labels.
     """
 
     quiver: QuiverA
-    _rep: dict[int, list[int]] = field(default_factory=dict)   # degree -> rep id per word
-    _reps: dict[int, list[int]] = field(default_factory=dict)  # degree -> sorted class minima
-    _rep_pos: dict[int, dict[int, int]] = field(default_factory=dict)
+    _mins: dict[int, list[int]] = field(default_factory=dict)  # degree -> sorted class minima
+    _rcls: dict[int, list[int]] = field(default_factory=dict)  # degree -> class of R-label 2c+b
+    _lcls: dict[int, list[int]] = field(default_factory=dict)  # degree -> class of L-label 2c+a
 
     def built_through(self) -> int:
-        return max(self._reps, default=-1)
+        return max(self._mins, default=-1)
 
     def extend(self, d: int) -> None:
         # n << d > limit exactly when d >= bit_length(limit // n); checked
@@ -273,8 +289,12 @@ class RelationIdealOracle:
     def _build_next(self) -> None:
         d = self.built_through() + 1
         n = self.quiver.n
-        size = n << d
-        parent = list(range(size))
+        if d == 0:
+            self._mins[0] = list(range(n))      # the trivial paths e_i
+            return
+        prev = self._mins[d - 1]
+        labels = 2 * len(prev)                  # R-label r is node r, L-label l is node labels + l
+        parent = list(range(2 * labels))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -283,81 +303,79 @@ class RelationIdealOracle:
             return x
 
         def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
+            parent[find(x)] = find(y)
 
+        if d == 1:
+            # alpha_i runs from i to i+1, alpha_{i-1}* from i to i-1.
+            for i in range(n):
+                union(2 * i, labels + 2 * ((i + 1) % n))
+                union(2 * i + 1, labels + 2 * ((i - 1) % n) + 1)
+        else:
+            lcls, rcls = self._lcls[d - 1], self._rcls[d - 1]
+            for c in range(len(self._mins[d - 2])):
+                for a in (0, 1):
+                    for b in (0, 1):
+                        union(2 * lcls[2 * c + a] + b, labels + 2 * rcls[2 * c + b] + a)
         if d == 2:
             # Vertex relations e_i Omega e_i: alpha_i alpha_i* (code 01)
-            # equals alpha_{i-1}* alpha_{i-1} (code 10).
+            # equals alpha_{i-1}* alpha_{i-1} (code 10); in degree 2 the
+            # R-label of a word is its flat id.
             for i in range(n):
                 union(i * 4 + 1, i * 4 + 2)
-        if d > 2:
-            prev_rep = self._rep[d - 1]
-            half = 1 << (d - 1)
-            for flat, rep in enumerate(prev_rep):
-                if rep == flat:
-                    continue
-                src, code = divmod(flat, half)
-                rcode = rep - src * half
-                # Left multiplication by the two arrows into src.
-                lo = ((src - 1) % n) << d
-                union(lo + code, lo + rcode)                    # alpha_{src-1}
-                hi = (((src + 1) % n) << d) + half
-                union(hi + code, hi + rcode)                    # alpha_src*
-                # Right multiplication by the two arrows out of the target.
-                base = src << d
-                union(base + (code << 1), base + (rcode << 1))
-                union(base + (code << 1) + 1, base + (rcode << 1) + 1)
 
-        minima: dict[int, int] = {}
-        for x in range(size):
-            r = find(x)
-            if minima.get(r, size) > x:
-                minima[r] = x
-        rep = [minima[find(x)] for x in range(size)]
-        reps = sorted(minima.values())
-        self._rep[d] = rep
-        self._reps[d] = reps
-        self._rep_pos[d] = {r: i for i, r in enumerate(reps)}
+        # 2 * prev[r >> 1] + (r & 1) grows with r: the first R-label met in a
+        # component carries its minimum, and classes come out in order.
+        first: dict[int, int] = {}
+        for r in range(labels):
+            first.setdefault(find(r), r)
+        number = {root: i for i, root in enumerate(first)}
+        cls = [number[find(x)] for x in range(2 * labels)]
+        self._mins[d] = [2 * prev[r >> 1] + (r & 1) for r in first.values()]
+        self._rcls[d], self._lcls[d] = cls[:labels], cls[labels:]
+
+    def _class(self, d: int, flat: int) -> int:
+        """Class of a word: the class of each prefix, longest last."""
+        c = flat >> d
+        for k in range(1, d + 1):
+            c = self._rcls[k][2 * c + ((flat >> (d - k)) & 1)]
+        return c
 
     # -- queries ---------------------------------------------------------------
 
     def dimension(self, d: int) -> int:
         self.extend(d)
-        return len(self._reps[d])
+        return len(self._mins[d])
 
     def basis(self, d: int) -> DegreeSubspace:
         self.extend(d)
-        reps = self._reps[d]
+        reps = self._mins[d]
         return DegreeSubspace(
             degree=d,
             dimension=len(reps),
             basis_words=[self.decode(d, r) for r in reps],
-            rep_index=dict(self._rep_pos[d]),
+            rep_index={r: i for i, r in enumerate(reps)},
         )
 
     def reduce_word(self, w: Word) -> int:
         """Position of the class of `w` in the complement basis."""
         d = len(w.arrows)
         self.extend(d)
-        return self._rep_pos[d][self._rep[d][self.encode(w)]]
+        return self._class(d, self.encode(w))
 
     def class_minimum(self, w: Word) -> Word:
+        c = self.reduce_word(w)
         d = len(w.arrows)
-        self.extend(d)
-        return self.decode(d, self._rep[d][self.encode(w)])
+        return self.decode(d, self._mins[d][c])
 
     def ideal_dimension(self, d: int) -> int:
-        self.extend(d)
-        return len(self._rep[d]) - len(self._reps[d])
+        return (self.quiver.n << d) - self.dimension(d)
 
     def matrix_dimensions(self, d: int) -> list[list[int]]:
         """(i, j) entry: dimension of e_i R_d e_j."""
         self.extend(d)
         n = self.quiver.n
         out = [[0] * n for _ in range(n)]
-        for r in self._reps[d]:
+        for r in self._mins[d]:
             src, code = divmod(r, 1 << d)
             stars = bin(code).count("1")
             tgt = (src + d - 2 * stars) % n

@@ -344,19 +344,3 @@ def multiplicative_order(a) -> int | None:
             return e
         power = power * a
     return None
-
-
-def as_scalar(value, ctx: CyclotomicContext | None = None):
-    """Normalize an int/Fraction/ScalarValue into the requested context
-    (or leave rationals as Fractions when no context is given)."""
-    if ctx is None or ctx.m == 1:
-        if isinstance(value, ScalarValue):
-            return value.rational_value() if value.is_rational() else value
-        return Fraction(value)
-    if isinstance(value, ScalarValue):
-        if value.context == ctx:
-            return value
-        if value.is_rational():
-            return ctx.from_rational(value.rational_value())
-        raise ValueError(f"conductor mismatch: {value.context.m} vs {ctx.m}")
-    return ctx.from_rational(value)

@@ -310,6 +310,46 @@ def test_scalar_payload_pinned(tmp_path, argv, report, digest):
     assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, report, digest",
+    [
+        (
+            ["hilbert", "--n", "4", "--degree", "18", "--matrix"],
+            "hilbert_n4.json",
+            "9a28822af7ceed6295a7bdd9d84fdb90ab9af86540074f5a7940095f415788cd",
+        ),
+        (
+            ["invariants", "--n", "8", "--group", "rot(1),refl(0)", "--degree", "32"],
+            "invariants_n8.json",
+            "d305aae7422d73a4d47bffd8d160dc69f7ddbb48c6b7b2906ebb44a96e5fb6a6",
+        ),
+        (
+            ["invariants", "--n", "6", "--group", "rot(2),refl(0)", "--degree", "12",
+             "--check-presentation", "--check-free-module"],
+            "invariants_n6.json",
+            "79975d01ed638905a00cf125452b3af413592c3893804b4a65af86463984aa49",
+        ),
+        (
+            ["invariants", "--n", "6", "--group", "rot(1),refl(0)", "--degree", "12",
+             "--check-presentation", "--check-free-module"],
+            "invariants_n6.json",
+            "e9554361857a8309de94d3152ab9acde91c542803f8f202f5a742262eeecfd4e",
+        ),
+        (
+            ["verify", "--suite", "structure", "--n", "4", "--degree", "10"],
+            "verify_structure_n4.json",
+            "3a34f9e7c7a359d9635f3f48bbda94c16adbf94ee498ea4d9400b20a4c47db93",
+        ),
+    ],
+)
+def test_rings_payload_pinned(tmp_path, argv, report, digest):
+    # sha256 of each payload while the oracle merged word by word and
+    # invariant bases came from Reynolds averaging
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / report).read_text())["payload"]
+    assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == digest
+
+
 def test_mixed_conductors_embed_into_the_lcm(tmp_path):
     group = "scalar(3;1,1,1;2,2,2),scalar(4;1,1,1;3,3,3)"
     assert main(["auslander", "--n", "3", "--group", group, "--degree", "6", "--out", str(tmp_path)]) == 0

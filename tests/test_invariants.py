@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from auslab.invariants import (
     ScalarGroupOrbitNotMonomialError,
@@ -18,13 +20,16 @@ from auslab.invariants import (
     verify_presentation_two_vertex,
     verify_shift_summand,
 )
+from auslab.linalg import FieldEchelon
 from auslab.preproj import AlgebraElement, NFMonomial, nf_basis
 from auslab.quiver import QuiverA
 from auslab.symmetry import (
     apply,
+    build_subgroup,
     dihedral_group,
     generate_group,
     scalar_automorphism,
+    subgroup_keys,
     w_subgroup,
 )
 
@@ -178,3 +183,53 @@ def test_shift_summand():
 def test_presentation_two_vertex_n6():
     rep = verify_presentation_two_vertex(6, 8)
     assert rep.ok and rep.bijective_through == 8
+
+
+def _reynolds_basis(group, d):
+    """Reference: Reynolds images of the degree-d monomials, row-reduced."""
+    q = group.quiver
+    basis = nf_basis(q, d)
+    index = {m: i for i, m in enumerate(basis)}
+    ech = FieldEchelon()
+    for m in basis:
+        img = reynolds(group, AlgebraElement.monomial(q, m))
+        if not img.is_zero():
+            ech.insert({index[x]: c for x, c in img.terms.items()})
+    return [
+        AlgebraElement(q, {basis[i]: c for i, c in ech.pivots[lead].items()})
+        for lead in sorted(ech.pivots)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, key",
+    [
+        pytest.param(n, key, id=f"n{n}-{key[0]}-{key[1]}-{key[2]}")
+        for n in range(3, 9)
+        for key in subgroup_keys(n)
+    ],
+)
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(
+    D=st.integers(0, 10),
+    terms=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(-9, 9), st.integers(1, 9)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@example(D=10, terms=[(0, 1, 1), (5, -3, 4)])
+def test_orbit_sums_are_the_reynolds_basis(n, key, D, terms):
+    _, group = build_subgroup(n, *key)
+    assert not group.has_scalars
+    q = group.quiver
+    basis = invariant_basis(group, D)
+    for d in range(D + 1):
+        ref = _reynolds_basis(group, d)
+        assert basis.vectors[d] == ref
+        for got, want in zip(basis.vectors[d], ref):
+            assert {m: type(c) for m, c in got.terms.items()} == {m: type(c) for m, c in want.terms.items()}
+    mons = nf_basis(q, D)
+    x = AlgebraElement(q, {mons[i % len(mons)]: Fraction(a, b) for i, a, b in terms})
+    avg = reynolds(group, x)
+    assert reynolds(group, avg) == avg

@@ -23,6 +23,75 @@ def test_oracle_dims_small():
     assert oracle.dimension(2) == 9
 
 
+def _word_level_classes(n: int, D: int) -> dict[int, list[int]]:
+    """Reference: degree d -> class minimum of every free word, by a
+    union-find over all n * 2^d words, merging the arrow multiples of each
+    non-minimal word of degree d-1 with those of its class minimum."""
+    _rep: dict[int, list[int]] = {}
+    for d in range(D + 1):
+        size = n << d
+        parent = list(range(size))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(x: int, y: int) -> None:
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+
+        if d == 2:
+            # Vertex relations e_i Omega e_i: alpha_i alpha_i* (code 01)
+            # equals alpha_{i-1}* alpha_{i-1} (code 10).
+            for i in range(n):
+                union(i * 4 + 1, i * 4 + 2)
+        if d > 2:
+            prev_rep = _rep[d - 1]
+            half = 1 << (d - 1)
+            for flat, rep in enumerate(prev_rep):
+                if rep == flat:
+                    continue
+                src, code = divmod(flat, half)
+                rcode = rep - src * half
+                # Left multiplication by the two arrows into src.
+                lo = ((src - 1) % n) << d
+                union(lo + code, lo + rcode)                    # alpha_{src-1}
+                hi = (((src + 1) % n) << d) + half
+                union(hi + code, hi + rcode)                    # alpha_src*
+                # Right multiplication by the two arrows out of the target.
+                base = src << d
+                union(base + (code << 1), base + (rcode << 1))
+                union(base + (code << 1) + 1, base + (rcode << 1) + 1)
+
+        minima: dict[int, int] = {}
+        for x in range(size):
+            r = find(x)
+            if minima.get(r, size) > x:
+                minima[r] = x
+        _rep[d] = [minima[find(x)] for x in range(size)]
+    return _rep
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_label_recursion_matches_word_level_union_find(n):
+    D = 11
+    q = QuiverA(n)
+    oracle = RelationIdealOracle(q)
+    reference = _word_level_classes(n, D)
+    for d in range(D + 1):
+        rep = reference[d]
+        got = [oracle.encode(oracle.class_minimum(oracle.decode(d, flat))) for flat in range(n << d)]
+        assert got == rep
+        minima = sorted(set(rep))
+        assert [oracle.encode(w) for w in oracle.basis(d).basis_words] == minima
+        assert oracle.ideal_dimension(d) == (n << d) - len(minima)
+        for flat in (0, (n << d) // 2, (n << d) - 1):
+            assert minima[oracle.reduce_word(oracle.decode(d, flat))] == rep[flat]
+
+
 def test_degree_two_against_explicit_row_reduction():
     """Independent mini-oracle: the three vertex relations, row-reduced by a
     plain field echelon over the 12 free words of degree 2."""
@@ -36,6 +105,54 @@ def test_degree_two_against_explicit_row_reduction():
         ech.insert({index[rel_pos]: Fraction(1), index[rel_neg]: Fraction(-1)})
     assert ech.rank == 3
     assert 12 - ech.rank == 9 == RelationIdealOracle(q).dimension(2)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("d", [3, 4])
+def test_higher_degrees_against_explicit_row_reduction(n, d):
+    """The same mini-oracle in degrees 3 and 4: a plain field echelon over
+    the free words, fed u * r * v for every vertex relation r and every pair
+    of words u, v that compose with it to degree d."""
+    q = QuiverA(n)
+    words = q.free_basis(d)
+    index = {w: i for i, w in enumerate(words)}
+    relations = [
+        (
+            q.word(i, [ArrowRef(i, False), ArrowRef(i, True)]),
+            q.word(i, [ArrowRef((i - 1) % n, True), ArrowRef((i - 1) % n, False)]),
+        )
+        for i in range(n)
+    ]
+    ech = FieldEchelon()
+    for k in range(d - 1):
+        for u in q.free_basis(k):
+            for v in q.free_basis(d - 2 - k):
+                for pos, neg in relations:
+                    left = q.compose(u, pos)
+                    if left is None:
+                        continue
+                    a, b = q.compose(left, v), q.compose(q.compose(u, neg), v)
+                    if a is not None:
+                        ech.insert({index[a]: Fraction(1), index[b]: Fraction(-1)})
+    oracle = RelationIdealOracle(q)
+    assert len(words) - ech.rank == oracle.dimension(d) == n * (d + 1)
+    assert ech.rank == oracle.ideal_dimension(d)
+    for w in words:
+        m = oracle.class_minimum(w)
+        assert w == m or ech.contains({index[w]: Fraction(1), index[m]: Fraction(-1)})
+
+
+def test_oracle_builds_through_its_largest_degree():
+    # 3 * 2^24 free words in the top degree, the most the word limit admits
+    q = QuiverA(3)
+    oracle = RelationIdealOracle(q)
+    oracle.extend(24)
+    assert oracle.built_through() == 24
+    assert [oracle.dimension(d) for d in range(25)] == [3 * (d + 1) for d in range(25)]
+    top = NFMonomial(1, 13, 11).word(q)
+    assert oracle.class_minimum(top) == top
+    with pytest.raises(MemoryError):
+        oracle.extend(25)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

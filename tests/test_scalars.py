@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from auslab.scalars import (
-    as_scalar,
     cyclotomic_polynomial,
     get_context,
     make_root_of_unity,
@@ -112,7 +111,7 @@ def test_rational_valued_residues_compare_and_hash_like_fractions():
     z2 = make_root_of_unity(ctx, 2)
     assert z2 == -1
     assert hash(z2) == hash(Fraction(-1))
-    assert as_scalar(z2) == Fraction(-1)
+    assert z2.rational_value() == Fraction(-1)
 
 
 def test_conductor_mixing_is_rejected():
