@@ -201,10 +201,6 @@ def parse_group(text: str) -> GroupSpec:
     return _Parser(text).parse()
 
 
-def print_group(spec: GroupSpec) -> str:
-    return spec.canonical()
-
-
 def build_group(spec_text: str, n: int, cap: int = 4096):
     spec = parse_group(spec_text)
     return generate_group(spec.elaborate(n), cap=cap), spec

@@ -30,7 +30,11 @@ from typing import NamedTuple
 
 from .quiver import ArrowRef, QuiverA, Word, mat_mul
 
-ORACLE_WORD_LIMIT = 60_000_000
+# The oracle stores 4nk class labels at each degree k, 2nd(d+1) through
+# degree d.  At this limit (n = 3 through degree 407, n = 20 through 157)
+# `hilbert --matrix` takes about 2 s and 55 MB on a 2-core x86-64 guest
+# under Python 3.11.
+ORACLE_LABEL_LIMIT = 1_000_000
 
 
 class NFMonomial(NamedTuple):
@@ -252,12 +256,12 @@ class RelationIdealOracle:
         return max(self._mins, default=-1)
 
     def extend(self, d: int) -> None:
-        # n << d > limit exactly when d >= bit_length(limit // n); checked
-        # before any degree is built, and without forming n << d.
-        if d >= (ORACLE_WORD_LIMIT // self.quiver.n).bit_length():
+        # Checked before any degree is built.
+        labels = 2 * self.quiver.n * d * (d + 1)
+        if labels > ORACLE_LABEL_LIMIT:
             raise MemoryError(
-                f"free component at degree {d} has {self.quiver.n} * 2^{d} words, over the "
-                f"oracle's limit of {ORACLE_WORD_LIMIT}; the oracle is for desk-scale degrees"
+                f"degree {d} needs {labels} stored class labels at n = {self.quiver.n}, over "
+                f"the oracle's limit of {ORACLE_LABEL_LIMIT}; the oracle is for desk-scale degrees"
             )
         while self.built_through() < d:
             self._build_next()

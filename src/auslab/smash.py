@@ -10,28 +10,46 @@ Multiplication follows (r1 # g1)(r2 # g2) = r1 g1(r2) # g1 g2.  The ideal
     closed under right multiplication by 1#h.
 
 Everything is graded by idempotent cuts: e_i (R#G) e_j splits each degree
-into n^2 blocks, a spanning vector splits into its block pieces, and the
-echelon bases are kept per block.  Within a block, coordinates carried by
+into n^2 blocks, and a spanning vector splits into its block pieces.  The
+coordinates of a block are pairs (g, l), l the nonstar count, with
+i + 2l - d = g(j) (mod n); for each g these l form an arithmetic
+progression, so positions are closed-form.  Coordinates carried by
 non-identity group components come first and identity components last, so
-the intersection with R_d # 1 is read off the pivot positions.
+the intersection with R_d # 1 is a coordinate-suffix intersection.
 
-Two shortcuts keep the exact arithmetic desk-sized.  First, conjugation by
-1#g maps block (i, j) bijectively onto block (g i, g j) preserving identity
-components, so only one block per diagonal-orbit is row-reduced and the
+Each block keeps one of two kernels (see `linalg`):
+
+  * Scalar-free groups (the subgroups of D_n) act on monomials with
+    multiplier +1, and a vertex stabilizer has order at most 2, so every
+    degree-0 cut is a unit or a binomial and every extension or transfer
+    is an injective index map.  The block's span is then a signed graph,
+    kept as a `SignedPartition`; degree d pushes each source block's tree
+    edges and dead roots through one composed index map per (target,
+    source) into a fresh partition, and stops once no live root is left.
+    Rank, identity intersection and membership are read off the partition.
+  * Groups with scalars keep a `FieldEchelon` over Q(zeta_m), fed the
+    source blocks' echelon rows through coordinate maps that carry the
+    scalar multipliers.
+
+Three shortcuts keep the exact arithmetic desk-sized.  First, conjugation
+by 1#g maps block (i, j) bijectively onto block (g i, g j) preserving
+identity components, so only one block per diagonal orbit is built and the
 rest are coordinate transfers.  Second, a block whose two left-extension
 sources are entirely contained in the ideal is itself entirely contained
 (every canonical monomial factors off its first arrow), so saturated
-regions propagate without arithmetic.
+regions propagate without arithmetic.  Third, once every block of a degree
+is saturated so is every later degree, which is then not built at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
-from .linalg import make_echelon
+from .linalg import FieldEchelon, SignedPartition
 from .preproj import AlgebraElement, NFMonomial
 from .quiver import QuiverA
 from .symmetry import Automorphism, FiniteGroup, apply
@@ -175,46 +193,80 @@ def eval_auslander_map(group: FiniteGroup, a: AlgebraElement, g: int | Automorph
 # Ideal truncation
 # ---------------------------------------------------------------------------
 
-
-class BlockCoords(NamedTuple):
-    """Coordinate scheme of e_i (R#G)_d e_j: pairs (group index, nonstar
-    count), non-identity components first, identity components last."""
-
-    coords: tuple[tuple[int, int], ...]
-    index: dict[tuple[int, int], int]
-    tail_start: int          # first identity-component coordinate
+def _progression(n: int, c: int, d: int) -> tuple[int, int]:
+    """(first, count) of the l in 0..d with 2l = c (mod n); they step by
+    n for odd n and by n/2 for even n."""
+    c %= n
+    if n % 2:
+        first, step = c * (n + 1) // 2 % n, n        # (n + 1) / 2 inverts 2 mod n
+    elif c % 2:
+        return 0, 0
+    else:
+        first, step = c // 2, n // 2
+    return first, len(range(first, d + 1, step))
 
 
 def _identity_tail_size(n: int, i: int, j: int, d: int) -> int:
     """Number of identity-component coordinates of e_i (R#G)_d e_j: the l in
-    0..d with i + 2l - d = j (mod n), counted in closed form."""
-    c = (d + j - i) % n
-    if n % 2:
-        r, step = c * (n + 1) // 2 % n, n        # (n + 1) / 2 inverts 2 mod n
-    elif c % 2:
-        return 0
-    else:
-        r, step = c // 2, n // 2
-    return len(range(r, d + 1, step))
+    0..d with i + 2l - d = j (mod n)."""
+    return _progression(n, d + j - i, d)[1]
+
+
+class BlockCoords:
+    """Coordinate scheme of e_i (R#G)_d e_j: pairs (g, l), l the nonstar
+    count, with i + 2l - d = g(j) (mod n).  For each group index g these l
+    run from first[g] in steps of `step`, count[g] of them; the elements are
+    laid out in `order` (index order, identity last), so the identity
+    components form the tail that starts at tail_start."""
+
+    def __init__(self, order: tuple[int, ...], first: list[int], count: list[int], step: int):
+        self.order, self.first, self.count, self.step = order, first, count, step
+        self.start = [0] * len(first)
+        pos = 0
+        for gi in order:
+            self.start[gi] = pos
+            pos += count[gi]
+        self.size = pos
+        self.tail_start = pos - count[order[-1]]
+
+    @cached_property
+    def coords(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
+            (gi, self.first[gi] + k * self.step) for gi in self.order for k in range(self.count[gi])
+        )
+
+    @cached_property
+    def index(self) -> dict[tuple[int, int], int]:
+        return {c: p for p, c in enumerate(self.coords)}
 
 
 @dataclass
 class _Block:
-    echelon: object | None   # None once saturated
+    kernel: object | None    # SignedPartition or FieldEchelon; None once saturated
     full: bool = False
 
 
+_SATURATED = _Block(None, True)
+
+
 class IdealTruncation:
-    """Degreewise echelon bases of the two-sided ideal (f_G) in R#G."""
+    """Degreewise spans of the two-sided ideal (f_G) in R#G, one kernel per
+    orbit-representative block."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.quiver: QuiverA = group.quiver
         self.n = self.quiver.n
-        self.integral = group.is_dihedral_subgroup
+        self.signed = group.is_dihedral_subgroup
         self._coords: dict[tuple[int, int, int], BlockCoords] = {}
         self._transfers: dict[tuple[int, int, int, bool], list] = {}
         self._layers: list[dict[tuple[int, int], _Block]] = []
+        self._full_from: int | None = None     # least degree whose blocks are all saturated
+        ident = group.identity_index
+        self._order = tuple(gi for gi in range(len(group)) if gi != ident) + (ident,)
+        self._step = self.n if self.n % 2 else self.n // 2
+        self._refl = [g.refl for g in group.elements]
+        self._conj: dict[int, list[int]] = {}
         self._orbit_setup()
 
     # -- diagonal orbit structure ------------------------------------------
@@ -252,23 +304,41 @@ class IdealTruncation:
     def block_coords(self, i: int, j: int, d: int) -> BlockCoords:
         key = (i, j, d)
         hit = self._coords.get(key)
-        if hit is not None:
-            return hit
-        group, n = self.group, self.n
-        ident = group.identity_index
-        order = [gi for gi in range(len(group)) if gi != ident] + [ident]
-        coords = []
-        for gi in order:
-            v = group.vertex_maps[gi][j]
-            for l in range(d + 1):
-                if (i + 2 * l - d - v) % n == 0:
-                    coords.append((gi, l))
-        tail_start = next(
-            (pos for pos, (gi, _) in enumerate(coords) if gi == ident), len(coords)
-        )
-        hit = BlockCoords(tuple(coords), {c: p for p, c in enumerate(coords)}, tail_start)
-        self._coords[key] = hit
+        if hit is None:
+            n = self.n
+            by_vertex = [_progression(n, d + v - i, d) for v in range(n)]
+            fc = [by_vertex[vm[j]] for vm in self.group.vertex_maps]
+            hit = BlockCoords(self._order, [f for f, _ in fc], [c for _, c in fc], self._step)
+            self._coords[key] = hit
         return hit
+
+    def _conjugation(self, t: int) -> list[int]:
+        """h -> t h t^-1 on group indices."""
+        hit = self._conj.get(t)
+        if hit is None:
+            table, tinv = self.group.table, self.group.inverse[t]
+            hit = self._conj[t] = [table[k][tinv] for k in table[t]]
+        return hit
+
+    def _push_map(self, src: BlockCoords, dst: BlockCoords, t: int, e: int, shift: tuple[int, int]) -> list[int]:
+        """Index map from a representative's block at degree e into block
+        dst at degree e + 1, through conjugation by the transfer element t
+        and then a degree-1 extension.  Conjugation sends (h, l) to
+        (t h t^-1, l), or to (t h t^-1, e - l) when t reflects; the
+        extension adds shift[refl(h)] nonstars.  Scalar-free groups act on
+        monomials with multiplier +1, so the map carries no scalars."""
+        conj, refl, step = self._conjugation(t), self._refl, dst.step
+        flip = refl[t]
+        out: list[int] = []
+        for h in src.order:
+            cnt = src.count[h]
+            if not cnt:
+                continue
+            g = conj[h]
+            l = (e - src.first[h] if flip else src.first[h]) + shift[refl[h]]
+            k = dst.start[g] + (l - dst.first[g]) // step
+            out.extend(range(k, k - cnt, -1) if flip else range(k, k + cnt))
+        return out
 
     def _transfer_map(self, pair: tuple[int, int], d: int, to_rep: bool) -> list:
         """Coordinate map (index -> (index, scalar)) realizing conjugation by
@@ -287,15 +357,12 @@ class IdealTruncation:
             src_pair, dst_pair = rep, pair
         src = self.block_coords(src_pair[0], src_pair[1], d)
         dst = self.block_coords(dst_pair[0], dst_pair[1], d)
-        g = group.elements[gi]
-        ginv = group.inverse[gi]
-        table = group.table
+        conj = self._conjugation(gi)
         out = []
         for (hi, l) in src.coords:
             m = NFMonomial(src_pair[0], l, d - l)
             scalar, img = group.monomial_action(gi, m)
-            conj = table[table[gi][hi]][ginv]
-            out.append((dst.index[(conj, img.nonstars)], scalar))
+            out.append((dst.index[(conj[hi], img.nonstars)], scalar))
         self._transfers[key] = out
         return out
 
@@ -314,11 +381,11 @@ class IdealTruncation:
         rep = self.pair_rep[pair]
         block = self._layers[d][rep]
         if block.full:
-            size = len(self.block_coords(pair[0], pair[1], d).coords)
+            size = self.block_coords(pair[0], pair[1], d).size
             for idx in range(size):
-                yield {idx: 1 if self.integral else Fraction(1)}
+                yield {idx: Fraction(1)}
             return
-        rows = block.echelon.pivots.values()
+        rows = block.kernel.pivots.values()
         if pair == rep:
             yield from rows
             return
@@ -330,15 +397,15 @@ class IdealTruncation:
         rep = self.pair_rep[pair]
         block = self._layers[d][rep]
         if block.full:
-            return len(self.block_coords(*rep, d).coords)
-        return block.echelon.rank
+            return self.block_coords(*rep, d).size
+        return block.kernel.rank
 
     def block_identity_intersection(self, pair: tuple[int, int], d: int) -> int:
         rep = self.pair_rep[pair]
         block = self._layers[d][rep]
         if block.full:
             return _identity_tail_size(self.n, *rep, d)
-        return block.echelon.lead_count_at_least(self.block_coords(*rep, d).tail_start)
+        return block.kernel.lead_count_at_least(self.block_coords(*rep, d).tail_start)
 
     # -- construction -----------------------------------------------------------
 
@@ -349,19 +416,30 @@ class IdealTruncation:
         while self.built_through() < D:
             if not self._layers:
                 self._build_degree_zero()
+            elif self._full_from is not None:
+                # Saturation propagates: every later degree is saturated too.
+                self._layers.append(self._layers[-1])
             else:
                 self._build_next()
+            if self._full_from is None and all(b.full for b in self._layers[-1].values()):
+                self._full_from = self.built_through()
 
-    def _new_block(self) -> _Block:
-        return _Block(echelon=make_echelon(self.integral))
+    def _saturated(self, d: int) -> bool:
+        return self._full_from is not None and d >= self._full_from
 
     def _build_degree_zero(self) -> None:
         # Degree 0 is spanned by the cuts e_i f_G (e_j # h); reindexing the
         # sum over the group shows f_G (e_{j0} # h) = f_G (e_{h^-1 j0} # 1),
-        # so the h = identity column cuts already span everything.
+        # so the h = identity column cuts already span everything.  A cut
+        # has one term per g with g(j) = i; in D_n a vertex stabilizer has
+        # order at most 2, so for scalar-free groups each cut is a unit or
+        # a binomial, and SignedPartition.insert raises on any other shape.
         group, n = self.group, self.n
-        layer = {rep: self._new_block() for rep in self.orbit_reps}
-        one = 1 if self.integral else Fraction(1)
+        sizes = {rep: self.block_coords(*rep, 0).size for rep in self.orbit_reps}
+        kernels = {
+            rep: SignedPartition(size) if self.signed else FieldEchelon()
+            for rep, size in sizes.items()
+        }
         for j in range(n):
             pieces: dict[int, dict] = {}
             for gi in range(len(group)):
@@ -369,51 +447,68 @@ class IdealTruncation:
                 if (i, j) != self.pair_rep[(i, j)]:
                     continue
                 idx = self.block_coords(i, j, 0).index[(gi, 0)]
-                pieces.setdefault(i, {})[idx] = one
+                pieces.setdefault(i, {})[idx] = Fraction(1)
             for i, row in pieces.items():
-                layer[(i, j)].echelon.insert(row)
-        for rep, block in layer.items():
-            if block.echelon.rank == len(self.block_coords(*rep, 0).coords):
-                block.full = True
-                block.echelon = None
-        self._layers.append(layer)
+                kernels[(i, j)].insert(row)
+        self._layers.append({
+            rep: _SATURATED if kernel.rank == sizes[rep] else _Block(kernel)
+            for rep, kernel in kernels.items()
+        })
 
     def _build_next(self) -> None:
         d = len(self._layers)
-        group, n = self.group, self.n
-        prev = self._layers[d - 1]
+        n, prev = self.n, self._layers[d - 1]
         layer: dict[tuple[int, int], _Block] = {}
         for (i, j) in self.orbit_reps:
-            left_up = self.pair_rep[((i + 1) % n, j)]
-            left_down = self.pair_rep[((i - 1) % n, j)]
-            if prev[left_up].full and prev[left_down].full:
-                layer[(i, j)] = _Block(echelon=None, full=True)
-                continue
-            layer[(i, j)] = self._new_block()
+            # Every canonical monomial of positive degree factors off its
+            # first arrow, so a block whose two left sources are saturated is.
+            if prev[self.pair_rep[((i + 1) % n, j)]].full and prev[self.pair_rep[((i - 1) % n, j)]].full:
+                layer[(i, j)] = _SATURATED
+            else:
+                layer[(i, j)] = self._build_block(i, j, d)
         self._layers.append(layer)
-        for (i, j) in self.orbit_reps:
-            block = layer[(i, j)]
-            if block.full:
-                continue
-            coords = self.block_coords(i, j, d)
-            blockdim = len(coords.coords)
-            if blockdim == 0:
-                block.full = True
-                block.echelon = None
-                continue
-            echelon = block.echelon
-            filled = False
-            for row in self._spanning_rows(i, j, d):
-                if echelon.insert(row) and echelon.rank == blockdim:
-                    filled = True
-                    break
-            if filled:
-                block.full = True
-                block.echelon = None
+
+    def _build_block(self, i: int, j: int, d: int) -> _Block:
+        size = self.block_coords(i, j, d).size
+        if size == 0:
+            return _SATURATED
+        if self.signed:
+            part = SignedPartition(size)
+            for source, mapping in self._sources(i, j, d):
+                part.absorb(mapping, source.kernel)
+                if not part.live:
+                    return _SATURATED
+            return _Block(part)
+        echelon = FieldEchelon()
+        for row in self._spanning_rows(i, j, d):
+            if echelon.insert(row) and echelon.rank == size:
+                return _SATURATED
+        return _Block(echelon)
+
+    def _sources(self, i: int, j: int, d: int):
+        """(source representative's block at d - 1, index map into block
+        (i, j) at d) for the four degree-1 extensions landing in (i, j).
+        Left multiplication by alpha_i (from (i+1, j)) adds a nonstar, by
+        alpha_{i-1}* (from (i-1, j)) a star; right multiplication by
+        alpha_{j-1} # 1 (from (i, j-1)) or alpha_j* # 1 (from (i, j+1))
+        adds g of that arrow, whose kind flips when g reflects."""
+        n, prev = self.n, self._layers[d - 1]
+        dst = self.block_coords(i, j, d)
+        for pair, shift in (
+            (((i + 1) % n, j), (1, 1)),
+            (((i - 1) % n, j), (0, 0)),
+            ((i, (j - 1) % n), (1, 0)),
+            ((i, (j + 1) % n), (0, 1)),
+        ):
+            rep = self.pair_rep[pair]
+            src = self.block_coords(*rep, d - 1)
+            if src.size:
+                yield prev[rep], self._push_map(src, dst, self.pair_transfer[pair], d - 1, shift)
 
     def _spanning_rows(self, i: int, j: int, d: int):
         """Left and right degree-1 extensions landing in block (i, j), each
-        through a coordinate map from its source block built once."""
+        through a coordinate map from its source block built once (groups
+        with scalars)."""
         group, n = self.group, self.n
         index = self.block_coords(i, j, d).index
         # Left multiplication by alpha_i (from block (i+1, j)) adds a nonstar;
@@ -441,12 +536,16 @@ class IdealTruncation:
 
     def ideal_dimension(self, d: int) -> int:
         self.extend(d)
+        if self._saturated(d):
+            return self.smash_dimension(d)
         return sum(
             self.orbit_sizes[rep] * self.block_rank(rep, d) for rep in self.orbit_reps
         )
 
     def identity_intersection_dim(self, d: int) -> int:
         self.extend(d)
+        if self._saturated(d):
+            return self.n * (d + 1)
         return sum(
             self.orbit_sizes[rep] * self.block_identity_intersection(rep, d)
             for rep in self.orbit_reps
@@ -459,22 +558,6 @@ class IdealTruncation:
         return self.n * (d + 1) * len(self.group)
 
     # -- membership ------------------------------------------------------------------
-
-    def _kernel_row(self, row: dict[int, object]) -> dict[int, object]:
-        """Coerce a row to the active kernel's coefficient type; scaling by
-        a common denominator does not change membership.  Over a scalar-free
-        group the ideal is rational, so coefficients must be too."""
-        if not self.integral:
-            return row
-        fracs = {}
-        for k, c in row.items():
-            if not isinstance(c, (int, Fraction)):
-                c = c.rational_value()
-            fracs[k] = Fraction(c)
-        scale = 1
-        for c in fracs.values():
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        return {k: int(c * scale) for k, c in fracs.items()}
 
     def contains(self, x: SmashElement) -> bool:
         """Exact ideal membership for a homogeneous element."""
@@ -493,14 +576,13 @@ class IdealTruncation:
             idx = self.block_coords(i, j, d).index[(gi, m.nonstars)]
             pieces.setdefault((i, j), {})[idx] = c
         for pair, row in pieces.items():
-            row = self._kernel_row(row)
             rep = self.pair_rep[pair]
             block = self._layers[d][rep]
             if block.full:
                 continue
             if pair != rep:
                 row = self._transfer_row(row, self._transfer_map(pair, d, to_rep=True))
-            if not block.echelon.contains(row):
+            if not block.kernel.contains(row):
                 return False
         return True
 
@@ -537,7 +619,7 @@ def naive_ideal_dimension(group: FiniteGroup, d: int) -> int:
     for gi in range(len(group)):
         for m in nf_basis(q, d):
             coords[(m, gi)] = len(coords)
-    echelon = make_echelon(False)
+    echelon = FieldEchelon()
     for a in range(d + 1):
         for p in nf_basis(q, a):
             left = SmashElement.from_algebra(group, AlgebraElement.monomial(q, p))

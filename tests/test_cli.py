@@ -14,7 +14,6 @@ from auslab.cli import (
     canonical_payload_bytes,
     main,
     parse_group,
-    print_group,
     run_scan,
     scan_csv_text,
 )
@@ -52,8 +51,8 @@ def test_parse_group_whitespace_insensitive():
 def test_parse_group_round_trip():
     for text in ("rot(1)", "rot(1),refl(0)", "scalar(4;1,1,1;3,3,3)", "refl(2),rot(3)"):
         spec = parse_group(text)
-        assert print_group(parse_group(print_group(spec))) == print_group(spec)
-        assert print_group(spec) == text
+        assert parse_group(spec.canonical()).canonical() == spec.canonical()
+        assert spec.canonical() == text
 
 
 def test_parse_group_errors_carry_offsets():
@@ -428,16 +427,24 @@ def test_free_module_check_on_the_full_dihedral_group(tmp_path):
 
 
 def test_oracle_degree_limit_is_checked_up_front(capsys):
-    from auslab.preproj import ORACLE_WORD_LIMIT, RelationIdealOracle
+    from auslab.preproj import ORACLE_LABEL_LIMIT, RelationIdealOracle
 
     oracle = RelationIdealOracle(QuiverA(3))
-    degree = (ORACLE_WORD_LIMIT // 3).bit_length()  # the least degree over the limit
-    assert 3 << degree > ORACLE_WORD_LIMIT >= 3 << (degree - 1)
+    degree = 408  # the least degree over the limit at n = 3
+    assert 2 * 3 * degree * (degree + 1) > ORACLE_LABEL_LIMIT >= 2 * 3 * (degree - 1) * degree
     with pytest.raises(MemoryError):
         oracle.extend(degree)
     assert oracle.built_through() == -1
-    assert main(["hilbert", "--n", "3", "--degree", "40"]) == 1
+    assert main(["hilbert", "--n", "3", "--degree", str(degree)]) == 1
     assert "over the oracle's limit" in capsys.readouterr().err
+
+
+def test_hilbert_runs_past_the_former_word_limit(tmp_path):
+    # degree 25 has 3 * 2^25 free words, which the word-count limit refused
+    assert main(["hilbert", "--n", "3", "--degree", "25", "--matrix", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "hilbert_n3.json").read_text())["payload"]
+    assert payload["totals"] == [3 * (d + 1) for d in range(26)]
+    assert payload["recurrence_holds"]
 
 
 def test_cli_imports_neither_sympy_nor_numpy():

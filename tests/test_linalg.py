@@ -1,6 +1,10 @@
 from fractions import Fraction
 
-from auslab.linalg import FieldEchelon, IntEchelon, rank_of
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from auslab.linalg import FieldEchelon, IntEchelon, SignedPartition
 
 
 def test_int_echelon_rank_and_membership():
@@ -55,6 +59,89 @@ def test_rank_of_known_matrix():
         {0: 2, 1: 4, 2: 6},
         {1: 1},
     ]
-    assert rank_of(rows, integral=True) == 2
-    frac_rows = [{k: Fraction(v) for k, v in r.items()} for r in rows]
-    assert rank_of(frac_rows) == 2
+    ints = IntEchelon()
+    for row in rows:
+        ints.insert(row)
+    assert ints.rank == 2
+    field = FieldEchelon()
+    for row in rows:
+        field.insert({k: Fraction(v) for k, v in row.items()})
+    assert field.rank == 2
+
+
+def test_signed_partition_unions_and_cycles():
+    part = SignedPartition(5)
+    assert part.insert({0: 1, 1: 1})           # e_0 = -e_1
+    assert part.insert({1: 2, 2: -2})          # e_1 = e_2
+    assert not part.insert({0: 3, 2: 3})       # e_0 = -e_2 already holds
+    assert (part.rank, part.live) == (2, 3)
+    assert part.contains({0: 1, 2: 1}) and not part.contains({0: 1, 2: -1})
+    assert part.insert({0: 1, 2: -1})          # unbalanced cycle: 0, 1, 2 die
+    assert part.contains({1: 7}) and part.rank == 3
+    assert part.insert({4: -5})
+    assert part.lead_count_at_least(3) == 1 and part.lead_count_at_least(0) == 4
+    # absorbing e_0 - e_1 into a partition holding e_0 + e_1 closes an
+    # unbalanced cycle
+    source, part = SignedPartition(2), SignedPartition(3)
+    source.insert({0: 1, 1: -1})
+    part.insert({1: 1, 2: 1})
+    part.absorb([2, 1], source)
+    assert part.rank == 2 and part.contains({1: 1}) and part.contains({2: 1})
+    for bad in ({0: 1, 3: 2}, {0: 1, 3: 1, 4: 1}):
+        with pytest.raises(ValueError, match="neither a unit nor a signed binomial"):
+            SignedPartition(5).insert(bad)
+
+
+signed_rows = st.lists(
+    st.one_of(
+        st.tuples(st.integers(0, 9), st.integers(-3, 3).filter(bool)).map(lambda t: {t[0]: t[1]}),
+        st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(1, 3), st.sampled_from([1, -1]))
+        .filter(lambda t: t[0] != t[1])
+        .map(lambda t: {t[0]: t[2], t[1]: t[3] * t[2]}),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=signed_rows, probes=st.lists(st.dictionaries(st.integers(0, 9), st.integers(-2, 2), max_size=4), max_size=6))
+def test_signed_partition_is_the_integer_span(rows, probes):
+    # rank, suffix intersections and membership agree with IntEchelon after
+    # every insertion; every inserted row is contained, and rows() is a basis
+    part, ech = SignedPartition(10), IntEchelon()
+    for row in rows:
+        assert part.insert(row) == ech.insert(row)
+        assert part.rank == ech.rank <= 10
+        assert part.contains(row)
+    assert [part.lead_count_at_least(t) for t in range(11)] == [ech.lead_count_at_least(t) for t in range(11)]
+    for probe in probes + rows:
+        assert part.contains(probe) == ech.contains(probe)
+        assert part.contains({k: Fraction(c, 3) for k, c in probe.items()}) == ech.contains(probe)
+    basis = IntEchelon()
+    for row in part.rows():
+        assert ech.contains(row) and basis.insert(row)
+    assert basis.rank == part.rank
+    assert all(part.root[r] == r and part.sign[r] == 1 for r in part.root)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows=signed_rows, first=signed_rows, mapping=st.permutations(range(12)))
+def test_signed_partition_absorbs_an_image(rows, first, mapping):
+    # absorbing a source through an injective map adds the mapped rows,
+    # into a fresh partition and into one that already holds rows
+    source = SignedPartition(10)
+    for row in rows:
+        source.insert(row)
+    for seed in ([], first):
+        part, ech = SignedPartition(12), IntEchelon()
+        for row in seed:
+            part.insert(row)
+            ech.insert(row)
+        part.absorb(mapping[:10], source)
+        for row in source.rows():
+            ech.insert({mapping[k]: c for k, c in row.items()})
+        assert part.rank == ech.rank
+        assert [part.lead_count_at_least(t) for t in range(13)] == [ech.lead_count_at_least(t) for t in range(13)]
+    whole = SignedPartition(12)
+    whole.absorb(mapping[:10], None)
+    assert whole.rank == 10 and whole.lead_count_at_least(0) == 10

@@ -143,16 +143,16 @@ def test_higher_degrees_against_explicit_row_reduction(n, d):
 
 
 def test_oracle_builds_through_its_largest_degree():
-    # 3 * 2^24 free words in the top degree, the most the word limit admits
+    # 2 * 3 * 407 * 408 stored class labels, the most the label limit admits
     q = QuiverA(3)
     oracle = RelationIdealOracle(q)
-    oracle.extend(24)
-    assert oracle.built_through() == 24
-    assert [oracle.dimension(d) for d in range(25)] == [3 * (d + 1) for d in range(25)]
-    top = NFMonomial(1, 13, 11).word(q)
+    oracle.extend(407)
+    assert oracle.built_through() == 407
+    assert [oracle.dimension(d) for d in range(408)] == [3 * (d + 1) for d in range(408)]
+    top = NFMonomial(1, 213, 194).word(q)
     assert oracle.class_minimum(top) == top
     with pytest.raises(MemoryError):
-        oracle.extend(25)
+        oracle.extend(408)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from auslab.linalg import IntEchelon
 from auslab.preproj import AlgebraElement, NFMonomial, nf_basis
 from auslab.quiver import QuiverA
 from auslab.smash import (
+    IdealTruncation,
     MixedDegreeError,
     SmashElement,
     WindowTooLargeError,
@@ -20,12 +24,14 @@ from auslab.smash import (
     theorem_bound,
 )
 from auslab.symmetry import (
+    build_subgroup,
     dihedral_group,
     enumerate_subgroups,
     generate_group,
     reflection,
     rotation,
     scalar_automorphism,
+    subgroup_keys,
     trivial_group,
     w_subgroup,
 )
@@ -249,6 +255,12 @@ def test_membership_certificates():
     assert trunc.contains(SmashElement.from_algebra(dn, p - qq))
     assert not trunc.contains(SmashElement.from_algebra(dn, p))
     assert trunc.contains(SmashElement.group_sum(dn))
+    # the ideal is defined over Q, so membership holds over Q(zeta_m) alike
+    from auslab.scalars import get_context, make_root_of_unity
+
+    z = make_root_of_unity(get_context(5), 2)
+    assert trunc.contains(SmashElement.from_algebra(dn, p - qq).scale(z))
+    assert not trunc.contains(SmashElement.from_algebra(dn, p).scale(z))
 
 
 def test_membership_scalar_case():
@@ -378,3 +390,276 @@ def test_mixed_conductor_ideal_matches_naive_spanning():
     trunc = build_ideal(group, 2)
     for d in range(3):
         assert trunc.ideal_dimension(d) == naive_ideal_dimension(group, d)
+
+
+# ---------------------------------------------------------------------------
+# Signed partitions against the integer row engine
+# ---------------------------------------------------------------------------
+
+
+class _RowEngine:
+    """The row engine the signed partitions replaced, kept as their oracle:
+    one IntEchelon per orbit-rep block and degree, fed the degree-0 cuts and
+    then every echelon row of the four source blocks, moved by coordinate
+    maps built from `monomial_action` over coordinates found by scanning
+    all (g, l).  Shares only the orbit structure with the engine."""
+
+    def __init__(self, trunc):
+        self.trunc = trunc
+        self.group = trunc.group
+        self.coords = {}
+        self.layers = []
+
+    def block(self, i, j, d):
+        key = (i, j, d)
+        if key not in self.coords:
+            group, n = self.group, self.group.quiver.n
+            ident = group.identity_index
+            order = [gi for gi in range(len(group)) if gi != ident] + [ident]
+            coords = [
+                (gi, l)
+                for gi in order
+                for l in range(d + 1)
+                if (i + 2 * l - d - group.vertex_maps[gi][j]) % n == 0
+            ]
+            self.coords[key] = (coords, {c: p for p, c in enumerate(coords)})
+        return self.coords[key]
+
+    def rows(self, pair, d):
+        """Spanning rows of any block at degree d, in its own coordinates."""
+        trunc, group = self.trunc, self.group
+        rep = trunc.pair_rep[pair]
+        ech = self.layers[d][rep]
+        coords, index = self.block(*pair, d)
+        if ech is None:
+            return [{k: 1} for k in range(len(coords))]
+        if pair == rep:
+            return list(ech.pivots.values())
+        t = trunc.pair_transfer[pair]
+        tinv = group.inverse[t]
+        mapping = []
+        for h, l in self.block(*rep, d)[0]:
+            scalar, img = group.monomial_action(t, NFMonomial(rep[0], l, d - l))
+            assert scalar == 1
+            mapping.append(index[(group.table[group.table[t][h]][tinv], img.nonstars)])
+        return [{mapping[k]: c for k, c in row.items()} for row in ech.pivots.values()]
+
+    def extend(self, D):
+        group, n = self.group, self.group.quiver.n
+        while len(self.layers) <= D:
+            d = len(self.layers)
+            layer = {}
+            for (i, j) in self.trunc.orbit_reps:
+                coords, index = self.block(i, j, d)
+                ech = IntEchelon()
+                if d == 0:
+                    cut = {index[(gi, 0)]: 1 for gi in range(len(group)) if group.vertex_maps[gi][j] == i}
+                    ech.insert(cut)
+                else:
+                    # left multiplication adds a nonstar (from (i+1, j)) or a
+                    # star (from (i-1, j)); right multiplication by m0 # 1
+                    # appends g(m0)
+                    sources = [((src, j), lambda gi, dl=dl: dl) for src, dl in (((i + 1) % n, 1), ((i - 1) % n, 0))]
+                    for src, m0 in (
+                        ((j - 1) % n, NFMonomial((j - 1) % n, 1, 0)),
+                        ((j + 1) % n, NFMonomial((j + 1) % n, 0, 1)),
+                    ):
+                        sources.append(((i, src), lambda gi, m0=m0: group.monomial_action(gi, m0)[1].nonstars))
+                    for pair, extra in sources:
+                        if ech.rank == len(coords):
+                            break
+                        remap = [index[(gi, l + extra(gi))] for gi, l in self.block(*pair, d - 1)[0]]
+                        for row in self.rows(pair, d - 1):
+                            if ech.insert({remap[k]: c for k, c in row.items()}) and ech.rank == len(coords):
+                                break
+                layer[(i, j)] = None if ech.rank == len(coords) else ech
+            self.layers.append(layer)
+
+
+def _compare_with_row_engine(group, D):
+    trunc = build_ideal(group, D)
+    oracle = _RowEngine(trunc)
+    oracle.extend(D)
+    for d in range(D + 1):
+        for rep in trunc.orbit_reps:
+            coords, _ = oracle.block(*rep, d)
+            got = trunc.block_coords(*rep, d)
+            assert got.coords == tuple(coords) and got.size == len(coords)
+            ech = oracle.layers[d][rep]
+            tail = len(coords) - got.tail_start
+            want = (
+                (len(coords), tail, True)
+                if ech is None
+                else (ech.rank, ech.lead_count_at_least(got.tail_start), False)
+            )
+            block = (
+                trunc.block_rank(rep, d),
+                trunc.block_identity_intersection(rep, d),
+                trunc._layers[d][rep].full,
+            )
+            assert block == want, (group.elements, d, rep)
+    return trunc, oracle
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_signed_partitions_match_the_row_engine(n):
+    # rank, identity intersection and saturation of every orbit-rep block,
+    # for every subgroup of D_n at every degree up to the cutoff 4n+4
+    for key in subgroup_keys(n):
+        _, group = build_subgroup(n, *key)
+        trunc, _ = _compare_with_row_engine(group, 4 * n + 4)
+        assert trunc.signed
+
+
+def _pushed_rows(trunc, i, j, d):
+    """The rows the build pushes into block (i, j) at degree d."""
+    for source, mapping in trunc._sources(i, j, d):
+        rows = (
+            ({k: 1} for k in range(len(mapping)))
+            if source.full
+            else source.kernel.rows()
+        )
+        for row in rows:
+            yield {mapping[k]: c for k, c in row.items()}
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_partition_membership_matches_int_echelon(n):
+    rng = random.Random(n)
+    for key in subgroup_keys(n):
+        _, group = build_subgroup(n, *key)
+        D = 2 * n + 2
+        trunc, oracle = _compare_with_row_engine(group, D)
+        for d in range(1, D + 1):
+            for rep in trunc.orbit_reps:
+                ech = oracle.layers[d][rep]
+                if ech is None:
+                    continue
+                part = trunc._layers[d][rep].kernel
+                size = len(part.root)
+                for row in _pushed_rows(trunc, *rep, d):
+                    assert part.contains(row) and ech.contains(row)
+                basis = list(ech.pivots.values())
+                for _ in range(12):
+                    row = {}
+                    for r in rng.sample(basis, min(3, len(basis))):
+                        c = rng.choice([-3, -1, 1, 2])
+                        for k, v in r.items():
+                            row[k] = row.get(k, 0) + c * v
+                    if rng.random() < 0.5:
+                        k = rng.randrange(size)
+                        row[k] = row.get(k, 0) + rng.choice([-1, 1])
+                    assert part.contains(row) == ech.contains(row)
+                    sparse = {rng.randrange(size): rng.randint(-2, 2) for _ in range(rng.randint(1, 4))}
+                    assert part.contains(sparse) == ech.contains(sparse)
+
+
+def test_block_coords_are_the_scanned_coordinates():
+    groups = [g for _, g in enumerate_subgroups(6)] + [minus_ones_group()]
+    for group in groups:
+        trunc = IdealTruncation(group)
+        oracle = _RowEngine(trunc)
+        for d in range(9):
+            for i in range(6 if group.quiver.n == 6 else 3):
+                for j in range(group.quiver.n):
+                    coords, index = oracle.block(i, j, d)
+                    got = trunc.block_coords(i, j, d)
+                    assert got.coords == tuple(coords) and got.index == index
+                    ident = group.identity_index
+                    assert got.tail_start == next((p for p, (gi, _) in enumerate(coords) if gi == ident), len(coords))
+
+
+def test_degree_zero_refuses_a_cut_of_another_shape():
+    # refl(0) and -1 on every arrow fix vertex 0 together with their
+    # product, so the cut e_0 f_G e_0 has four terms; a scalar-free group
+    # never has such a cut, and the signed partitions must not absorb one
+    q = QuiverA(3)
+    minus = scalar_automorphism(q, [Fraction(-1)] * 3, [Fraction(-1)] * 3)
+    group = generate_group([reflection(q, 0), minus])
+    assert len(group) == 4
+    group.is_dihedral_subgroup = True
+    with pytest.raises(ValueError, match="neither a unit nor a signed binomial"):
+        build_ideal(group, 0)
+
+
+# ---------------------------------------------------------------------------
+# Properties over random subgroups of D_n
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def dihedral_specs(draw):
+    """(n, spec) for a random subgroup of D_n, n = 3..8: one to three
+    rotation and reflection terms."""
+    n = draw(st.integers(3, 8))
+    terms = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["rot", "refl"]), st.integers(0, n - 1)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return n, ",".join(f"{kind}({a})" for kind, a in terms)
+
+
+def _smash_group(spec):
+    from auslab.cli import build_group
+
+    n, text = spec
+    return build_group(text, n)[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dihedral_specs(), st.randoms(use_true_random=False))
+def test_smash_product_is_associative(spec, rng):
+    group = _smash_group(spec)
+    mons = [m for d in range(3) for m in nf_basis(group.quiver, d)]
+
+    def element():
+        return SmashElement(
+            group,
+            {(rng.choice(mons), rng.randrange(len(group))): Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)},
+        )
+
+    for _ in range(10):
+        x, y, z = element(), element(), element()
+        assert (x * y) * z == x * (y * z)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dihedral_specs(), st.randoms(use_true_random=False))
+def test_products_through_the_group_sum_lie_in_the_ideal(spec, rng):
+    # p f_G (q # h) lies in (f_G) for monomials p, q and every h; q starts
+    # where p ends, so the identity term p q # h keeps the product nonzero
+    group = _smash_group(spec)
+    q = group.quiver
+    trunc = IdealTruncation(group)
+    f_g = SmashElement.group_sum(group)
+    for _ in range(8):
+        pm = rng.choice(nf_basis(q, rng.randint(0, 4)))
+        qm = rng.choice([m for m in nf_basis(q, rng.randint(0, 4)) if m.source == pm.target(q.n)])
+        p = SmashElement.from_algebra(group, AlgebraElement.monomial(q, pm))
+        right = SmashElement.from_algebra(group, AlgebraElement.monomial(q, qm), rng.randrange(len(group)))
+        x = p * f_g * right
+        assert not x.is_zero() and trunc.contains(x)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dihedral_specs())
+def test_partition_invariants(spec):
+    # every pushed edge and unit is contained in the block it was pushed
+    # into, and no rank exceeds its block dimension
+    group = _smash_group(spec)
+    n = group.quiver.n
+    trunc = build_ideal(group, 2 * n + 2)
+    for d in range(2 * n + 3):
+        for rep in trunc.orbit_reps:
+            block = trunc._layers[d][rep]
+            size = trunc.block_coords(*rep, d).size
+            assert 0 <= trunc.block_rank(rep, d) <= size
+            assert 0 <= trunc.block_identity_intersection(rep, d) <= size - trunc.block_coords(*rep, d).tail_start
+            if block.full or d == 0:
+                continue
+            assert block.kernel.rank < size and len(block.kernel.root) == size
+            for row in _pushed_rows(trunc, *rep, d):
+                assert block.kernel.contains(row)
