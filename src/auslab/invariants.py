@@ -1,15 +1,17 @@
 """Invariant rings R^G: orbit-sum bases, Reynolds averaging, and the
 presentations of the two maximal fixed rings.
 
-For a scalar-free group (every subgroup of D_n) each graded piece of R^G has
-the orbit sums of the monomial basis as its basis; groups with scalars
-row-reduce the Reynolds images of the monomial basis instead, and tests
-hold the orbit sums to that averaging.  For the full dihedral group the fixed
-ring is a commutative polynomial ring on one generator in degree 1 and one
-in degree 2; for the index-two reflection subgroup (n even) it is the path
-algebra of a two-vertex quiver with degree-1 arrows u1, u2 and degree-2
-loops v1, v2 modulo (v1 u1 - u1 v2, v2 u2 - u2 v1).  Both claims are
-machine-checked degreewise.
+Every group element sends a monomial to a root of unity times a monomial,
+so each graded piece of R^G has the twisted orbit sums of the monomial basis
+as its basis: one per orbit whose stabilizer fixes its monomials with
+multiplier 1, the others averaging to zero.  For subgroups of D_n these are
+the plain orbit sums.  `reynolds` averaging stays for `verify` and as the
+tests' reference.  For the full dihedral group the fixed ring is a
+commutative polynomial ring on one generator in degree 1 and one in degree
+2; for the index-two reflection subgroup (n even) it is the path algebra of
+a two-vertex quiver with degree-1 arrows u1, u2 and degree-2 loops v1, v2
+modulo (v1 u1 - u1 v2, v2 u2 - u2 v1).  Both claims are machine-checked
+degreewise.
 """
 
 from __future__ import annotations
@@ -99,10 +101,6 @@ def _row(x: AlgebraElement, index: dict[NFMonomial, int]) -> dict[int, object]:
     return {index[m]: c for m, c in x.terms.items()}
 
 
-def _element(q: QuiverA, row: dict[int, object], basis: list[NFMonomial]) -> AlgebraElement:
-    return AlgebraElement(q, {basis[i]: c for i, c in row.items()})
-
-
 @dataclass
 class InvariantBasis:
     """Row-reduced bases of (R^G)_d for d = 0..D."""
@@ -138,28 +136,28 @@ class InvariantBasis:
 
 
 def invariant_basis(group: FiniteGroup, D: int) -> InvariantBasis:
-    """Scalar-free groups: the orbit sums, in `nf_basis` order of their least
-    monomial; orbits are disjoint, so these are the normalized echelon rows
-    of the Reynolds images.  With scalars: the Reynolds images, row-reduced."""
+    """One twisted orbit sum per orbit, in `nf_basis` order of its least
+    monomial m: each image monomial once, with the scalar by which an
+    element sending m there scales it, so m has coefficient 1.  The scalars
+    agree, and the orbit contributes, exactly when the stabilizer of m fixes
+    it with multiplier 1; otherwise the orbit averages to zero.  Orbits are
+    disjoint, so these are the normalized echelon rows of the Reynolds
+    images."""
     q = group.quiver
     vectors = []
     for d in range(D + 1):
-        basis, index = _coords(q, d)
-        if group.has_scalars:
-            ech = FieldEchelon()
-            for m in basis:
-                img = reynolds(group, AlgebraElement.monomial(q, m))
-                if not img.is_zero():
-                    ech.insert(_row(img, index))
-            rows = [ech.pivots[lead] for lead in sorted(ech.pivots)]
-        else:
-            rows, seen = [], set()
-            for m in basis:
-                if m not in seen:
-                    orbit = orbit_of(m, group)
-                    seen |= orbit
-                    rows.append({index[o]: Fraction(1) for o in orbit})
-        vectors.append([_element(q, row, basis) for row in rows])
+        rows, seen = [], set()
+        for m in nf_basis(q, d):
+            if m in seen:
+                continue
+            terms, fixed = {}, True
+            for g in group.elements:
+                c, img = g.monomial_image(m)
+                fixed = terms.setdefault(img, c) == c and fixed
+            seen.update(terms)
+            if fixed:
+                rows.append(AlgebraElement(q, terms))
+        vectors.append(rows)
     return InvariantBasis(group, D, vectors)
 
 

@@ -9,6 +9,11 @@ one interface (`insert`, `rank`, `contains`, `lead_count_at_least`):
   * `SignedPartition`, the span of unit rows e_a and signed binomials
     e_a - s e_b (s = +-1), kept as a partition of the coordinates.
 
+`FieldEchelon` and `SignedPartition` also `absorb` another kernel's span
+through an injective index map (with per-coordinate multipliers for the
+echelon, see `map_row`) and report `live`, the dimension left outside the
+span, which is how the smash ideal is built over either.
+
 Echelon pivots are leftmost nonzero coordinates, so any row whose pivot
 falls in a suffix of the coordinate order has its whole support in that
 suffix; intersections with a coordinate suffix are read straight off the
@@ -78,17 +83,50 @@ class IntEchelon:
         return sum(1 for lead in self.pivots if lead >= threshold)
 
 
+def map_row(row: dict[int, object], mapping: list[int], multipliers: list | None = None) -> dict[int, object]:
+    """The row with coordinate k moved to mapping[k] and its coefficient
+    scaled by multipliers[k]; None stands for multipliers that are all 1."""
+    if multipliers is None:
+        return {mapping[k]: c for k, c in row.items()}
+    out = {}
+    for k, c in row.items():
+        s = multipliers[k]
+        out[mapping[k]] = c if s == 1 else c * s
+    return out
+
+
 class FieldEchelon:
-    """Echelon basis over a field; rows normalized to leading coefficient 1."""
+    """Echelon basis over a field; rows normalized to leading coefficient 1.
+    `size`, the number of coordinates, is needed only for `live` and
+    `absorb`."""
 
-    __slots__ = ("pivots",)
+    __slots__ = ("pivots", "size")
 
-    def __init__(self):
+    def __init__(self, size: int | None = None):
         self.pivots: dict[int, dict[int, object]] = {}
+        self.size = size
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    @property
+    def live(self) -> int:
+        """Dimension of the quotient by the span."""
+        return self.size - len(self.pivots)
+
+    def absorb(self, mapping: list[int], source: "FieldEchelon | None", multipliers: list | None) -> None:
+        """Insert the image of `source`'s echelon rows under the injective
+        coordinate map `mapping`, with multipliers as in `map_row`; None
+        stands for a source that spans its whole space.  Stops once the
+        span is everything."""
+        if source is None:
+            rows = ({k: Fraction(1)} for k in range(len(mapping)))
+        else:
+            rows = source.pivots.values()
+        for row in rows:
+            if self.insert(map_row(row, mapping, multipliers)) and not self.live:
+                return
 
     def residue(self, row: dict[int, object]) -> dict[int, object]:
         v = {k: c for k, c in row.items() if c}
@@ -199,10 +237,11 @@ class SignedPartition:
             raise ValueError(f"row {row} is neither a unit nor a signed binomial")
         return self.live < live
 
-    def absorb(self, mapping: list[int], source: "SignedPartition | None") -> None:
+    def absorb(self, mapping: list[int], source: "SignedPartition | None", multipliers: None = None) -> None:
         """Add the image of `source`'s span under the injective coordinate
         map `mapping` (source index -> own index); None stands for a source
-        that spans its whole space."""
+        that spans its whole space.  The rows carry signs only, so there
+        are no multipliers."""
         if source is None:
             for a in mapping:
                 self.kill(a)

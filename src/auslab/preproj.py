@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .quiver import ArrowRef, QuiverA, Word, mat_mul
+from .quiver import ArrowRef, QuiverA, Word
 
 # The oracle stores 4nk class labels at each degree k, 2nd(d+1) through
 # degree d.  At this limit (n = 3 through degree 407, n = 20 through 157)
@@ -421,25 +421,24 @@ def hilbert(q: QuiverA, D: int, oracle: RelationIdealOracle | None = None) -> Hi
     oracle.extend(D)
     totals = [oracle.dimension(d) for d in range(D + 1)]
     matrices = [oracle.matrix_dimensions(d) for d in range(D + 1)]
-    m = q.adjacency_matrix()
     recurrence = all(
         matrices[d]
         == [
             [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(mat_mul(m, matrices[d - 1]), matrices[d - 2])
+            for ra, rb in zip(q.adjacency_times(matrices[d - 1]), matrices[d - 2])
         ]
         for d in range(2, D + 1)
     )
     inverse_square = all(
-        matrices[d] == _inverse_square_coefficient(m, d) for d in range(D + 1)
+        matrices[d] == _inverse_square_coefficient(q, d) for d in range(D + 1)
     )
     return HilbertReport(q.n, D, totals, matrices, recurrence, inverse_square)
 
 
-def _inverse_square_coefficient(m: list[list[int]], d: int) -> list[list[int]]:
+def _inverse_square_coefficient(q: QuiverA, d: int) -> list[list[int]]:
     """Degree-d coefficient of (I - M t)^-2, i.e. (d+1) M^d."""
-    n = len(m)
+    n = q.n
     out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(d):
-        out = mat_mul(out, m)
+        out = q.adjacency_times(out)
     return [[(d + 1) * x for x in row] for row in out]

@@ -135,6 +135,12 @@ class QuiverA:
             for i in range(n)
         ]
 
+    def adjacency_times(self, c: list[list[int]]) -> list[list[int]]:
+        """M c for the adjacency matrix M, by shift-and-add: row i of M c is
+        row i - 1 plus row i + 1 of c."""
+        n = self.n
+        return [[a + b for a, b in zip(c[i - 1], c[(i + 1) % n])] for i in range(n)]
+
     def path_count_matrix(self, d: int) -> list[list[int]]:
         """d-th power of the adjacency matrix: (i, j) counts words i -> j."""
         n = self.n

@@ -17,19 +17,21 @@ progression, so positions are closed-form.  Coordinates carried by
 non-identity group components come first and identity components last, so
 the intersection with R_d # 1 is a coordinate-suffix intersection.
 
-Each block keeps one of two kernels (see `linalg`):
+Every extension and orbit transfer is an injective index map between
+blocks, composed in closed form from the conjugation table, the reflection
+bit and the extension's shift.  A group element sends a monomial to a root
+of unity times a monomial, so for groups with scalars the map also carries
+one multiplier per source coordinate.  Degree d absorbs each source
+block's span through one such map per (target, source) into a fresh
+kernel, and stops once the target block is spanned.  The kernel follows
+the input (see `linalg`):
 
-  * Scalar-free groups (the subgroups of D_n) act on monomials with
-    multiplier +1, and a vertex stabilizer has order at most 2, so every
-    degree-0 cut is a unit or a binomial and every extension or transfer
-    is an injective index map.  The block's span is then a signed graph,
-    kept as a `SignedPartition`; degree d pushes each source block's tree
-    edges and dead roots through one composed index map per (target,
-    source) into a fresh partition, and stops once no live root is left.
-    Rank, identity intersection and membership are read off the partition.
-  * Groups with scalars keep a `FieldEchelon` over Q(zeta_m), fed the
-    source blocks' echelon rows through coordinate maps that carry the
-    scalar multipliers.
+  * Scalar-free groups (the subgroups of D_n) have no multipliers, and a
+    vertex stabilizer has order at most 2, so every degree-0 cut is a unit
+    or a binomial.  The block's span is then a signed graph, kept as a
+    `SignedPartition`; rank, identity intersection and membership are read
+    off the partition.
+  * Groups with scalars keep a `FieldEchelon` over Q(zeta_m).
 
 Three shortcuts keep the exact arithmetic desk-sized.  First, conjugation
 by 1#g maps block (i, j) bijectively onto block (g i, g j) preserving
@@ -45,11 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
-from .linalg import FieldEchelon, SignedPartition
+from .linalg import FieldEchelon, SignedPartition, map_row
 from .preproj import AlgebraElement, NFMonomial
 from .quiver import QuiverA
 from .symmetry import Automorphism, FiniteGroup, apply
@@ -229,15 +230,9 @@ class BlockCoords:
         self.size = pos
         self.tail_start = pos - count[order[-1]]
 
-    @cached_property
-    def coords(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (gi, self.first[gi] + k * self.step) for gi in self.order for k in range(self.count[gi])
-        )
-
-    @cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        return {c: p for p, c in enumerate(self.coords)}
+    def position(self, g: int, l: int) -> int:
+        """Index of the coordinate (g, l), which must belong to the block."""
+        return self.start[g] + (l - self.first[g]) // self.step
 
 
 @dataclass
@@ -258,8 +253,8 @@ class IdealTruncation:
         self.quiver: QuiverA = group.quiver
         self.n = self.quiver.n
         self.signed = group.is_dihedral_subgroup
+        self._kernel = SignedPartition if self.signed else FieldEchelon
         self._coords: dict[tuple[int, int, int], BlockCoords] = {}
-        self._transfers: dict[tuple[int, int, int, bool], list] = {}
         self._layers: list[dict[tuple[int, int], _Block]] = []
         self._full_from: int | None = None     # least degree whose blocks are all saturated
         ident = group.identity_index
@@ -320,13 +315,18 @@ class IdealTruncation:
             hit = self._conj[t] = [table[k][tinv] for k in table[t]]
         return hit
 
-    def _push_map(self, src: BlockCoords, dst: BlockCoords, t: int, e: int, shift: tuple[int, int]) -> list[int]:
-        """Index map from a representative's block at degree e into block
-        dst at degree e + 1, through conjugation by the transfer element t
-        and then a degree-1 extension.  Conjugation sends (h, l) to
-        (t h t^-1, l), or to (t h t^-1, e - l) when t reflects; the
-        extension adds shift[refl(h)] nonstars.  Scalar-free groups act on
-        monomials with multiplier +1, so the map carries no scalars."""
+    def _push_map(
+        self, pair: tuple[int, int], e: int, dst: BlockCoords, t: int, shift: tuple[int, int], arrow: NFMonomial | None = None
+    ) -> tuple[list[int], list | None]:
+        """Index map and multipliers from block `pair` at degree e into block
+        dst, through conjugation by t and then a degree-1 extension.
+        Conjugation sends (h, l) to (t h t^-1, l), or to (t h t^-1, e - l)
+        when t reflects; the extension adds shift[refl(h)] nonstars, and a
+        right extension appends g(arrow) for g = t h t^-1.  Shift (0, 0)
+        and no arrow give the conjugation alone, at degree e.  The
+        multipliers are None for scalar-free groups, whose elements act on
+        monomials with multiplier +1."""
+        src = self.block_coords(*pair, e)
         conj, refl, step = self._conjugation(t), self._refl, dst.step
         flip = refl[t]
         out: list[int] = []
@@ -336,62 +336,30 @@ class IdealTruncation:
                 continue
             g = conj[h]
             l = (e - src.first[h] if flip else src.first[h]) + shift[refl[h]]
-            k = dst.start[g] + (l - dst.first[g]) // step
+            k = dst.start[g] + (l - dst.first[g]) // step     # dst.position(g, l)
             out.extend(range(k, k - cnt, -1) if flip else range(k, k + cnt))
-        return out
+        return out, None if self.signed else self._multipliers(src, pair[0], e, t, arrow)
 
-    def _transfer_map(self, pair: tuple[int, int], d: int, to_rep: bool) -> list:
-        """Coordinate map (index -> (index, scalar)) realizing conjugation by
-        the orbit transfer element between a block and its representative."""
-        key = (pair[0], pair[1], d, to_rep)
-        hit = self._transfers.get(key)
-        if hit is not None:
-            return hit
-        group = self.group
-        rep = self.pair_rep[pair]
-        gi = self.pair_transfer[pair]
-        if to_rep:
-            gi = group.inverse[gi]
-            src_pair, dst_pair = pair, rep
-        else:
-            src_pair, dst_pair = rep, pair
-        src = self.block_coords(src_pair[0], src_pair[1], d)
-        dst = self.block_coords(dst_pair[0], dst_pair[1], d)
-        conj = self._conjugation(gi)
-        out = []
-        for (hi, l) in src.coords:
-            m = NFMonomial(src_pair[0], l, d - l)
-            scalar, img = group.monomial_action(gi, m)
-            out.append((dst.index[(conj[hi], img.nonstars)], scalar))
-        self._transfers[key] = out
-        return out
-
-    def _transfer_row(self, row: dict, mapping: list) -> dict:
-        out = {}
-        for idx, c in row.items():
-            tgt, scalar = mapping[idx]
-            out[tgt] = c if scalar == 1 else c * scalar
-        return out
-
-    # -- block row access -----------------------------------------------------
-
-    def _block_rows(self, pair: tuple[int, int], d: int):
-        """Iterate spanning rows of any block at a built degree (echelon rows
-        of the representative, transferred; unit rows when saturated)."""
-        rep = self.pair_rep[pair]
-        block = self._layers[d][rep]
-        if block.full:
-            size = self.block_coords(pair[0], pair[1], d).size
-            for idx in range(size):
-                yield {idx: Fraction(1)}
-            return
-        rows = block.kernel.pivots.values()
-        if pair == rep:
-            yield from rows
-            return
-        mapping = self._transfer_map(pair, d, to_rep=False)
-        for row in rows:
-            yield self._transfer_row(row, mapping)
+    def _multipliers(self, src: BlockCoords, i: int, e: int, t: int, arrow: NFMonomial | None) -> list:
+        """Per index (h, l) of block src, row vertex i and degree e: t's
+        scalar on the monomial (i, l, e - l) times g's scalar on `arrow`,
+        for g = t h t^-1; a product is taken only when neither factor is 1."""
+        act, conj, step = self.group.monomial_action, self._conjugation(t), src.step
+        t_scales = self.group.elements[t].m != 1
+        mult: list = []
+        for h in src.order:
+            cnt = src.count[h]
+            if not cnt:
+                continue
+            ext = 1 if arrow is None else act(conj[h], arrow)[0]
+            if not t_scales:
+                mult += [ext] * cnt
+                continue
+            first = src.first[h]
+            for l in range(first, first + cnt * step, step):
+                s = act(t, NFMonomial(i, l, e - l))[0]
+                mult.append(ext if s == 1 else s if ext == 1 else s * ext)
+        return mult
 
     def block_rank(self, pair: tuple[int, int], d: int) -> int:
         rep = self.pair_rep[pair]
@@ -435,24 +403,19 @@ class IdealTruncation:
         # order at most 2, so for scalar-free groups each cut is a unit or
         # a binomial, and SignedPartition.insert raises on any other shape.
         group, n = self.group, self.n
-        sizes = {rep: self.block_coords(*rep, 0).size for rep in self.orbit_reps}
-        kernels = {
-            rep: SignedPartition(size) if self.signed else FieldEchelon()
-            for rep, size in sizes.items()
-        }
+        kernels = {rep: self._kernel(self.block_coords(*rep, 0).size) for rep in self.orbit_reps}
         for j in range(n):
             pieces: dict[int, dict] = {}
             for gi in range(len(group)):
                 i = group.vertex_maps[gi][j]
                 if (i, j) != self.pair_rep[(i, j)]:
                     continue
-                idx = self.block_coords(i, j, 0).index[(gi, 0)]
+                idx = self.block_coords(i, j, 0).position(gi, 0)
                 pieces.setdefault(i, {})[idx] = Fraction(1)
             for i, row in pieces.items():
                 kernels[(i, j)].insert(row)
         self._layers.append({
-            rep: _SATURATED if kernel.rank == sizes[rep] else _Block(kernel)
-            for rep, kernel in kernels.items()
+            rep: _Block(kernel) if kernel.live else _SATURATED for rep, kernel in kernels.items()
         })
 
     def _build_next(self) -> None:
@@ -469,68 +432,34 @@ class IdealTruncation:
         self._layers.append(layer)
 
     def _build_block(self, i: int, j: int, d: int) -> _Block:
-        size = self.block_coords(i, j, d).size
-        if size == 0:
-            return _SATURATED
-        if self.signed:
-            part = SignedPartition(size)
-            for source, mapping in self._sources(i, j, d):
-                part.absorb(mapping, source.kernel)
-                if not part.live:
-                    return _SATURATED
-            return _Block(part)
-        echelon = FieldEchelon()
-        for row in self._spanning_rows(i, j, d):
-            if echelon.insert(row) and echelon.rank == size:
-                return _SATURATED
-        return _Block(echelon)
+        kernel = self._kernel(self.block_coords(i, j, d).size)
+        if kernel.live:
+            for source, mapping, multipliers in self._sources(i, j, d):
+                kernel.absorb(mapping, source.kernel, multipliers)
+                if not kernel.live:
+                    break
+        return _Block(kernel) if kernel.live else _SATURATED
 
     def _sources(self, i: int, j: int, d: int):
         """(source representative's block at d - 1, index map into block
-        (i, j) at d) for the four degree-1 extensions landing in (i, j).
-        Left multiplication by alpha_i (from (i+1, j)) adds a nonstar, by
-        alpha_{i-1}* (from (i-1, j)) a star; right multiplication by
-        alpha_{j-1} # 1 (from (i, j-1)) or alpha_j* # 1 (from (i, j+1))
-        adds g of that arrow, whose kind flips when g reflects."""
+        (i, j) at d, multipliers) for the four degree-1 extensions landing
+        in (i, j).  Left multiplication by alpha_i (from (i+1, j)) adds a
+        nonstar, by alpha_{i-1}* (from (i-1, j)) a star; right
+        multiplication by alpha_{j-1} # 1 (from (i, j-1)) or alpha_j* # 1
+        (from (i, j+1)) appends g of that arrow, whose kind flips when g
+        reflects."""
         n, prev = self.n, self._layers[d - 1]
         dst = self.block_coords(i, j, d)
-        for pair, shift in (
-            (((i + 1) % n, j), (1, 1)),
-            (((i - 1) % n, j), (0, 0)),
-            ((i, (j - 1) % n), (1, 0)),
-            ((i, (j + 1) % n), (0, 1)),
+        for pair, shift, arrow in (
+            (((i + 1) % n, j), (1, 1), None),
+            (((i - 1) % n, j), (0, 0), None),
+            ((i, (j - 1) % n), (1, 0), NFMonomial((j - 1) % n, 1, 0)),
+            ((i, (j + 1) % n), (0, 1), NFMonomial((j + 1) % n, 0, 1)),
         ):
             rep = self.pair_rep[pair]
-            src = self.block_coords(*rep, d - 1)
-            if src.size:
-                yield prev[rep], self._push_map(src, dst, self.pair_transfer[pair], d - 1, shift)
-
-    def _spanning_rows(self, i: int, j: int, d: int):
-        """Left and right degree-1 extensions landing in block (i, j), each
-        through a coordinate map from its source block built once (groups
-        with scalars)."""
-        group, n = self.group, self.n
-        index = self.block_coords(i, j, d).index
-        # Left multiplication by alpha_i (from block (i+1, j)) adds a nonstar;
-        # by alpha_{i-1}* (from block (i-1, j)) adds a star.
-        for src_i, dl in (((i + 1) % n, 1), ((i - 1) % n, 0)):
-            coords = self.block_coords(src_i, j, d - 1).coords
-            remap = [(index[(gi, l + dl)], 1) for gi, l in coords]
-            for row in self._block_rows((src_i, j), d - 1):
-                yield self._transfer_row(row, remap)
-        # Right multiplication by (m0 # 1) for the two arrows into j.
-        for src_j, m0 in (
-            ((j - 1) % n, NFMonomial((j - 1) % n, 1, 0)),
-            ((j + 1) % n, NFMonomial((j + 1) % n, 0, 1)),
-        ):
-            src_pair = (i, src_j)
-            src_coords = self.block_coords(i, src_j, d - 1).coords
-            remap = []
-            for (gi, l) in src_coords:
-                scalar, img = group.monomial_action(gi, m0)
-                remap.append((index[(gi, l + img.nonstars)], scalar))
-            for row in self._block_rows(src_pair, d - 1):
-                yield self._transfer_row(row, remap)
+            mapping, multipliers = self._push_map(rep, d - 1, dst, self.pair_transfer[pair], shift, arrow)
+            if mapping:
+                yield prev[rep], mapping, multipliers
 
     # -- measurements -------------------------------------------------------------
 
@@ -573,7 +502,7 @@ class IdealTruncation:
         for (m, gi), c in x.terms.items():
             i = m.source
             j = inv_vm[gi][m.target(n)]
-            idx = self.block_coords(i, j, d).index[(gi, m.nonstars)]
+            idx = self.block_coords(i, j, d).position(gi, m.nonstars)
             pieces.setdefault((i, j), {})[idx] = c
         for pair, row in pieces.items():
             rep = self.pair_rep[pair]
@@ -581,7 +510,8 @@ class IdealTruncation:
             if block.full:
                 continue
             if pair != rep:
-                row = self._transfer_row(row, self._transfer_map(pair, d, to_rep=True))
+                t = group.inverse[self.pair_transfer[pair]]
+                row = map_row(row, *self._push_map(pair, d, self.block_coords(*rep, d), t, (0, 0)))
             if not block.kernel.contains(row):
                 return False
         return True

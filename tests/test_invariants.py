@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_smash import scalar_transfer_group
+from test_symmetry import group_specs
+
+from auslab.cli import build_group
 
 from auslab.invariants import (
     ScalarGroupOrbitNotMonomialError,
@@ -24,6 +28,7 @@ from auslab.linalg import FieldEchelon
 from auslab.preproj import AlgebraElement, NFMonomial, nf_basis
 from auslab.quiver import QuiverA
 from auslab.symmetry import (
+    CapExceededError,
     apply,
     build_subgroup,
     dihedral_group,
@@ -233,3 +238,33 @@ def test_orbit_sums_are_the_reynolds_basis(n, key, D, terms):
     x = AlgebraElement(q, {mons[i % len(mons)]: Fraction(a, b) for i, a, b in terms})
     avg = reynolds(group, x)
     assert reynolds(group, avg) == avg
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(group_specs())
+def test_twisted_orbit_sums_are_the_reynolds_basis(case):
+    # groups with scalars: the twisted orbit sums are the normalized echelon
+    # rows of the Reynolds images, vector for vector and by value
+    n, spec = case
+    try:
+        group, _ = build_group(spec, n, cap=64)
+    except CapExceededError:
+        assume(False)
+    basis = invariant_basis(group, 4)
+    for d in range(5):
+        assert basis.vectors[d] == _reynolds_basis(group, d)
+
+
+def test_twisted_orbit_sums_drop_orbits_with_a_scaling_stabilizer():
+    group = scalar_transfer_group()
+    basis = invariant_basis(group, 4)
+    for d in range(5):
+        assert basis.vectors[d] == _reynolds_basis(group, d)
+    # -1 on every arrow fixes each monomial and scales the odd-degree ones
+    # by -1, so in degree 1 the rotation orbit {alpha_0, alpha_1, alpha_2}
+    # and its star counterpart drop out
+    group, _ = build_group("rot(1),scalar(2;1,1,1;1,1,1)", 3)
+    basis = invariant_basis(group, 2)
+    assert basis.vectors[1] == _reynolds_basis(group, 1) == []
+    assert basis.vectors[2] == _reynolds_basis(group, 2)
+    assert sorted(len(v.terms) for v in basis.vectors[2]) == [3, 3, 3]

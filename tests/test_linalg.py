@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auslab.linalg import FieldEchelon, IntEchelon, SignedPartition
+from auslab.linalg import FieldEchelon, IntEchelon, SignedPartition, map_row
+from auslab.scalars import root
 
 
 def test_int_echelon_rank_and_membership():
@@ -145,3 +146,32 @@ def test_signed_partition_absorbs_an_image(rows, first, mapping):
     whole = SignedPartition(12)
     whole.absorb(mapping[:10], None)
     assert whole.rank == 10 and whole.lead_count_at_least(0) == 10
+
+
+field_rows = st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool), max_size=4), max_size=8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=field_rows, first=field_rows, mapping=st.permutations(range(6)), exps=st.lists(st.integers(0, 4), min_size=6, max_size=6))
+def test_field_echelon_absorbs_an_image(rows, first, mapping, exps):
+    # absorbing a source through an injective map with zeta_5-power
+    # multipliers spans what inserting the mapped rows spans, into a fresh
+    # echelon and into one that already holds rows, and a source spanning
+    # its whole space leaves nothing live
+    multipliers = [root(5, k) for k in exps]
+    source = FieldEchelon()
+    for row in rows:
+        source.insert({k: Fraction(c) for k, c in row.items()})
+    for seed in ([], first):
+        ech, ref = FieldEchelon(6), FieldEchelon(6)
+        for row in seed:
+            ech.insert({k: Fraction(c) for k, c in row.items()})
+            ref.insert({k: Fraction(c) for k, c in row.items()})
+        ech.absorb(mapping, source, multipliers)
+        for row in source.pivots.values():
+            ref.insert(map_row(row, mapping, multipliers))
+        assert ech.rank == ref.rank and ech.live == 6 - ref.rank
+        assert all(ech.contains(row) for row in ref.pivots.values())
+    whole = FieldEchelon(6)
+    whole.absorb(mapping, None, multipliers)
+    assert whole.live == 0

@@ -262,6 +262,6 @@ def test_inverse_square_series_really_differs():
     rep = hilbert(q, 2)
     from auslab.preproj import _inverse_square_coefficient
 
-    claimed = _inverse_square_coefficient(q.adjacency_matrix(), 2)
+    claimed = _inverse_square_coefficient(q, 2)
     assert sum(map(sum, claimed)) == 36
     assert sum(map(sum, rep.matrices[2])) == 9

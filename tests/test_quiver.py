@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from auslab.quiver import ArrowRef, QuiverA
+from auslab.quiver import ArrowRef, QuiverA, mat_mul
 from auslab.symmetry import reflection, rotation
 
 
@@ -105,3 +105,11 @@ def test_word_automorphism_preserves_length_and_composability():
             _, img = g.word_image(w)
             assert len(img.arrows) == len(w.arrows)
             q.word(img.source, img.arrows)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_adjacency_times_is_the_matrix_product(n):
+    q = QuiverA(n)
+    rng = random.Random(n)
+    c = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    assert q.adjacency_times(c) == mat_mul(q.adjacency_matrix(), c)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auslab.linalg import IntEchelon
+from auslab.linalg import FieldEchelon, IntEchelon
 from auslab.preproj import AlgebraElement, NFMonomial, nf_basis
 from auslab.quiver import QuiverA
 from auslab.smash import (
@@ -31,6 +31,7 @@ from auslab.symmetry import (
     reflection,
     rotation,
     scalar_automorphism,
+    scalar_powers,
     subgroup_keys,
     trivial_group,
     w_subgroup,
@@ -192,7 +193,7 @@ def test_saturated_block_identity_intersection_is_coordinate_tail():
             for rep in trunc.orbit_reps:
                 if trunc._layers[d][rep].full:
                     coords = trunc.block_coords(*rep, d)
-                    tail = len(coords.coords) - coords.tail_start
+                    tail = coords.size - coords.tail_start
                     assert trunc.block_identity_intersection(rep, d) == tail
                     nonzero += tail > 0
     assert nonzero > 0
@@ -362,7 +363,8 @@ def test_mixed_group_uses_window_verdict():
 
 
 def test_mixed_group_ideal_matches_naive_spanning():
-    # exercises orbit transfers carrying nontrivial scalar multipliers
+    # right extensions carry scalar multipliers here; the orbit transfers do
+    # not, because the pure rotation sorts before its scalar multiples
     from auslab.scalars import get_context, make_root_of_unity
 
     q = QuiverA(3)
@@ -397,16 +399,25 @@ def test_mixed_conductor_ideal_matches_naive_spanning():
 # ---------------------------------------------------------------------------
 
 
+def _coords_of(bc):
+    """The coordinates (g, l) of a BlockCoords, in position order."""
+    return tuple((g, bc.first[g] + k * bc.step) for g in bc.order for k in range(bc.count[g]))
+
+
 class _RowEngine:
-    """The row engine the signed partitions replaced, kept as their oracle:
-    one IntEchelon per orbit-rep block and degree, fed the degree-0 cuts and
+    """The row engine the closed-form maps replaced, kept as their oracle:
+    one echelon per orbit-rep block and degree (IntEchelon for subgroups of
+    D_n, FieldEchelon for groups with scalars), fed the degree-0 cuts and
     then every echelon row of the four source blocks, moved by coordinate
-    maps built from `monomial_action` over coordinates found by scanning
-    all (g, l).  Shares only the orbit structure with the engine."""
+    maps whose positions and multipliers come from `monomial_action` over
+    coordinates found by scanning all (g, l).  Shares only the orbit
+    structure with the engine."""
 
     def __init__(self, trunc):
         self.trunc = trunc
         self.group = trunc.group
+        self.scalars = trunc.group.has_scalars
+        self.one = Fraction(1) if self.scalars else 1
         self.coords = {}
         self.layers = []
 
@@ -425,6 +436,15 @@ class _RowEngine:
             self.coords[key] = (coords, {c: p for p, c in enumerate(coords)})
         return self.coords[key]
 
+    @staticmethod
+    def moved(row, remap):
+        """row through remap[k] = (new index, multiplier)."""
+        out = {}
+        for k, c in row.items():
+            tgt, s = remap[k]
+            out[tgt] = c if s == 1 else c * s
+        return out
+
     def rows(self, pair, d):
         """Spanning rows of any block at degree d, in its own coordinates."""
         trunc, group = self.trunc, self.group
@@ -432,17 +452,17 @@ class _RowEngine:
         ech = self.layers[d][rep]
         coords, index = self.block(*pair, d)
         if ech is None:
-            return [{k: 1} for k in range(len(coords))]
+            return [{k: self.one} for k in range(len(coords))]
         if pair == rep:
             return list(ech.pivots.values())
         t = trunc.pair_transfer[pair]
         tinv = group.inverse[t]
-        mapping = []
+        remap = []
         for h, l in self.block(*rep, d)[0]:
             scalar, img = group.monomial_action(t, NFMonomial(rep[0], l, d - l))
-            assert scalar == 1
-            mapping.append(index[(group.table[group.table[t][h]][tinv], img.nonstars)])
-        return [{mapping[k]: c for k, c in row.items()} for row in ech.pivots.values()]
+            assert self.scalars or scalar == 1
+            remap.append((index[(group.table[group.table[t][h]][tinv], img.nonstars)], scalar))
+        return [self.moved(row, remap) for row in ech.pivots.values()]
 
     def extend(self, D):
         group, n = self.group, self.group.quiver.n
@@ -451,29 +471,36 @@ class _RowEngine:
             layer = {}
             for (i, j) in self.trunc.orbit_reps:
                 coords, index = self.block(i, j, d)
-                ech = IntEchelon()
+                ech = FieldEchelon() if self.scalars else IntEchelon()
                 if d == 0:
-                    cut = {index[(gi, 0)]: 1 for gi in range(len(group)) if group.vertex_maps[gi][j] == i}
+                    cut = {index[(gi, 0)]: self.one for gi in range(len(group)) if group.vertex_maps[gi][j] == i}
                     ech.insert(cut)
                 else:
                     # left multiplication adds a nonstar (from (i+1, j)) or a
                     # star (from (i-1, j)); right multiplication by m0 # 1
-                    # appends g(m0)
-                    sources = [((src, j), lambda gi, dl=dl: dl) for src, dl in (((i + 1) % n, 1), ((i - 1) % n, 0))]
+                    # appends g(m0), scaled by g's scalar on m0
+                    sources = [((src, j), lambda gi, dl=dl: (dl, 1)) for src, dl in (((i + 1) % n, 1), ((i - 1) % n, 0))]
                     for src, m0 in (
                         ((j - 1) % n, NFMonomial((j - 1) % n, 1, 0)),
                         ((j + 1) % n, NFMonomial((j + 1) % n, 0, 1)),
                     ):
-                        sources.append(((i, src), lambda gi, m0=m0: group.monomial_action(gi, m0)[1].nonstars))
+                        sources.append(((i, src), lambda gi, m0=m0: self._right(gi, m0)))
                     for pair, extra in sources:
                         if ech.rank == len(coords):
                             break
-                        remap = [index[(gi, l + extra(gi))] for gi, l in self.block(*pair, d - 1)[0]]
+                        remap = []
+                        for gi, l in self.block(*pair, d - 1)[0]:
+                            dl, scalar = extra(gi)
+                            remap.append((index[(gi, l + dl)], scalar))
                         for row in self.rows(pair, d - 1):
-                            if ech.insert({remap[k]: c for k, c in row.items()}) and ech.rank == len(coords):
+                            if ech.insert(self.moved(row, remap)) and ech.rank == len(coords):
                                 break
                 layer[(i, j)] = None if ech.rank == len(coords) else ech
             self.layers.append(layer)
+
+    def _right(self, gi, m0):
+        scalar, img = self.group.monomial_action(gi, m0)
+        return img.nonstars, scalar
 
 
 def _compare_with_row_engine(group, D):
@@ -484,7 +511,7 @@ def _compare_with_row_engine(group, D):
         for rep in trunc.orbit_reps:
             coords, _ = oracle.block(*rep, d)
             got = trunc.block_coords(*rep, d)
-            assert got.coords == tuple(coords) and got.size == len(coords)
+            assert _coords_of(got) == tuple(coords) and got.size == len(coords)
             ech = oracle.layers[d][rep]
             tail = len(coords) - got.tail_start
             want = (
@@ -511,9 +538,91 @@ def test_signed_partitions_match_the_row_engine(n):
         assert trunc.signed
 
 
+def scalar_transfer_group():
+    """rot(1) scaled by zeta_4 on alpha_0 and zeta_4^3 on alpha_0*, with
+    refl(0), at n = 4: order 256 with no pure rotation, so orbit transfers
+    carry scalars.  A spec the CLI parses always contains the pure dihedral
+    elements, which sort first and become the transfers."""
+    q = QuiverA(4)
+    return generate_group([rotation(q, 1) * scalar_powers(q, 4, [1, 0, 0, 0], [3, 0, 0, 0]), reflection(q, 0)])
+
+
+def twisted_reflection_group():
+    """rot(1) with refl(0) scaled by zeta_3 on every alpha_i and zeta_3^2 on
+    every alpha_i*, at n = 3: order 6, and some blocks take rows whose
+    transfer and right-extension arrow both carry a scalar."""
+    q = QuiverA(3)
+    return generate_group([rotation(q, 1), reflection(q, 0) * scalar_powers(q, 3, [1, 1, 1], [2, 2, 2])])
+
+
+@pytest.mark.parametrize(
+    "make, D",
+    [
+        # the scalar and mixed groups pinned in tests/test_cli.py, at their
+        # default cutoff or past it (the mixed-conductor group to 12)
+        pytest.param(lambda n=n, spec=spec: _smash_group((n, spec)), D, id=spec)
+        for n, spec, D in (
+            (5, "scalar(7;1,1,1,1,1;6,6,6,6,6)", 32),
+            (4, "scalar(4;1,2,3,1;3,2,1,3)", 67),
+            (3, "rot(1),scalar(4;1,1,1;3,3,3)", 24),
+            (3, "rot(1),scalar(2;1,1,1;1,1,1)", 24),
+            (3, "scalar(3;1,1,1;2,2,2)", 15),
+            (3, "scalar(3;1,1,1;2,2,2),scalar(4;1,1,1;3,3,3)", 12),
+        )
+    ]
+    + [
+        pytest.param(scalar_transfer_group, 5, id="scalar_transfers"),
+        pytest.param(twisted_reflection_group, 24, id="twisted_reflections"),
+    ],
+)
+def test_scalar_blocks_match_the_row_engine(make, D):
+    # groups with scalars: the closed-form maps and their multipliers give
+    # the former row engine's rank, identity intersection and saturation
+    trunc, _ = _compare_with_row_engine(make(), D)
+    assert not trunc.signed
+
+
+def test_membership_through_transfers_carrying_scalars():
+    group = scalar_transfer_group()
+    q = group.quiver
+    trunc = build_ideal(group, 5)
+    transfers = {t for p, t in trunc.pair_transfer.items() if p != trunc.pair_rep[p]}
+    assert len(group) == 256 and sum(group.elements[t].m != 1 for t in transfers) == 6
+    f_g = SmashElement.group_sum(group)
+    rng = random.Random(11)
+    for _ in range(40):
+        pm = rng.choice(nf_basis(q, rng.randint(0, 2)))
+        qm = rng.choice([m for m in nf_basis(q, rng.randint(0, 3)) if m.source == pm.target(q.n)])
+        p = SmashElement.from_algebra(group, AlgebraElement.monomial(q, pm))
+        right = SmashElement.from_algebra(group, AlgebraElement.monomial(q, qm), rng.randrange(len(group)))
+        x = p * f_g * right
+        assert not x.is_zero() and trunc.contains(x)
+    # Conjugation by 1#t maps the representative's block onto block (i, j)
+    # and keeps the two-sided ideal, so x in (i, j) is a member exactly when
+    # (1#t^-1) x (1#t) is, which the representative's kernel decides alone.
+    one = AlgebraElement.one(q)
+    refused = 0
+    for _ in range(60):
+        d = rng.randint(1, 5)
+        m1, g1 = rng.choice(nf_basis(q, d)), rng.randrange(len(group))
+        pair = (m1.source, group.inverse_vertex_maps[g1][m1.target(q.n)])
+        t = trunc.pair_transfer[pair]
+        if group.elements[t].m == 1:
+            continue
+        m2 = rng.choice([m for m in nf_basis(q, d) if m.source == pair[0]])
+        g2 = rng.choice([g for g, vm in enumerate(group.vertex_maps) if vm[pair[1]] == m2.target(q.n)])
+        x = SmashElement(group, {(m1, g1): Fraction(rng.randint(1, 3)), (m2, g2): Fraction(rng.choice([-2, -1, 1]))})
+        back = SmashElement.from_algebra(group, one, group.inverse[t]) * x * SmashElement.from_algebra(group, one, t)
+        assert back.degree() == d and {(m.source, group.inverse_vertex_maps[g][m.target(q.n)]) for m, g in back.terms} == {trunc.pair_rep[pair]}
+        member = trunc.contains(back)
+        assert trunc.contains(x) == member
+        refused += not member
+    assert refused > 0
+
+
 def _pushed_rows(trunc, i, j, d):
     """The rows the build pushes into block (i, j) at degree d."""
-    for source, mapping in trunc._sources(i, j, d):
+    for source, mapping, _ in trunc._sources(i, j, d):
         rows = (
             ({k: 1} for k in range(len(mapping)))
             if source.full
@@ -564,7 +673,7 @@ def test_block_coords_are_the_scanned_coordinates():
                 for j in range(group.quiver.n):
                     coords, index = oracle.block(i, j, d)
                     got = trunc.block_coords(i, j, d)
-                    assert got.coords == tuple(coords) and got.index == index
+                    assert _coords_of(got) == tuple(coords) and all(got.position(*c) == p for c, p in index.items())
                     ident = group.identity_index
                     assert got.tail_start == next((p for p, (gi, _) in enumerate(coords) if gi == ident), len(coords))
 
