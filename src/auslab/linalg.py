@@ -6,13 +6,17 @@ one interface (`insert`, `rank`, `contains`, `lead_count_at_least`):
   * `FieldEchelon`, an echelon basis with leading coefficients normalized
     to one, for rational or cyclotomic rows;
   * `IntEchelon`, fraction-free elimination on primitive integer rows;
-  * `SignedPartition`, the span of unit rows e_a and signed binomials
-    e_a - s e_b (s = +-1), kept as a partition of the coordinates.
+  * `SignedPartition`, the span of unit rows e_a and binomials
+    e_a - z^s e_b, z a primitive K-th root of unity, kept as a gain graph
+    with gains stored as exponents mod K (K = 2: signs +-1).
 
-`FieldEchelon` and `SignedPartition` also `absorb` another kernel's span
-through an injective index map (with per-coordinate multipliers for the
-echelon, see `map_row`) and report `live`, the dimension left outside the
-span, which is how the smash ideal is built over either.
+`SignedPartition` builds every block of the smash ideal: it `absorb`s
+another partition's span through an injective index map with a gain per
+coordinate, reports `live`, the dimension left outside the span, and the
+rank of a few sums of coordinates in the quotient (`image_rank`).
+`FieldEchelon` serves the invariant rings, the naive spanning-set check
+and the one elimination `image_rank` cannot count; `IntEchelon` is the
+tests' reference for the partitions.
 
 Echelon pivots are leftmost nonzero coordinates, so any row whose pivot
 falls in a suffix of the coordinate order has its whole support in that
@@ -24,6 +28,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+from .scalars import sums_vanish
+
+SIGNS = (1, -1)
 
 
 class IntEchelon:
@@ -83,50 +91,17 @@ class IntEchelon:
         return sum(1 for lead in self.pivots if lead >= threshold)
 
 
-def map_row(row: dict[int, object], mapping: list[int], multipliers: list | None = None) -> dict[int, object]:
-    """The row with coordinate k moved to mapping[k] and its coefficient
-    scaled by multipliers[k]; None stands for multipliers that are all 1."""
-    if multipliers is None:
-        return {mapping[k]: c for k, c in row.items()}
-    out = {}
-    for k, c in row.items():
-        s = multipliers[k]
-        out[mapping[k]] = c if s == 1 else c * s
-    return out
-
-
 class FieldEchelon:
-    """Echelon basis over a field; rows normalized to leading coefficient 1.
-    `size`, the number of coordinates, is needed only for `live` and
-    `absorb`."""
+    """Echelon basis over a field; rows normalized to leading coefficient 1."""
 
-    __slots__ = ("pivots", "size")
+    __slots__ = ("pivots",)
 
-    def __init__(self, size: int | None = None):
+    def __init__(self):
         self.pivots: dict[int, dict[int, object]] = {}
-        self.size = size
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    @property
-    def live(self) -> int:
-        """Dimension of the quotient by the span."""
-        return self.size - len(self.pivots)
-
-    def absorb(self, mapping: list[int], source: "FieldEchelon | None", multipliers: list | None) -> None:
-        """Insert the image of `source`'s echelon rows under the injective
-        coordinate map `mapping`, with multipliers as in `map_row`; None
-        stands for a source that spans its whole space.  Stops once the
-        span is everything."""
-        if source is None:
-            rows = ({k: Fraction(1)} for k in range(len(mapping)))
-        else:
-            rows = source.pivots.values()
-        for row in rows:
-            if self.insert(map_row(row, mapping, multipliers)) and not self.live:
-                return
 
     def residue(self, row: dict[int, object]) -> dict[int, object]:
         v = {k: c for k, c in row.items() if c}
@@ -154,7 +129,8 @@ class FieldEchelon:
         if not v:
             return False
         lead = min(v)
-        inv = 1 / v[lead] if isinstance(v[lead], Fraction) else v[lead].inverse()
+        c = v[lead]
+        inv = Fraction(1) / c if isinstance(c, (int, Fraction)) else c.inverse()
         self.pivots[lead] = {k: inv * c for k, c in v.items()}
         return True
 
@@ -166,24 +142,30 @@ class FieldEchelon:
 
 
 class SignedPartition:
-    """Span of unit and signed-binomial rows over Q, as a signed graph.
+    """Span of unit rows e_a and binomials e_a - z^s e_b over a field holding
+    the K-th roots of unity z^0 .. z^(K-1), kept as a gain graph.
 
-    Modulo the span every coordinate is a signed copy of its component's
-    root, e_k = sign[k] * e_root[k]; `root` and `sign` are fully compressed.
-    A component is dead (zero in the quotient) once it holds a unit row or
-    an unbalanced cycle, and live otherwise, so the quotient has one
-    dimension per live root.  Components of two or more coordinates keep
-    their member lists, and a union relabels the smaller one.
+    `values[s]` is z^s, so K = len(values); the default K = 2 has the signs
+    +-1 for gains, the signed graphs of rows over Q.  Modulo the span every
+    coordinate is a root-of-unity multiple of its component's root,
+    e_k = z^gain[k] * e_root[k], with gains stored as exponents mod K, and
+    `root` and `gain` fully compressed.  A component is dead (zero in the
+    quotient) once it holds a unit row or a cycle whose gains do not cancel,
+    and live otherwise, so the quotient has one dimension per live root.
+    Components of two or more coordinates keep their member lists, and a
+    union relabels the smaller one.
     """
 
-    __slots__ = ("root", "sign", "members", "dead", "live")
+    __slots__ = ("root", "gain", "members", "dead", "live", "values", "K")
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, values: tuple = SIGNS):
         self.root = list(range(size))
-        self.sign = [1] * size
+        self.gain = [0] * size
         self.members: dict[int, list[int]] = {}
         self.dead: set[int] = set()
         self.live = size
+        self.values = values
+        self.K = len(values)
 
     @property
     def rank(self) -> int:
@@ -197,12 +179,12 @@ class SignedPartition:
             self.live -= 1
 
     def join(self, a: int, b: int, s: int) -> None:
-        """Add the row e_a - s * e_b, for s = +-1."""
-        root, sign, dead = self.root, self.sign, self.dead
+        """Add the row e_a - z^s e_b."""
+        root, gain, dead, K = self.root, self.gain, self.dead, self.K
         ra, rb = root[a], root[b]
-        t = sign[a] * s * sign[b]  # e_ra = t * e_rb in the quotient
+        t = (s + gain[b] - gain[a]) % K  # e_ra = z^t e_rb in the quotient
         if ra == rb:
-            if t != 1 and ra not in dead:
+            if t and ra not in dead:
                 dead.add(ra)
                 self.live -= 1
             return
@@ -210,10 +192,10 @@ class SignedPartition:
         ma = members.pop(ra, None) or [ra]
         mb = members.pop(rb, None) or [rb]
         if len(ma) > len(mb):
-            ra, rb, ma, mb = rb, ra, mb, ma
+            ra, rb, ma, mb, t = rb, ra, mb, ma, -t
         for x in ma:
             root[x] = rb
-            sign[x] *= t
+            gain[x] = (gain[x] + t) % K
         mb += ma
         members[rb] = mb
         if ra in dead:
@@ -224,29 +206,34 @@ class SignedPartition:
         self.live -= 1
 
     def insert(self, row: dict[int, object]) -> bool:
-        """Add a unit or signed-binomial row; returns whether the rank grew.
-        Any other shape raises ValueError."""
+        """Add a unit row, or a binomial whose two coefficients are equal or
+        opposite; returns whether the rank grew.  Any other shape raises
+        ValueError."""
         terms = [(k, c) for k, c in row.items() if c]
         live = self.live
         if len(terms) == 1:
             self.kill(terms[0][0])
         elif len(terms) == 2 and terms[0][1] in (terms[1][1], -terms[1][1]):
             (a, ca), (b, cb) = terms
-            self.join(a, b, -1 if ca == cb else 1)
+            self.join(a, b, self.K // 2 if ca == cb else 0)
         elif terms:
             raise ValueError(f"row {row} is neither a unit nor a signed binomial")
         return self.live < live
 
-    def absorb(self, mapping: list[int], source: "SignedPartition | None", multipliers: None = None) -> None:
-        """Add the image of `source`'s span under the injective coordinate
-        map `mapping` (source index -> own index); None stands for a source
-        that spans its whole space.  The rows carry signs only, so there
-        are no multipliers."""
+    def absorb(self, mapping: list[int], source: "SignedPartition | None", gains: list[int] | None = None) -> None:
+        """Add the image of `source`'s span under the monomial map sending
+        source coordinate e_x to z^gains[x] e_mapping[x]; the map is injective,
+        None gains are all 0, and a None source spans its whole space."""
         if source is None:
             for a in mapping:
                 self.kill(a)
             return
-        root, sign, ssign = self.root, self.sign, source.sign
+        root, gain, K = self.root, self.gain, self.K
+        # e_x = z^source.gain[x] e_r in the source maps to e_a = z^target[x] e_b,
+        # for a = mapping[x] and b = mapping[r].
+        target = source.gain if gains is None else [
+            (s + gains[r] - gains[x]) % K for x, (r, s) in enumerate(zip(source.root, source.gain))
+        ]
         if self.live == len(root):
             # Nothing added yet: the image partition is copied outright.
             members = self.members
@@ -255,7 +242,7 @@ class SignedPartition:
                 image = [mapping[x] for x in mem]
                 for x, a in zip(mem, image):
                     root[a] = b
-                    sign[a] = ssign[x]
+                    gain[a] = target[x]
                 members[b] = image
             self.dead.update(mapping[r] for r in source.dead)
             self.live -= source.rank
@@ -263,37 +250,64 @@ class SignedPartition:
         join = self.join
         for r, mem in source.members.items():
             b = mapping[r]
+            rb, gb = root[b], gain[b]
             for x in mem:
                 a = mapping[x]
                 # Skip rows the partition already holds.
-                if root[a] != root[b] or sign[a] * sign[b] != ssign[x]:
-                    join(a, b, ssign[x])
+                if root[a] != rb or (gain[a] - gb) % K != target[x]:
+                    join(a, b, target[x])
+                    rb, gb = root[b], gain[b]
         for r in source.dead:
             self.kill(mapping[r])
 
     def rows(self):
-        """A basis of the span: e_k - sign[k] e_root[k] for every non-root
+        """A basis of the span: e_k - z^gain[k] e_root[k] for every non-root
         k, and e_r for every dead root r."""
-        for k, (r, s) in enumerate(zip(self.root, self.sign)):
+        values = self.values
+        for k, (r, s) in enumerate(zip(self.root, self.gain)):
             if r != k:
-                yield {k: 1, r: -s}
+                yield {k: values[0], r: -values[s]}
         for r in sorted(self.dead):
-            yield {r: 1}
+            yield {r: values[0]}
+
+    def reduce(self, terms) -> list[tuple[int, int]]:
+        """z^s e_k for the (k, s) in `terms`, in the quotient: a list of
+        (live root, exponent) pairs, the dead components dropped."""
+        root, gain, dead, K = self.root, self.gain, self.dead, self.K
+        return [(root[k], (s + gain[k]) % K) for k, s in terms if root[k] not in dead]
 
     def contains(self, row: dict[int, object]) -> bool:
         """A row lies in the span exactly when, for every live root, its
-        sign-weighted coefficient sum over that root's component is 0."""
-        root, sign, dead = self.root, self.sign, self.dead
-        acc: dict[int, object] = {}
-        for k, c in row.items():
-            r = root[k]
-            if r not in dead:
-                acc[r] = acc.get(r, 0) + (c if sign[k] == 1 else -c)
-        return not any(acc.values())
+        gain-weighted coefficient sum over that root's component is 0."""
+        return sums_vanish(((c, self.reduce([(k, 0)])) for k, c in row.items()), self.K)
+
+    def image_rank(self, starts: list[int], count: int) -> int:
+        """Rank of the images in the quotient of the `count` rows
+        sum_(s in starts) e_(s + x), x = 0..count-1.  When every image meets
+        one root, or no root is met by two images, the rank is a count;
+        otherwise the images are eliminated in a `FieldEchelon`."""
+        root, dead, values = self.root, self.dead, self.values
+        if len(starts) == 1:
+            s = starts[0]
+            return len(set(root[s:s + count]) - dead)
+        images = []
+        for x in range(count):
+            acc: dict[int, object] = {}
+            for r, g in self.reduce((s + x, 0) for s in starts):
+                acc[r] = values[g] + acc[r] if r in acc else values[g]
+            image = {r: c for r, c in acc.items() if c}
+            if image:
+                images.append(image)
+        met = [r for image in images for r in image]
+        if len(met) == len(images):
+            return len(set(met))
+        if len(set(met)) == len(met):
+            return len(images)
+        echelon = FieldEchelon()
+        return sum(echelon.insert(image) for image in images)
 
     def lead_count_at_least(self, threshold: int) -> int:
         """Dimension of the span's intersection with the coordinates from
-        `threshold` on: their number minus the live roots they meet."""
-        root, dead = self.root, self.dead
-        tail = root[threshold:]
-        return len(tail) - len(set(tail) - dead)
+        `threshold` on, as for the echelon kernels."""
+        count = len(self.root) - threshold
+        return count - self.image_rank([threshold], count)

@@ -13,25 +13,37 @@ Everything is graded by idempotent cuts: e_i (R#G) e_j splits each degree
 into n^2 blocks, and a spanning vector splits into its block pieces.  The
 coordinates of a block are pairs (g, l), l the nonstar count, with
 i + 2l - d = g(j) (mod n); for each g these l form an arithmetic
-progression, so positions are closed-form.  Coordinates carried by
-non-identity group components come first and identity components last, so
-the intersection with R_d # 1 is a coordinate-suffix intersection.
+progression, so positions are closed-form, with the identity components
+last.  The same positions index the character coordinates below: the
+group index g = t h_k labels phi_(t, psi_k), for the k-th element h_k of N
+and its k-th character psi_k.
 
-Every extension and orbit transfer is an injective index map between
-blocks, composed in closed form from the conjugation table, the reflection
-bit and the extension's shift.  A group element sends a monomial to a root
-of unity times a monomial, so for groups with scalars the map also carries
-one multiplier per source coordinate.  Degree d absorbs each source
-block's span through one such map per (target, source) into a fresh
-kernel, and stops once the target block is spanned.  The kernel follows
-the input (see `linalg`):
+Each block is kept in character coordinates.  N, the vertex-fixing
+elements of G, is a normal, abelian, diagonal subgroup with G/N <= D_n.  For
+a coset representative t, a character psi of N and a nonstar count l,
+phi_(t, psi, l) = sum_(h in N) psi(h) (th, l); the characters are the
+closure of the arrow characters chi_a (h's scalar on the arrow a), and
+character values and scalars are roots of unity, stored as exponents of
+z = zeta_K, K = lcm(2, M) for the group's conductor M.  In these
+coordinates every map the build uses is monomial: a left extension keeps
+phi, a right extension by a sends phi_(t, psi) to s_t(a) phi_(t, psi chi_a),
+and an orbit transfer is a root of unity times a relabelling.  A degree-0
+cut is the sum of phi_(t, 1, 0) over the t with t(j) = i, and G/N acts on
+the vertices as a subgroup of D_n, where a vertex stabilizer has order at
+most 2, so every cut is a unit or a binomial.  The span of each block is
+therefore a gain graph, kept as a `SignedPartition` with gains mod K;
+degree d absorbs each source block's partition through one composed index
+map with gains per (target, source) and stops once the target block is
+spanned.  With N trivial and no scalars (the subgroups of D_n), K = 2 and
+the coordinates are the pairs (g, l) themselves.
 
-  * Scalar-free groups (the subgroups of D_n) have no multipliers, and a
-    vertex stabilizer has order at most 2, so every degree-0 cut is a unit
-    or a binomial.  The block's span is then a signed graph, kept as a
-    `SignedPartition`; rank, identity intersection and membership are read
-    off the partition.
-  * Groups with scalars keep a `FieldEchelon` over Q(zeta_m).
+Rank is read off the partition.  The identity coordinates are
+(1, l) = |N|^-1 sum_psi phi_(1, psi, l), so the identity intersection is
+their number minus the rank of their images in the quotient; that rank is
+a count unless two images meet a common root, and only then is it found by
+a small `FieldEchelon`, the one field elimination left.  Membership writes
+an element's coordinates in character coordinates and checks that its
+image in the quotient vanishes (`scalars.sums_vanish`).
 
 Three shortcuts keep the exact arithmetic desk-sized.  First, conjugation
 by 1#g maps block (i, j) bijectively onto block (g i, g j) preserving
@@ -47,12 +59,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .linalg import FieldEchelon, SignedPartition, map_row
+from .linalg import FieldEchelon, SignedPartition
 from .preproj import AlgebraElement, NFMonomial
 from .quiver import QuiverA
+from .scalars import root_powers, sums_vanish
 from .symmetry import Automorphism, FiniteGroup, apply
 
 
@@ -237,7 +250,7 @@ class BlockCoords:
 
 @dataclass
 class _Block:
-    kernel: object | None    # SignedPartition or FieldEchelon; None once saturated
+    kernel: SignedPartition | None    # None once saturated
     full: bool = False
 
 
@@ -245,15 +258,13 @@ _SATURATED = _Block(None, True)
 
 
 class IdealTruncation:
-    """Degreewise spans of the two-sided ideal (f_G) in R#G, one kernel per
-    orbit-representative block."""
+    """Degreewise spans of the two-sided ideal (f_G) in R#G, one gain
+    partition per orbit-representative block, in character coordinates."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.quiver: QuiverA = group.quiver
         self.n = self.quiver.n
-        self.signed = group.is_dihedral_subgroup
-        self._kernel = SignedPartition if self.signed else FieldEchelon
         self._coords: dict[tuple[int, int, int], BlockCoords] = {}
         self._layers: list[dict[tuple[int, int], _Block]] = []
         self._full_from: int | None = None     # least degree whose blocks are all saturated
@@ -261,8 +272,13 @@ class IdealTruncation:
         self._order = tuple(gi for gi in range(len(group)) if gi != ident) + (ident,)
         self._step = self.n if self.n % 2 else self.n // 2
         self._refl = [g.refl for g in group.elements]
+        self._scales = [g.m != 1 for g in group.elements]
         self._conj: dict[int, list[int]] = {}
+        self._labels: dict[tuple, tuple[list[int], list[int] | None]] = {}
+        self._monomials: dict[tuple[int, int, int], list[int]] = {}
+        self._projections: dict[tuple[tuple[int, int], int, int], dict] = {}
         self._orbit_setup()
+        self._character_setup()
 
     # -- diagonal orbit structure ------------------------------------------
 
@@ -294,6 +310,53 @@ class IdealTruncation:
             self.orbit_reps.append(rep)
             self.orbit_sizes[rep] = len(orbit)
 
+    # -- character coordinates ----------------------------------------------
+
+    def _character_setup(self) -> None:
+        """N, the vertex-fixing elements (identity first); its characters
+        (trivial first) as tuples of exponents of z = zeta_K over N, the
+        closure of the arrow characters; and for every group index g = t h_k,
+        t the representative of the coset tN (the identity for N itself):
+        coset[g] = t and kth[g] = k.  The index g also labels the character
+        coordinate phi_(t, psi_k), so with N trivial the labels are the group
+        elements themselves."""
+        group = self.group
+        elements, table, ident = group.elements, group.table, group.identity_index
+        self._values = root_powers(lcm(*(g.m for g in elements)))
+        self._K = K = len(self._values)
+        self._normal = normal = [ident] + [
+            gi for gi, g in enumerate(elements) if gi != ident and g.rot == 0 and not g.refl
+        ]
+        coset: list[int | None] = [None] * len(group)
+        kth = [0] * len(group)
+        for t in (ident, *range(len(group))):
+            if coset[t] is None:
+                for k, h in enumerate(normal):
+                    coset[table[t][h]], kth[table[t][h]] = t, k
+        self._coset, self._kth = coset, kth
+        self._reps = sorted(set(coset))
+        # One character per arrow: its exponents under the elements of N.
+        arrow_chars = set(zip(*(
+            [k * (K // elements[h].m) % K for k in elements[h].e + elements[h].e_star] for h in normal
+        )))
+        chars = [(0,) * len(normal)]
+        index = {chars[0]: 0}
+        for psi in chars:
+            for chi in arrow_chars:
+                x = tuple((u + v) % K for u, v in zip(psi, chi))
+                if x not in index:
+                    index[x] = len(chars)
+                    chars.append(x)
+        assert len(chars) == len(normal), "the arrow characters separate the points of N"
+        self._chars, self._char_index = chars, index
+
+    def _arrow_exponent(self, g: int, arrow: tuple[bool, int]) -> int:
+        """s with z^s the scalar of element g on the arrow (starred, i), for
+        z = zeta_K."""
+        elt = self.group.elements[g]
+        star, i = arrow
+        return (elt.e_star if star else elt.e)[i] * (self._K // elt.m) % self._K
+
     # -- coordinates --------------------------------------------------------
 
     def block_coords(self, i: int, j: int, d: int) -> BlockCoords:
@@ -315,51 +378,90 @@ class IdealTruncation:
             hit = self._conj[t] = [table[k][tinv] for k in table[t]]
         return hit
 
+    def _label_map(self, t: int, arrow: tuple[bool, int] | None) -> tuple[list[int], list[int] | None]:
+        """(labels, gains), stored for (t, arrow): conjugation by 1#t, then
+        the right extension by `arrow` when given, sends phi_(label g) to
+        z^gains[g] phi_(labels[g]) times t's scalar on the monomial (see
+        `_monomial_gains`).
+
+        With t c t^-1 = c' h' (c, c' coset representatives, h' in N),
+        conjugation sends phi_(c, psi) to psi^t(h')^-1 phi_(c', psi^t), where
+        psi^t(h) = psi(t^-1 h t); the extension then sends phi_(c', psi) to
+        s_c'(arrow) phi_(c', psi chi_arrow).  Gains are None when all 0."""
+        conj = self._conjugation(t)
+        if not self.group.has_scalars:
+            # N is trivial and every gain is 0: the labels are the elements.
+            hit = self._labels[(t, arrow)] = (conj, None)
+            return hit
+        table, normal, chars, K = self.group.table, self._normal, self._chars, self._K
+        coset, kth, index = self._coset, self._kth, self._char_index
+        # pull[j]: the position in N of t^-1 h_j t
+        at = {h: k for k, h in enumerate(normal)}
+        back = self._conjugation(self.group.inverse[t])
+        pull = [at[back[h]] for h in normal]
+        twist = [index[tuple(psi[p] for p in pull)] for psi in chars]
+        if arrow is not None:
+            chi = [self._arrow_exponent(h, arrow) for h in normal]
+            shift = [index[tuple((u + v) % K for u, v in zip(psi, chi))] for psi in chars]
+        labels, gains = [], []
+        for g in range(len(table)):
+            x = conj[coset[g]]
+            c, psi = coset[x], chars[kth[g]]
+            s, k = -psi[pull[kth[x]]], twist[kth[g]]
+            if arrow is not None:
+                s, k = s + self._arrow_exponent(c, arrow), shift[k]
+            labels.append(table[c][normal[k]])
+            gains.append(s % K)
+        hit = self._labels[(t, arrow)] = (labels, gains if any(gains) else None)
+        return hit
+
+    def _monomial_gains(self, t: int, i: int, e: int) -> list[int] | None:
+        """s_l with z^s_l t's scalar on the monomial (i, l, e - l), for
+        l = 0..e; None when t carries no scalars."""
+        if not self._scales[t]:
+            return None
+        key = (t, i, e)
+        if key not in self._monomials:
+            elt = self.group.elements[t]
+            scale = self._K // elt.m
+            self._monomials[key] = [elt.monomial_exponent(NFMonomial(i, l, e - l)) * scale % self._K for l in range(e + 1)]
+        return self._monomials[key]
+
     def _push_map(
-        self, pair: tuple[int, int], e: int, dst: BlockCoords, t: int, shift: tuple[int, int], arrow: NFMonomial | None = None
-    ) -> tuple[list[int], list | None]:
-        """Index map and multipliers from block `pair` at degree e into block
-        dst, through conjugation by t and then a degree-1 extension.
-        Conjugation sends (h, l) to (t h t^-1, l), or to (t h t^-1, e - l)
-        when t reflects; the extension adds shift[refl(h)] nonstars, and a
-        right extension appends g(arrow) for g = t h t^-1.  Shift (0, 0)
-        and no arrow give the conjugation alone, at degree e.  The
-        multipliers are None for scalar-free groups, whose elements act on
-        monomials with multiplier +1."""
+        self, pair: tuple[int, int], e: int, dst: BlockCoords, t: int, shift: tuple[int, int], arrow: tuple[bool, int] | None
+    ) -> tuple[list[int], list[int] | None]:
+        """Index map and gains from block `pair` at degree e into block dst:
+        conjugation by t (l goes to e - l when t reflects), then a degree-1
+        extension adding shift[refl] nonstars, the right extension by
+        `arrow` when given.  Gains are None when all 0."""
         src = self.block_coords(*pair, e)
-        conj, refl, step = self._conjugation(t), self._refl, dst.step
+        labels, label_gains = self._labels.get((t, arrow)) or self._label_map(t, arrow)
+        refl, step = self._refl, dst.step
         flip = refl[t]
         out: list[int] = []
         for h in src.order:
             cnt = src.count[h]
             if not cnt:
                 continue
-            g = conj[h]
+            g = labels[h]
             l = (e - src.first[h] if flip else src.first[h]) + shift[refl[h]]
             k = dst.start[g] + (l - dst.first[g]) // step     # dst.position(g, l)
             out.extend(range(k, k - cnt, -1) if flip else range(k, k + cnt))
-        return out, None if self.signed else self._multipliers(src, pair[0], e, t, arrow)
-
-    def _multipliers(self, src: BlockCoords, i: int, e: int, t: int, arrow: NFMonomial | None) -> list:
-        """Per index (h, l) of block src, row vertex i and degree e: t's
-        scalar on the monomial (i, l, e - l) times g's scalar on `arrow`,
-        for g = t h t^-1; a product is taken only when neither factor is 1."""
-        act, conj, step = self.group.monomial_action, self._conjugation(t), src.step
-        t_scales = self.group.elements[t].m != 1
-        mult: list = []
+        mono = self._monomial_gains(t, pair[0], e) if self._scales[t] else None
+        if label_gains is None and mono is None:
+            return out, None
+        gains: list[int] = []
         for h in src.order:
             cnt = src.count[h]
             if not cnt:
                 continue
-            ext = 1 if arrow is None else act(conj[h], arrow)[0]
-            if not t_scales:
-                mult += [ext] * cnt
-                continue
-            first = src.first[h]
-            for l in range(first, first + cnt * step, step):
-                s = act(t, NFMonomial(i, l, e - l))[0]
-                mult.append(ext if s == 1 else s if ext == 1 else s * ext)
-        return mult
+            base = 0 if label_gains is None else label_gains[h]
+            if mono is None:
+                gains += [base] * cnt
+            else:
+                first = src.first[h]
+                gains += [(base + mono[l]) % self._K for l in range(first, first + cnt * step, step)]
+        return out, gains
 
     def block_rank(self, pair: tuple[int, int], d: int) -> int:
         rep = self.pair_rep[pair]
@@ -369,11 +471,16 @@ class IdealTruncation:
         return block.kernel.rank
 
     def block_identity_intersection(self, pair: tuple[int, int], d: int) -> int:
+        """dim of the block's span meeting the identity coordinates
+        (1, l) = |N|^-1 sum_psi phi_(1, psi, l): their number minus the rank
+        of their images in the quotient."""
         rep = self.pair_rep[pair]
         block = self._layers[d][rep]
         if block.full:
             return _identity_tail_size(self.n, *rep, d)
-        return block.kernel.lead_count_at_least(self.block_coords(*rep, d).tail_start)
+        coords = self.block_coords(*rep, d)
+        count = coords.count[self.group.identity_index]
+        return count - block.kernel.image_rank([coords.start[h] for h in self._normal], count)
 
     # -- construction -----------------------------------------------------------
 
@@ -398,20 +505,20 @@ class IdealTruncation:
     def _build_degree_zero(self) -> None:
         # Degree 0 is spanned by the cuts e_i f_G (e_j # h); reindexing the
         # sum over the group shows f_G (e_{j0} # h) = f_G (e_{h^-1 j0} # 1),
-        # so the h = identity column cuts already span everything.  A cut
-        # has one term per g with g(j) = i; in D_n a vertex stabilizer has
-        # order at most 2, so for scalar-free groups each cut is a unit or
-        # a binomial, and SignedPartition.insert raises on any other shape.
+        # so the h = identity column cuts already span everything.  A cut is
+        # the sum of (g, 0) over the g with g(j) = i, which is the sum of
+        # phi_(t, 1, 0) over the coset representatives t with t(j) = i; G/N
+        # acts on the vertices as a subgroup of D_n, where a vertex
+        # stabilizer has order at most 2, so each cut is a unit or a binomial.
         group, n = self.group, self.n
-        kernels = {rep: self._kernel(self.block_coords(*rep, 0).size) for rep in self.orbit_reps}
+        kernels = {rep: SignedPartition(self.block_coords(*rep, 0).size, self._values) for rep in self.orbit_reps}
         for j in range(n):
             pieces: dict[int, dict] = {}
-            for gi in range(len(group)):
-                i = group.vertex_maps[gi][j]
+            for t in self._reps:
+                i = group.vertex_maps[t][j]
                 if (i, j) != self.pair_rep[(i, j)]:
                     continue
-                idx = self.block_coords(i, j, 0).position(gi, 0)
-                pieces.setdefault(i, {})[idx] = Fraction(1)
+                pieces.setdefault(i, {})[self.block_coords(i, j, 0).position(t, 0)] = 1
             for i, row in pieces.items():
                 kernels[(i, j)].insert(row)
         self._layers.append({
@@ -432,18 +539,18 @@ class IdealTruncation:
         self._layers.append(layer)
 
     def _build_block(self, i: int, j: int, d: int) -> _Block:
-        kernel = self._kernel(self.block_coords(i, j, d).size)
+        kernel = SignedPartition(self.block_coords(i, j, d).size, self._values)
         if kernel.live:
-            for source, mapping, multipliers in self._sources(i, j, d):
-                kernel.absorb(mapping, source.kernel, multipliers)
+            for source, mapping, gains in self._sources(i, j, d):
+                kernel.absorb(mapping, source.kernel, gains)
                 if not kernel.live:
                     break
         return _Block(kernel) if kernel.live else _SATURATED
 
     def _sources(self, i: int, j: int, d: int):
         """(source representative's block at d - 1, index map into block
-        (i, j) at d, multipliers) for the four degree-1 extensions landing
-        in (i, j).  Left multiplication by alpha_i (from (i+1, j)) adds a
+        (i, j) at d, gains) for the four degree-1 extensions landing in
+        (i, j).  Left multiplication by alpha_i (from (i+1, j)) adds a
         nonstar, by alpha_{i-1}* (from (i-1, j)) a star; right
         multiplication by alpha_{j-1} # 1 (from (i, j-1)) or alpha_j* # 1
         (from (i, j+1)) appends g of that arrow, whose kind flips when g
@@ -453,13 +560,13 @@ class IdealTruncation:
         for pair, shift, arrow in (
             (((i + 1) % n, j), (1, 1), None),
             (((i - 1) % n, j), (0, 0), None),
-            ((i, (j - 1) % n), (1, 0), NFMonomial((j - 1) % n, 1, 0)),
-            ((i, (j + 1) % n), (0, 1), NFMonomial((j + 1) % n, 0, 1)),
+            ((i, (j - 1) % n), (1, 0), (False, (j - 1) % n)),
+            ((i, (j + 1) % n), (0, 1), (True, j)),
         ):
             rep = self.pair_rep[pair]
-            mapping, multipliers = self._push_map(rep, d - 1, dst, self.pair_transfer[pair], shift, arrow)
+            mapping, gains = self._push_map(rep, d - 1, dst, self.pair_transfer[pair], shift, arrow)
             if mapping:
-                yield prev[rep], mapping, multipliers
+                yield prev[rep], mapping, gains
 
     # -- measurements -------------------------------------------------------------
 
@@ -496,25 +603,42 @@ class IdealTruncation:
         if d is None:
             raise MixedDegreeError("membership requires a homogeneous element")
         self.extend(d)
-        group, n = self.group, self.n
-        inv_vm = group.inverse_vertex_maps
-        pieces: dict[tuple[int, int], dict[int, object]] = {}
+        n, inv_vm = self.n, self.group.inverse_vertex_maps
+        pieces: dict[tuple[int, int], list[tuple[int, int, object]]] = {}
         for (m, gi), c in x.terms.items():
-            i = m.source
-            j = inv_vm[gi][m.target(n)]
-            idx = self.block_coords(i, j, d).position(gi, m.nonstars)
-            pieces.setdefault((i, j), {})[idx] = c
-        for pair, row in pieces.items():
-            rep = self.pair_rep[pair]
-            block = self._layers[d][rep]
-            if block.full:
+            pieces.setdefault((m.source, inv_vm[gi][m.target(n)]), []).append((gi, m.nonstars, c))
+        for pair, terms in pieces.items():
+            if self._layers[d][self.pair_rep[pair]].full:
                 continue
-            if pair != rep:
-                t = group.inverse[self.pair_transfer[pair]]
-                row = map_row(row, *self._push_map(pair, d, self.block_coords(*rep, d), t, (0, 0)))
-            if not block.kernel.contains(row):
+            if not sums_vanish(((c, self._projection(pair, d, g)[l]) for g, l, c in terms), self._K):
                 return False
         return True
+
+    def _projection(self, pair: tuple[int, int], d: int, g: int) -> dict[int, list[tuple[int, int]]]:
+        """l -> the image of the coordinate (g, l) of block `pair` at degree d
+        in the quotient of the representative's block, as (live root,
+        exponent of z) pairs for `sums_vanish`: conjugation by 1#u, u the
+        inverse transfer, sends it to u's scalar on the monomial times
+        (u g u^-1, l'), and (c h_k, l') = |N|^-1 sum_psi psi(h_k)^-1
+        phi_(c, psi, l'), whose common factor |N|^-1 is dropped.  Built once
+        per (pair, degree, g)."""
+        key = (pair, d, g)
+        hit = self._projections.get(key)
+        if hit is None:
+            rep = self.pair_rep[pair]
+            kernel = self._layers[d][rep].kernel
+            src, dst = self.block_coords(*pair, d), self.block_coords(*rep, d)
+            u = self.group.inverse[self.pair_transfer[pair]]
+            g2, flip = self._conjugation(u)[g], self._refl[u]
+            mono = self._monomial_gains(u, pair[0], d)
+            c, k, table = self._coset[g2], self._kth[g2], self.group.table
+            starts = [(dst.start[table[c][h]], -psi[k]) for h, psi in zip(self._normal, self._chars)]
+            hit = self._projections[key] = {}
+            for l in range(src.first[g], src.first[g] + src.count[g] * src.step, src.step):
+                off = ((d - l if flip else l) - dst.first[g2]) // dst.step
+                s = mono[l] if mono else 0
+                hit[l] = kernel.reduce([(p + off, s + t) for p, t in starts])
+        return hit
 
 
 def build_ideal(group: FiniteGroup, D: int) -> IdealTruncation:

@@ -94,10 +94,15 @@ class Automorphism:
             img = NFMonomial((self.rot + x.source) % n, x.nonstars, x.stars)
         if self.m == 1:
             return Fraction(1), img
-        i, l = x.source, x.nonstars
+        return root(self.m, self.monomial_exponent(x)), img
+
+    def monomial_exponent(self, x: NFMonomial) -> int:
+        """k mod m with zeta_m^k the scalar of `monomial_image`: the sum of
+        the exponents along the canonical word."""
+        n, i, l = self.quiver.n, x.source, x.nonstars
         k = sum(self.e[(i + t) % n] for t in range(l))
         k += sum(self.e_star[(i + l - 1 - t) % n] for t in range(x.stars))
-        return root(self.m, k % self.m), img
+        return k % self.m
 
     # -- group structure -------------------------------------------------------
 

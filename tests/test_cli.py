@@ -300,10 +300,16 @@ def test_scan_worker_pool_matches_inline():
             "auslander_n3.json",
             "dbb56eaa59a016fa8075aca242d3cec59718002a09e2e4f4f5b539d735724179",
         ),
+        (
+            ["auslander", "--n", "4", "--group", "rot(1),refl(0),scalar(5;1,1,1,1;4,4,4,4)", "--degree", "12"],
+            "auslander_n4.json",
+            "5fbbca9cc851de97c3cde74bcba93a13becf3695f5d245b027c964251ea260ea",
+        ),
     ],
 )
 def test_scalar_payload_pinned(tmp_path, argv, report, digest):
-    # sha256 of each payload while scalars were stored as field values
+    # sha256 of each payload while scalars were stored as field values; the
+    # order-40 mixed group's while its blocks were built by field elimination
     assert main(argv + ["--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / report).read_text())["payload"]
     assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == digest

@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from auslab.linalg import FieldEchelon, IntEchelon, SignedPartition, map_row
-from auslab.scalars import root
+from auslab.linalg import FieldEchelon, IntEchelon, SignedPartition
+from auslab.scalars import root_powers
 
 
 def test_int_echelon_rank_and_membership():
@@ -122,7 +122,7 @@ def test_signed_partition_is_the_integer_span(rows, probes):
     for row in part.rows():
         assert ech.contains(row) and basis.insert(row)
     assert basis.rank == part.rank
-    assert all(part.root[r] == r and part.sign[r] == 1 for r in part.root)
+    assert all(part.root[r] == r and part.gain[r] == 0 for r in part.root)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -148,30 +148,44 @@ def test_signed_partition_absorbs_an_image(rows, first, mapping):
     assert whole.rank == 10 and whole.lead_count_at_least(0) == 10
 
 
-field_rows = st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool), max_size=4), max_size=8)
+@st.composite
+def tail_runs(draw):
+    """(starts, count): runs of `count` consecutive coordinates out of 10,
+    one per start, pairwise disjoint."""
+    count = draw(st.integers(1, 3))
+    starts = draw(st.lists(st.sampled_from(range(0, 11 - count, count)), min_size=1, max_size=3, unique=True))
+    return starts, count
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(rows=field_rows, first=field_rows, mapping=st.permutations(range(6)), exps=st.lists(st.integers(0, 4), min_size=6, max_size=6))
-def test_field_echelon_absorbs_an_image(rows, first, mapping, exps):
-    # absorbing a source through an injective map with zeta_5-power
-    # multipliers spans what inserting the mapped rows spans, into a fresh
-    # echelon and into one that already holds rows, and a source spanning
-    # its whole space leaves nothing live
-    multipliers = [root(5, k) for k in exps]
-    source = FieldEchelon()
+gain_rows = st.lists(
+    st.one_of(
+        st.integers(0, 9).map(lambda a: (a,)),
+        st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 5)).filter(lambda t: t[0] != t[1]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=gain_rows, runs=tail_runs(), m=st.sampled_from([1, 3, 4]))
+@example(rows=[(3,), (4,), (5,), (0, 1, 0)], runs=([0, 3], 3), m=1)   # two images on one root
+def test_image_rank_is_the_rank_the_sums_add(rows, runs, m):
+    # units e_a and binomials e_a - z^s e_b with z a primitive K-th root,
+    # K = lcm(2, m): the rank of the sums' images in the quotient is what
+    # they add to the span's rank, found by a FieldEchelon over Q(zeta_m)
+    values = root_powers(m)
+    part, ech = SignedPartition(10, values), FieldEchelon()
     for row in rows:
-        source.insert({k: Fraction(c) for k, c in row.items()})
-    for seed in ([], first):
-        ech, ref = FieldEchelon(6), FieldEchelon(6)
-        for row in seed:
-            ech.insert({k: Fraction(c) for k, c in row.items()})
-            ref.insert({k: Fraction(c) for k, c in row.items()})
-        ech.absorb(mapping, source, multipliers)
-        for row in source.pivots.values():
-            ref.insert(map_row(row, mapping, multipliers))
-        assert ech.rank == ref.rank and ech.live == 6 - ref.rank
-        assert all(ech.contains(row) for row in ref.pivots.values())
-    whole = FieldEchelon(6)
-    whole.absorb(mapping, None, multipliers)
-    assert whole.live == 0
+        if len(row) == 1:
+            part.kill(row[0])
+            ech.insert({row[0]: values[0]})
+        else:
+            a, b, s = row[0], row[1], row[2] % len(values)
+            part.join(a, b, s)
+            ech.insert({a: values[0], b: -values[s]})
+        assert part.rank == ech.rank
+    starts, count = runs
+    base = ech.rank
+    for x in range(count):
+        ech.insert({s + x: values[0] for s in starts})
+    assert part.image_rank(starts, count) == ech.rank - base

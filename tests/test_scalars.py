@@ -11,6 +11,9 @@ from auslab.scalars import (
     get_context,
     make_root_of_unity,
     multiplicative_order,
+    root,
+    root_powers,
+    sums_vanish,
 )
 
 
@@ -237,3 +240,49 @@ def test_products_and_inverses_match_sympy():
             assert (a * b).coeffs == coeffs(sympy.rem(poly(a.coeffs) * poly(b.coeffs), phi), ctx.degree)
             if a:
                 assert a.inverse().coeffs == coeffs(sympy.invert(poly(a.coeffs), phi), ctx.degree)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 12])
+def test_root_powers_are_the_powers_of_one_root(m):
+    # zeta_K^s for K = lcm(2, m), as values of the field of conductor m
+    values = root_powers(m)
+    k = len(values)
+    assert k == (2 if m <= 2 else m if m % 2 == 0 else 2 * m)
+    assert values[k // 2] == -1 and len(set(values)) == k
+    assert all(values[a] * values[b] == values[(a + b) % k] for a in range(k) for b in range(k))
+    assert values[1] ** (k // 2) == -1   # values[1] is a primitive K-th root
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    k=st.sampled_from([2, 3, 4, 5, 6, 12]),
+    foreign=st.sampled_from([3, 5]),
+    rows=st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(1, 3), st.integers(0, 11), st.lists(st.tuples(st.integers(0, 2), st.integers(0, 11)), max_size=3)),
+        max_size=6,
+    ),
+)
+def test_sums_vanish_is_the_sum_of_the_values(k, foreign, rows):
+    # sum c * zeta_k^s per key, computed directly; the coefficients lie in
+    # Q(zeta_k), or in a foreign field when k = 2 (signs mix with any field)
+    m = foreign if k == 2 else k
+    cases = []
+    for num, den, e, pairs in rows:
+        c = Fraction(num, den) * root(m, e) if m > 2 else Fraction(num, den)
+        cases.append((c, [(key, s % k) for key, s in pairs]))
+    sums = {}
+    for c, pairs in cases:
+        for key, s in pairs:
+            sums[key] = sums.get(key, 0) + c * root(k, s)
+    assert sums_vanish(cases, k) == (not any(sums.values()))
+    # each row against its own negation always cancels
+    assert sums_vanish(cases + [(-c, pairs) for c, pairs in cases], k)
+
+
+def test_sums_vanish_examples():
+    z5 = root(5, 1)
+    assert sums_vanish([(z5, [("a", 1)]), (z5, [("a", 0)])], 2)      # z5 * -1 + z5
+    assert not sums_vanish([(z5, [("a", 1)]), (z5, [("a", 1)])], 2)
+    assert sums_vanish([(1, [(0, 0), (0, 2), (0, 4)])], 6)            # 1 + zeta_3 + zeta_3^2
+    assert not sums_vanish([(1, [(0, 0), (0, 2)]), (Fraction(1, 2), [(1, 3)])], 6)
+    assert sums_vanish([], 4)

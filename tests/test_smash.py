@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from test_symmetry import group_specs
 
-from auslab.linalg import FieldEchelon, IntEchelon
+from auslab.cli import build_group
+from auslab.linalg import FieldEchelon, IntEchelon, SignedPartition
 from auslab.preproj import AlgebraElement, NFMonomial, nf_basis
 from auslab.quiver import QuiverA
 from auslab.smash import (
@@ -24,7 +27,9 @@ from auslab.smash import (
     theorem_bound,
 )
 from auslab.symmetry import (
+    CapExceededError,
     build_subgroup,
+    classify_auslander,
     dihedral_group,
     enumerate_subgroups,
     generate_group,
@@ -534,8 +539,7 @@ def test_signed_partitions_match_the_row_engine(n):
     # for every subgroup of D_n at every degree up to the cutoff 4n+4
     for key in subgroup_keys(n):
         _, group = build_subgroup(n, *key)
-        trunc, _ = _compare_with_row_engine(group, 4 * n + 4)
-        assert trunc.signed
+        _compare_with_row_engine(group, 4 * n + 4)
 
 
 def scalar_transfer_group():
@@ -576,10 +580,9 @@ def twisted_reflection_group():
     ],
 )
 def test_scalar_blocks_match_the_row_engine(make, D):
-    # groups with scalars: the closed-form maps and their multipliers give
+    # groups with scalars: the closed-form maps and their gains give
     # the former row engine's rank, identity intersection and saturation
-    trunc, _ = _compare_with_row_engine(make(), D)
-    assert not trunc.signed
+    _compare_with_row_engine(make(), D)
 
 
 def test_membership_through_transfers_carrying_scalars():
@@ -621,15 +624,17 @@ def test_membership_through_transfers_carrying_scalars():
 
 
 def _pushed_rows(trunc, i, j, d):
-    """The rows the build pushes into block (i, j) at degree d."""
-    for source, mapping, _ in trunc._sources(i, j, d):
+    """The rows the build pushes into block (i, j) at degree d: source
+    coordinate k goes to z^gains[k] e_mapping[k]."""
+    values = trunc._values
+    for source, mapping, gains in trunc._sources(i, j, d):
         rows = (
             ({k: 1} for k in range(len(mapping)))
             if source.full
             else source.kernel.rows()
         )
         for row in rows:
-            yield {mapping[k]: c for k, c in row.items()}
+            yield {mapping[k]: c if gains is None else c * values[gains[k]] for k, c in row.items()}
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -680,15 +685,18 @@ def test_block_coords_are_the_scanned_coordinates():
 
 def test_degree_zero_refuses_a_cut_of_another_shape():
     # refl(0) and -1 on every arrow fix vertex 0 together with their
-    # product, so the cut e_0 f_G e_0 has four terms; a scalar-free group
-    # never has such a cut, and the signed partitions must not absorb one
+    # product, so the cut e_0 f_G e_0 has four terms (g, 0); in character
+    # coordinates it is phi_(1, 1, 0) + phi_(refl(0), 1, 0), a binomial, and
+    # the group builds.  The kernel itself refuses a row of any other shape.
     q = QuiverA(3)
     minus = scalar_automorphism(q, [Fraction(-1)] * 3, [Fraction(-1)] * 3)
     group = generate_group([reflection(q, 0), minus])
     assert len(group) == 4
-    group.is_dihedral_subgroup = True
+    trunc = build_ideal(group, 2)
+    for d in range(3):
+        assert trunc.ideal_dimension(d) == naive_ideal_dimension(group, d)
     with pytest.raises(ValueError, match="neither a unit nor a signed binomial"):
-        build_ideal(group, 0)
+        SignedPartition(4).insert({0: 1, 1: 1, 2: 1, 3: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +720,6 @@ def dihedral_specs(draw):
 
 
 def _smash_group(spec):
-    from auslab.cli import build_group
-
     n, text = spec
     return build_group(text, n)[0]
 
@@ -772,3 +778,59 @@ def test_partition_invariants(spec):
             assert block.kernel.rank < size and len(block.kernel.root) == size
             for row in _pushed_rows(trunc, *rep, d):
                 assert block.kernel.contains(row)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(group_specs(), st.integers(1, 6))
+@example((4, "rot(1),refl(0),scalar(5;1,1,1,1;4,4,4,4)"), 6)
+@example((6, "refl(0),scalar(4;1,1,1,1,1,1;3,3,3,3,3,3)"), 6)
+@example((3, "scalar(3;1,1,1;2,2,2),scalar(4;1,1,1;3,3,3),rot(1)"), 6)
+@example((4, "refl(1),scalar(4;1,2,3,1;3,2,1,3)"), 6)
+@example((4, "rot(2),scalar(6;1,2,3,4;5,4,3,2)"), 6)
+def test_gain_partitions_match_the_row_engine(case, D):
+    # random groups with rotations, reflections and scalars (mixed
+    # conductors included, order at most 64): every orbit-rep block has the
+    # row engine's rank, identity intersection and saturation, every pushed
+    # row lies in the block it was pushed into, and 0 <= rank <= dimension
+    n, spec = case
+    try:
+        group, _ = build_group(spec, n, cap=64)
+    except CapExceededError:
+        assume(False)
+    trunc, _ = _compare_with_row_engine(group, D)
+    for d in range(D + 1):
+        for rep in trunc.orbit_reps:
+            block = trunc._layers[d][rep]
+            assert 0 <= trunc.block_rank(rep, d) <= trunc.block_coords(*rep, d).size
+            if block.full or d == 0:
+                continue
+            for row in _pushed_rows(trunc, *rep, d):
+                assert block.kernel.contains(row)
+
+
+def _predicted_dims(n, group, D):
+    """The identity series of a subgroup of D_n in closed form (conjectured
+    from the engine): n min(d + 1, n / gcd(n, 2)) when G holds every
+    vertex-fixing reflection, and otherwise the number of vertices fixed by
+    some reflection of G at degree 0 and nothing after."""
+    if classify_auslander(n, group) == "not_iso":
+        return [n * min(d + 1, n // gcd(n, 2)) for d in range(D + 1)]
+    fixed = {v for g in group.elements if g.refl for v in g.fixed_vertices()}
+    return [len(fixed)] + [0] * D
+
+
+def test_identity_series_of_dihedral_subgroups_is_closed_form():
+    # every subgroup of D_n, n = 3..30, at the cutoff 4n + 4
+    count = 0
+    for n in range(3, 31):
+        for key in subgroup_keys(n):
+            _, group = build_subgroup(n, *key)
+            assert identity_component_dims(group, 4 * n + 4) == _predicted_dims(n, group, 4 * n + 4), (n, key)
+            count += 1
+    assert count == 866
