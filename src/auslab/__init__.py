@@ -30,7 +30,6 @@ from .smash import (
     eval_auslander_map,
     growth_classify,
     identity_component_dims,
-    membership,
 )
 from .symmetry import (
     Automorphism,
@@ -43,7 +42,6 @@ from .symmetry import (
     identity_automorphism,
     reflection,
     rotation,
-    scalar_automorphism,
     scalar_powers,
     validate,
     vertex_fixing_reflections,

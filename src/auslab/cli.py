@@ -19,7 +19,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
@@ -43,6 +42,7 @@ from .smash import (
     naive_ideal_dimension,
 )
 from .symmetry import (
+    Automorphism,
     CapExceededError,
     build_subgroup,
     dihedral_group,
@@ -403,6 +403,8 @@ def run_scan(n_list: list[int], degree: int | None, jobs: int = 1) -> dict:
         grid += [(n, kind, d, j, cutoff) for kind, d, j in subgroup_keys(n)]
     workers = min(jobs, os.cpu_count() or 1, len(grid))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_job, grid))
     else:

@@ -13,7 +13,9 @@ one interface (`insert`, `rank`, `contains`, `lead_count_at_least`):
 `SignedPartition` builds every block of the smash ideal: it `absorb`s
 another partition's span through an injective index map with a gain per
 coordinate, reports `live`, the dimension left outside the span, and the
-rank of a few sums of coordinates in the quotient (`image_rank`).
+rank of a few sums of coordinates in the quotient (`image_rank`); a row's
+membership is a sum of coefficients times roots of unity per live root
+(`vanishes`).
 `FieldEchelon` serves the invariant rings, the naive spanning-set check
 and the one elimination `image_rank` cannot count; `IntEchelon` is the
 tests' reference for the partitions.
@@ -28,8 +30,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-from .scalars import sums_vanish
 
 SIGNS = (1, -1)
 
@@ -276,10 +276,20 @@ class SignedPartition:
         root, gain, dead, K = self.root, self.gain, self.dead, self.K
         return [(root[k], (s + gain[k]) % K) for k, s in terms if root[k] not in dead]
 
+    def vanishes(self, rows) -> bool:
+        """Whether the sum of c * z^s over the pairs (r, s) of all rows
+        (c, pairs) is 0 at every root r, the pairs as `reduce` gives them;
+        c lies in the field of `values`, or in any field when K = 2."""
+        values, acc = self.values, {}
+        for c, pairs in rows:
+            for r, s in pairs:
+                acc[r] = acc.get(r, 0) + c * values[s]
+        return not any(acc.values())
+
     def contains(self, row: dict[int, object]) -> bool:
         """A row lies in the span exactly when, for every live root, its
         gain-weighted coefficient sum over that root's component is 0."""
-        return sums_vanish(((c, self.reduce([(k, 0)])) for k, c in row.items()), self.K)
+        return self.vanishes((c, self.reduce([(k, 0)])) for k, c in row.items())
 
     def image_rank(self, starts: list[int], count: int) -> int:
         """Rank of the images in the quotient of the `count` rows

@@ -165,14 +165,6 @@ class AlgebraElement:
                     out.pop(m, None)
         return AlgebraElement(self.quiver, out)
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not defined here")
-        result = AlgebraElement.one(self.quiver)
-        for _ in range(e):
-            result = result * self
-        return result
-
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -219,7 +211,6 @@ class DegreeSubspace(NamedTuple):
     degree: int
     dimension: int
     basis_words: list[Word]            # complement basis, monomial order
-    rep_index: dict[int, int]          # flat rep id -> position in basis_words
 
 
 @dataclass
@@ -357,7 +348,6 @@ class RelationIdealOracle:
             degree=d,
             dimension=len(reps),
             basis_words=[self.decode(d, r) for r in reps],
-            rep_index={r: i for i, r in enumerate(reps)},
         )
 
     def reduce_word(self, w: Word) -> int:

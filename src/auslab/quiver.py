@@ -91,9 +91,6 @@ class QuiverA:
             at = self.arrow_target(a)
         return Word(source, arrows)
 
-    def trivial_word(self, i: int) -> Word:
-        return Word(i % self.n, ())
-
     def word_target(self, w: Word) -> int:
         at = w.source
         for a in w.arrows:

@@ -329,33 +329,6 @@ def root_powers(m: int) -> tuple:
     return tuple(-root(m, s * (m + 1) // 2 % m) if s % 2 else root(m, s // 2) for s in range(2 * m))
 
 
-def sums_vanish(rows, k: int) -> bool:
-    """Whether sum c * zeta_k^s over the pairs (key, s) of every row (c, pairs)
-    vanishes for each key; c is an int, a Fraction or a ScalarValue of any
-    conductor.  The sums are integer vectors over the powers of zeta_L, L the
-    lcm of k and the conductors, scaled by a common denominator, and one
-    vanishes when Phi_L divides it."""
-    rows = [(c if isinstance(c, ScalarValue) else Fraction(c), pairs) for c, pairs in rows]
-    big = lcm(k, *(c.context.m for c, _ in rows if isinstance(c, ScalarValue)))
-    den = lcm(1, *(c.den if isinstance(c, ScalarValue) else c.denominator for c, _ in rows))
-    acc: dict[object, list[int]] = {}
-    for c, pairs in rows:
-        if isinstance(c, ScalarValue):
-            step, f = big // c.context.m, den // c.den
-            spread = [(i * step, a * f) for i, a in enumerate(c.num) if a]
-        else:
-            spread = [(0, c.numerator * (den // c.denominator))]
-        for key, s in pairs:
-            vec = acc.get(key)
-            if vec is None:
-                vec = acc[key] = [0] * big
-            s *= big // k
-            for i, a in spread:
-                vec[(s + i) % big] += a
-    phi = cyclotomic_polynomial(big)
-    return not any(any(_divmod_monic(vec, phi)[1]) for vec in acc.values())
-
-
 def multiplicative_order(a) -> int | None:
     """Least e >= 1 with a^e = 1, or None when a has infinite order.
 

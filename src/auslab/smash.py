@@ -43,7 +43,8 @@ their number minus the rank of their images in the quotient; that rank is
 a count unless two images meet a common root, and only then is it found by
 a small `FieldEchelon`, the one field elimination left.  Membership writes
 an element's coordinates in character coordinates and checks that its
-image in the quotient vanishes (`scalars.sums_vanish`).
+image in the quotient vanishes: a sum of coefficients times roots of unity
+per live root (`SignedPartition.vanishes`).
 
 Three shortcuts keep the exact arithmetic desk-sized.  First, conjugation
 by 1#g maps block (i, j) bijectively onto block (g i, g j) preserving
@@ -65,7 +66,7 @@ from typing import NamedTuple
 from .linalg import FieldEchelon, SignedPartition
 from .preproj import AlgebraElement, NFMonomial
 from .quiver import QuiverA
-from .scalars import root_powers, sums_vanish
+from .scalars import root_powers
 from .symmetry import Automorphism, FiniteGroup, apply
 
 
@@ -608,18 +609,17 @@ class IdealTruncation:
         for (m, gi), c in x.terms.items():
             pieces.setdefault((m.source, inv_vm[gi][m.target(n)]), []).append((gi, m.nonstars, c))
         for pair, terms in pieces.items():
-            if self._layers[d][self.pair_rep[pair]].full:
-                continue
-            if not sums_vanish(((c, self._projection(pair, d, g)[l]) for g, l, c in terms), self._K):
+            block = self._layers[d][self.pair_rep[pair]]
+            if not block.full and not block.kernel.vanishes((c, self._projection(pair, d, g)[l]) for g, l, c in terms):
                 return False
         return True
 
     def _projection(self, pair: tuple[int, int], d: int, g: int) -> dict[int, list[tuple[int, int]]]:
         """l -> the image of the coordinate (g, l) of block `pair` at degree d
         in the quotient of the representative's block, as (live root,
-        exponent of z) pairs for `sums_vanish`: conjugation by 1#u, u the
-        inverse transfer, sends it to u's scalar on the monomial times
-        (u g u^-1, l'), and (c h_k, l') = |N|^-1 sum_psi psi(h_k)^-1
+        exponent of z) pairs for `SignedPartition.vanishes`: conjugation by
+        1#u, u the inverse transfer, sends it to u's scalar on the monomial
+        times (u g u^-1, l'), and (c h_k, l') = |N|^-1 sum_psi psi(h_k)^-1
         phi_(c, psi, l'), whose common factor |N|^-1 is dropped.  Built once
         per (pair, degree, g)."""
         key = (pair, d, g)
@@ -647,19 +647,10 @@ def build_ideal(group: FiniteGroup, D: int) -> IdealTruncation:
     return trunc
 
 
-def identity_component_dims(group_or_trunc, D: int) -> list[int]:
+def identity_component_dims(group: FiniteGroup, D: int) -> list[int]:
     """dim of the image of R_d in (R#G)/(f_G) for d = 0..D."""
-    trunc = (
-        group_or_trunc
-        if isinstance(group_or_trunc, IdealTruncation)
-        else IdealTruncation(group_or_trunc)
-    )
-    trunc.extend(D)
+    trunc = build_ideal(group, D)
     return [trunc.identity_component_dim(d) for d in range(D + 1)]
-
-
-def membership(x: SmashElement, trunc: IdealTruncation) -> bool:
-    return trunc.contains(x)
 
 
 def naive_ideal_dimension(group: FiniteGroup, d: int) -> int:
@@ -709,13 +700,13 @@ def first_zero_degree(dims: list[int]) -> int:
     return f if f < len(dims) else (-1 if dims else 0)
 
 
-def growth_classify(dims: list[int], window: int, expected_increment: int | None = None) -> GrowthVerdict:
+def growth_classify(dims: list[int], window: int) -> GrowthVerdict:
     """Windowed classification of a dimension series tail.
 
     finite_dim: the last `window` entries vanish.  gk1: the tail is nonzero
     but bounded (its maximum already appeared in the previous window).
-    gk2_likely: the tail climbs by a constant positive step (equal to
-    `expected_increment` when given).  Anything else is inconclusive.
+    gk2_likely: the tail climbs by a constant positive step.  Anything else
+    is inconclusive.
     """
     if window < 1:
         raise WindowTooLargeError("window must be positive")
@@ -733,11 +724,9 @@ def growth_classify(dims: list[int], window: int, expected_increment: int | None
     if not any(tail):
         return GrowthVerdict("finite_dim", ev)
     diffs = {b - a for a, b in zip(tail, tail[1:])}
-    if len(diffs) == 1:
-        step = diffs.pop()
-        if step > 0 and (expected_increment is None or step == expected_increment):
-            ev["increment"] = step
-            return GrowthVerdict("gk2_likely", ev)
+    if len(diffs) == 1 and min(diffs) > 0:
+        ev["increment"] = diffs.pop()
+        return GrowthVerdict("gk2_likely", ev)
     if max(tail) == max(prev):
         ev["tail_max"] = max(tail)
         return GrowthVerdict("gk1", ev)
@@ -800,7 +789,7 @@ def theorem_bound(n: int, group: FiniteGroup) -> tuple[int | None, str | None]:
     vertex-fixing reflection, 4L-1 for qualifying scalar actions."""
     from .symmetry import classify_auslander
 
-    if group.is_dihedral_subgroup:
+    if not group.has_scalars:
         if classify_auslander(n, group) == "iso":
             return 2 * n + 1, "missing_vertex_fixing_reflection"
         return None, None
@@ -811,7 +800,7 @@ def theorem_bound(n: int, group: FiniteGroup) -> tuple[int | None, str | None]:
 
 
 def default_cutoff(n: int, group: FiniteGroup) -> int:
-    if group.is_dihedral_subgroup:
+    if not group.has_scalars:
         return 4 * n + 4
     bound, _ = theorem_bound(n, group)
     if bound is not None:
@@ -859,21 +848,14 @@ class AuslanderReport:
         return out
 
 
-def auslander_verdict(
-    n: int,
-    group: FiniteGroup,
-    D: int | None = None,
-    label: str = "",
-    trunc: IdealTruncation | None = None,
-) -> AuslanderReport:
+def auslander_verdict(n: int, group: FiniteGroup, D: int | None = None, label: str = "") -> AuslanderReport:
     """Empirical decision for the pair (R, G), cross-checked against the
     closed-form classification when G is a subgroup of D_n."""
     from .symmetry import classify_auslander
 
     if D is None:
         D = default_cutoff(n, group)
-    trunc = trunc or IdealTruncation(group)
-    dims = identity_component_dims(trunc, D)
+    dims = identity_component_dims(group, D)
     bound, bound_reason = theorem_bound(n, group)
     if bound is not None:
         window = max(2, (D - min(bound, D) + 1) // 2)
@@ -894,7 +876,7 @@ def auslander_verdict(
 
     classifier = None
     agrees = None
-    if group.is_dihedral_subgroup:
+    if not group.has_scalars:
         classifier = classify_auslander(n, group)
         if verdict != "unknown":
             agrees = verdict == classifier

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 from .preproj import AlgebraElement, NFMonomial
 from .quiver import ArrowRef, QuiverA, Word
-from .scalars import ScalarValue, root
+from .scalars import root
 
 
 class NotAnAutomorphismError(ValueError):
@@ -182,29 +182,6 @@ def scalar_powers(q: QuiverA, m: int, e: Sequence[int], e_star: Sequence[int]) -
     return Automorphism(q, 0, False, m if any(e + e_star) else 1, e, e_star)
 
 
-def _root_exponent(c) -> tuple[int, int]:
-    """(m, k) with c = zeta_m^k: m is 1 or 2 for the rationals 1 and -1, and
-    otherwise the conductor of the field c lies in."""
-    if isinstance(c, ScalarValue) and not c.is_rational():
-        m = c.context.m
-    else:
-        m = 1 if c == 1 else 2
-    for k in range(m):
-        if root(m, k) == c:
-            return m, k
-    raise ValueError(f"arrow scalar {c} is neither +-1 nor a power of zeta_m in its own field")
-
-
-def scalar_automorphism(q: QuiverA, xi: Sequence, xi_star: Sequence) -> Automorphism:
-    """The vertex-fixing automorphism with the given scalar values, each of
-    them +-1 or a power of the root of unity of its own field."""
-    xi = tuple(xi)
-    powers = [_root_exponent(c) for c in xi + tuple(xi_star)]
-    m = lcm(*(c for c, _ in powers))
-    exps = [k * (m // c) for c, k in powers]
-    return scalar_powers(q, m, exps[: len(xi)], exps[len(xi) :])
-
-
 # -- validation ----------------------------------------------------------------
 
 
@@ -289,38 +266,59 @@ def apply(g: Automorphism, x: AlgebraElement) -> AlgebraElement:
 
 
 class FiniteGroup:
-    """A closed finite set of validated automorphisms with its Cayley table.
+    """The closure of automorphisms over one conductor, with its Cayley
+    table.
 
-    Elements are stored in a canonical deterministic order; all group
-    arithmetic downstream is on element indices.
+    The closure runs breadth first from the identity.  It keeps, for every
+    element x found and every generator s, the index of x*s, and for every
+    new element the pair (x, s) that found it; each table row g then follows
+    by lookups, g*(x*s) = (g*x)*s, so the construction composes only
+    |G| * |generators| pairs.  Elements are stored in a canonical
+    deterministic order; all group arithmetic downstream is on element
+    indices.
     """
 
-    def __init__(self, quiver: QuiverA, elements: list[Automorphism]):
+    def __init__(self, quiver: QuiverA, generators: Sequence[Automorphism], cap: int):
         self.quiver = quiver
-        self.elements = sorted(elements, key=Automorphism.sort_key)
+        found = [identity_automorphism(quiver)]
+        index = {found[0]: 0}
+        right: list[list[int]] = []            # right[x][s]: index of found[x] * generators[s]
+        parent: list[tuple[int, int]] = []     # (x, s) that found element k + 1
+        for x, g in enumerate(found):          # found grows while it is walked
+            row = []
+            for s, h in enumerate(generators):
+                p = g * h
+                k = index.get(p)
+                if k is None:
+                    if len(found) >= cap:
+                        raise CapExceededError(
+                            f"group closure exceeded cap {cap}; "
+                            "is a generator of infinite order?"
+                        )
+                    k = index[p] = len(found)
+                    found.append(p)
+                    parent.append((x, s))
+                row.append(k)
+            right.append(row)
+        order = sorted(range(len(found)), key=lambda k: found[k].sort_key())
+        at = [0] * len(found)
+        for i, k in enumerate(order):
+            at[k] = i
+        self.elements = [found[k] for k in order]
         self._index = {g: i for i, g in enumerate(self.elements)}
-        self.identity_index = next(
-            i for i, g in enumerate(self.elements) if g.is_identity()
-        )
+        self.identity_index = at[0]
         self.has_scalars = any(g.m != 1 for g in self.elements)
-        self.is_dihedral_subgroup = not self.has_scalars
-        self.table = self._cayley_table()
+        self.table = []
+        for g in order:
+            row = [g]
+            for x, s in parent:
+                row.append(right[row[x]][s])
+            self.table.append([at[row[h]] for h in order])
         self.inverse = [row.index(self.identity_index) for row in self.table]
         self.vertex_maps = [
             tuple(g.vertex_image(v) for v in range(quiver.n)) for g in self.elements
         ]
         self._action_cache: dict = {}
-
-    def _cayley_table(self) -> list[list[int]]:
-        """Cayley table by composing the elements, which is integer
-        arithmetic on their exponents.  Raises if the set is not closed."""
-        table = []
-        for g in self.elements:
-            row = [self._index.get(g * h) for h in self.elements]
-            if None in row:
-                raise ValueError("element set is not closed under composition")
-            table.append(row)
-        return table
 
     def monomial_action(self, gi: int, m) -> tuple:
         """Cached (scalar, image) of a canonical monomial under element gi."""
@@ -367,42 +365,18 @@ class FiniteGroup:
         return hash((self.quiver.n, self.element_key_set()))
 
 
-def generate_group(
-    generators: Sequence[Automorphism], cap: int = 512, check: bool = True
-) -> FiniteGroup:
+def generate_group(generators: Sequence[Automorphism], cap: int = 512) -> FiniteGroup:
     """Closure of the generators under composition, capped to guard against
-    runaway inputs.  The generators are first written over the lcm M of
-    their conductors, so every scalar of the group lies in Q or Q(zeta_M)."""
+    runaway inputs.  Each generator is validated, and all are first written
+    over the lcm M of their conductors, so every scalar of the group lies in
+    Q or Q(zeta_M)."""
     gens = list(generators)
     if not gens:
-        raise ValueError("need at least one generator (or use trivial_group)")
-    q = gens[0].quiver
-    if check:
-        for g in gens:
-            validate(g)
+        raise ValueError("need at least one generator (the identity for the trivial group)")
+    for g in gens:
+        validate(g)
     conductor = lcm(*(g.m for g in gens))
-    gens = [g.lift(conductor) for g in gens]
-    seen = {identity_automorphism(q)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                p = g * h
-                if p not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError(
-                            f"group closure exceeded cap {cap}; "
-                            "is a generator of infinite order?"
-                        )
-                    seen.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return FiniteGroup(q, list(seen))
-
-
-def trivial_group(q: QuiverA) -> FiniteGroup:
-    return FiniteGroup(q, [identity_automorphism(q)])
+    return FiniteGroup(gens[0].quiver, [g.lift(conductor) for g in gens], cap)
 
 
 def dihedral_group(q: QuiverA) -> FiniteGroup:

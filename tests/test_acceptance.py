@@ -28,13 +28,12 @@ from auslab.invariants import (
 )
 from auslab.preproj import AlgebraElement, NFMonomial, RelationIdealOracle, hilbert, nf_basis
 from auslab.quiver import QuiverA, mat_mul
-from auslab.scalars import get_context, make_root_of_unity
 from auslab.smash import SmashElement, auslander_verdict, build_ideal
 from auslab.symmetry import (
     dihedral_group,
     enumerate_subgroups,
     generate_group,
-    scalar_automorphism,
+    scalar_powers,
     w_subgroup,
 )
 
@@ -183,11 +182,7 @@ def test_criterion_6_pertinency_one(scan_run):
 
 
 def _scalar_group(n, m, exps, star_exps):
-    q = QuiverA(n)
-    ctx = get_context(m)
-    xi = [make_root_of_unity(ctx, e) for e in exps]
-    xi_star = [make_root_of_unity(ctx, e) for e in star_exps]
-    return generate_group([scalar_automorphism(q, xi, xi_star)])
+    return generate_group([scalar_powers(QuiverA(n), m, exps, star_exps)])
 
 
 def test_criterion_7_scalar_actions():

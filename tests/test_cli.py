@@ -228,7 +228,7 @@ def test_scan_pool_clamped_to_cores_and_grid(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr("auslab.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     inline = run_scan([3], 4)  # six subgroups
     for cores, jobs in ((4, 1000), (64, 3), (64, 1000), (1, 1000), (None, 8)):
         monkeypatch.setattr("auslab.cli.os.cpu_count", lambda cores=cores: cores)

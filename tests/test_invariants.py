@@ -33,7 +33,7 @@ from auslab.symmetry import (
     build_subgroup,
     dihedral_group,
     generate_group,
-    scalar_automorphism,
+    scalar_powers,
     subgroup_keys,
     w_subgroup,
 )
@@ -90,7 +90,7 @@ def test_orbits_partition_each_degree():
 
 def test_scalar_orbits_are_refused():
     q = QuiverA(3)
-    sigma = scalar_automorphism(q, [Fraction(-1)] * 3, [Fraction(-1)] * 3)
+    sigma = scalar_powers(q, 2, [1] * 3, [1] * 3)
     grp = generate_group([sigma])
     with pytest.raises(ScalarGroupOrbitNotMonomialError):
         orbit_of(NFMonomial(0, 1, 0), grp)
@@ -113,9 +113,41 @@ def test_invariant_dims_reflection_subgroup():
         assert basis.matrix_dims(d) == swap_matrix_series_coefficient(d)
 
 
+def _echelon_matrix_dims(basis, d):
+    """Parity-block ranks of the degree-d basis vectors, by elimination."""
+    n = basis.group.quiver.n
+    index = {m: k for k, m in enumerate(nf_basis(basis.group.quiver, d))}
+    out = [[0, 0], [0, 0]]
+    for p in (0, 1):
+        for t in (0, 1):
+            ech = FieldEchelon()
+            for v in basis.vectors[d]:
+                row = {index[m]: c for m, c in v.terms.items() if m.source % 2 == p and m.target(n) % 2 == t}
+                if row:
+                    ech.insert(row)
+            out[p][t] = ech.rank
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_matrix_dims_are_the_parity_block_ranks(n):
+    # every parity-preserving subgroup of D_n: the counted block dimensions
+    # are the ranks an elimination finds
+    checked = 0
+    for key in subgroup_keys(n):
+        _, group = build_subgroup(n, *key)
+        if any((vm[v] - v) % 2 for vm in group.vertex_maps for v in range(n)):
+            continue
+        basis = invariant_basis(group, 16)
+        for d in range(17):
+            assert basis.matrix_dims(d) == _echelon_matrix_dims(basis, d), (n, key, d)
+        checked += 1
+    assert checked > 1
+
+
 def test_invariant_dims_scalar_group():
     q = QuiverA(3)
-    sigma = scalar_automorphism(q, [Fraction(-1)] * 3, [Fraction(-1)] * 3)
+    sigma = scalar_powers(q, 2, [1] * 3, [1] * 3)
     basis = invariant_basis(generate_group([sigma]), 6)
     assert basis.dims == [3 * (d + 1) if d % 2 == 0 else 0 for d in range(7)]
 

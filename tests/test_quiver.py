@@ -34,10 +34,10 @@ def test_compose_examples():
     # target e_1 != source e_0: the null product
     assert q.compose(w_a0, w_a0) is None
     # trivial paths are local identities
-    assert q.compose(q.trivial_word(2), q.word(2, [ArrowRef(2, False)])) == q.word(
+    assert q.compose(q.word(2, []), q.word(2, [ArrowRef(2, False)])) == q.word(
         2, [ArrowRef(2, False)]
     )
-    assert q.compose(q.word(2, [ArrowRef(2, False)]), q.trivial_word(0)) == q.word(
+    assert q.compose(q.word(2, [ArrowRef(2, False)]), q.word(0, [])) == q.word(
         2, [ArrowRef(2, False)]
     )
 

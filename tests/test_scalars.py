@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from auslab.linalg import SignedPartition
 from auslab.scalars import (
+    ScalarValue,
     cyclotomic_polynomial,
     get_context,
     make_root_of_unity,
     multiplicative_order,
     root,
     root_powers,
-    sums_vanish,
 )
 
 
@@ -253,36 +254,59 @@ def test_root_powers_are_the_powers_of_one_root(m):
     assert values[1] ** (k // 2) == -1   # values[1] is a primitive K-th root
 
 
+def _lifted(c, m: int, big: int) -> ScalarValue:
+    """c, a rational or a value of Q(zeta_m), as a value of Q(zeta_big):
+    zeta_m = zeta_big^(big/m)."""
+    coeffs = [0] * big
+    if isinstance(c, ScalarValue):
+        for i, a in enumerate(c.coeffs):
+            coeffs[i * big // m] = a
+    else:
+        coeffs[0] = c
+    return get_context(big).from_coeffs(coeffs)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
-    k=st.sampled_from([2, 3, 4, 5, 6, 12]),
+    m=st.sampled_from([1, 3, 4, 5, 6, 12]),
     foreign=st.sampled_from([3, 5]),
     rows=st.lists(
-        st.tuples(st.integers(-3, 3), st.integers(1, 3), st.integers(0, 11), st.lists(st.tuples(st.integers(0, 2), st.integers(0, 11)), max_size=3)),
+        st.tuples(st.integers(-3, 3), st.integers(1, 3), st.integers(0, 11), st.lists(st.tuples(st.integers(0, 2), st.integers(0, 23)), max_size=3)),
         max_size=6,
     ),
 )
-def test_sums_vanish_is_the_sum_of_the_values(k, foreign, rows):
-    # sum c * zeta_k^s per key, computed directly; the coefficients lie in
-    # Q(zeta_k), or in a foreign field when k = 2 (signs mix with any field)
-    m = foreign if k == 2 else k
+def test_sums_vanish_is_the_sum_of_the_values(m, foreign, rows):
+    # What membership feeds `SignedPartition.vanishes`: exponents mod
+    # K = lcm(2, m) over the group's values, and coefficients in Q(zeta_m),
+    # or in a foreign field when K = 2 (signs mix with any field).  The
+    # reference sums c * zeta_K^s per key in Q(zeta_L), L = lcm(K, field).
+    values = root_powers(m)
+    k = len(values)
+    field = foreign if k == 2 else m
+    big = lcm(k, field)
     cases = []
     for num, den, e, pairs in rows:
-        c = Fraction(num, den) * root(m, e) if m > 2 else Fraction(num, den)
-        cases.append((c, [(key, s % k) for key, s in pairs]))
+        cases.append((Fraction(num, den) * root(field, e), [(key, s % k) for key, s in pairs]))
     sums = {}
     for c, pairs in cases:
         for key, s in pairs:
-            sums[key] = sums.get(key, 0) + c * root(k, s)
-    assert sums_vanish(cases, k) == (not any(sums.values()))
-    # each row against its own negation always cancels
-    assert sums_vanish(cases + [(-c, pairs) for c, pairs in cases], k)
+            sums[key] = sums.get(key, 0) + _lifted(c, field, big) * root(big, s * big // k)
+    part = SignedPartition(1, values)
+    assert part.vanishes(cases) == (not any(sums.values()))
+    # each row against its own negation always cancels, also when the
+    # negation is written as c * z^t at the exponents s - t
+    assert part.vanishes(cases + [(-c, pairs) for c, pairs in cases])
+    t = len(rows) % k
+    assert part.vanishes(cases + [(-c * values[t], [(key, (s - t) % k) for key, s in pairs]) for c, pairs in cases])
 
 
 def test_sums_vanish_examples():
     z5 = root(5, 1)
-    assert sums_vanish([(z5, [("a", 1)]), (z5, [("a", 0)])], 2)      # z5 * -1 + z5
-    assert not sums_vanish([(z5, [("a", 1)]), (z5, [("a", 1)])], 2)
-    assert sums_vanish([(1, [(0, 0), (0, 2), (0, 4)])], 6)            # 1 + zeta_3 + zeta_3^2
-    assert not sums_vanish([(1, [(0, 0), (0, 2)]), (Fraction(1, 2), [(1, 3)])], 6)
-    assert sums_vanish([], 4)
+    signs = SignedPartition(1)                       # K = 2: coefficients of any field
+    assert signs.vanishes([(z5, [("a", 1)]), (z5, [("a", 0)])])      # z5 * -1 + z5
+    assert not signs.vanishes([(z5, [("a", 1)]), (z5, [("a", 1)])])
+    over_zeta_3 = SignedPartition(1, root_powers(3))  # K = 6
+    assert over_zeta_3.vanishes([(1, [(0, 0), (0, 2), (0, 4)])])     # 1 + zeta_3 + zeta_3^2
+    assert not over_zeta_3.vanishes([(1, [(0, 0), (0, 2)]), (Fraction(1, 2), [(1, 3)])])
+    assert over_zeta_3.vanishes([(root(3, 1), [(0, 4)]), (-1, [(0, 0)])])  # zeta_3 * z^4 - 1
+    assert SignedPartition(1, root_powers(4)).vanishes([])
