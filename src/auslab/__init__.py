@@ -34,7 +34,6 @@ from .smash import (
 from .symmetry import (
     Automorphism,
     FiniteGroup,
-    SubgroupDescriptor,
     classify_auslander,
     dihedral_group,
     enumerate_subgroups,

@@ -45,6 +45,7 @@ from .symmetry import (
     Automorphism,
     CapExceededError,
     build_subgroup,
+    classify_auslander,
     dihedral_group,
     generate_group,
     reflection,
@@ -287,11 +288,14 @@ def cmd_invariants(args) -> int:
     started = time.monotonic()
     degree = _default_degree(args.degree, 16)
     group, spec = build_group(args.group, args.n)
-    q = QuiverA(args.n)
-    checked = {dihedral_group(q): verify_presentation_dihedral}
-    if args.n % 2 == 0:
-        checked[w_subgroup(q)] = verify_presentation_two_vertex
-    verify_presentation = checked.get(group)
+    # A subgroup of D_n holding every vertex-fixing reflection holds the
+    # subgroup W they generate: it is D_n at order 2n, or W at order n.
+    verify_presentation = None
+    if not group.has_scalars and classify_auslander(args.n, group) == "not_iso":
+        verify_presentation = {
+            2 * args.n: verify_presentation_dihedral,
+            args.n: verify_presentation_two_vertex,
+        }[len(group)]
     if (args.check_presentation or args.check_free_module) and not verify_presentation:
         print(
             "presentation and free-module checks exist for the full dihedral "
@@ -373,13 +377,13 @@ SCAN_CSV_COLUMNS = [
 
 def _scan_job(job: tuple[int, str, int, int | None, int]) -> dict:
     n, kind, d, j, degree = job
-    desc, group = build_subgroup(n, kind, d, j)
-    report = auslander_verdict(n, group, degree, label=desc.label)
+    label, group = build_subgroup(n, kind, d, j)
+    report = auslander_verdict(n, group, degree, label=label)
     return {
         "n": n,
-        "subgroup_descriptor": desc.label,
-        "order": desc.order,
-        "contains_all_vertex_fixing_reflections": desc.contains_all_vertex_fixing_reflections,
+        "subgroup_descriptor": label,
+        "order": len(group),
+        "contains_all_vertex_fixing_reflections": report.classifier == "not_iso",
         "degree": degree,
         "identity_component_dims": report.dims,
         "first_zero_degree": report.first_zero,
@@ -436,7 +440,14 @@ def cmd_scan(args) -> int:
     if not args.all_dihedral_subgroups:
         print("scan currently supports --all-dihedral-subgroups only", file=sys.stderr)
         return 1
-    n_list = [int(x) for x in args.n_list.split(",") if x]
+    try:
+        n_list = [int(x) for x in args.n_list.split(",")]
+    except ValueError:
+        n_list = []
+    if not n_list or len(set(n_list)) != len(n_list):
+        raise ValueError(
+            f"--n-list must be distinct integers separated by commas, got {args.n_list!r}"
+        )
     degree = _default_degree(args.degree, None, least=1)
     payload = run_scan(n_list, degree, jobs=args.jobs)
     envelope = make_envelope("scan", payload, started)

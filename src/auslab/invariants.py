@@ -296,10 +296,10 @@ def verify_presentation_dihedral(n: int, D: int, basis: InvariantBasis | None = 
     polynomial ring: the monomials s1^a s2^b of each degree map onto a basis
     of the invariants, whose dimensions match 1/((1-t)(1-t^2))."""
     q = QuiverA(n)
-    from .symmetry import dihedral_group
+    if basis is None:
+        from .symmetry import dihedral_group
 
-    group = dihedral_group(q)
-    basis = basis or invariant_basis(group, D)
+        basis = invariant_basis(dihedral_group(q), D)
     _, s1, s2 = s_elements(q)
     well_defined = s1 * s2 == s2 * s1
     expected = series_coefficients([1, 2], D)
@@ -348,10 +348,10 @@ def verify_presentation_two_vertex(n: int, D: int, basis: InvariantBasis | None 
     if n % 2:
         raise ValueError("the two-vertex presentation needs n even")
     q = QuiverA(n)
-    from .symmetry import w_subgroup
+    if basis is None:
+        from .symmetry import w_subgroup
 
-    group = w_subgroup(q)
-    basis = basis or invariant_basis(group, D)
+        basis = invariant_basis(w_subgroup(q), D)
     s = {0: s_elements(q, 0), 1: s_elements(q, 1)}
 
     rel1 = s[0][2] * s[0][1] - s[0][1] * s[1][2]      # v1 u1 - u1 v2

@@ -279,11 +279,15 @@ class SignedPartition:
     def vanishes(self, rows) -> bool:
         """Whether the sum of c * z^s over the pairs (r, s) of all rows
         (c, pairs) is 0 at every root r, the pairs as `reduce` gives them;
-        c lies in the field of `values`, or in any field when K = 2."""
-        values, acc = self.values, {}
+        c lies in the field of `values`, or in any field when K = 2.  The
+        coefficients are summed per pair first, so each pair costs one
+        product."""
+        values, per_pair, acc = self.values, {}, {}
         for c, pairs in rows:
-            for r, s in pairs:
-                acc[r] = acc.get(r, 0) + c * values[s]
+            for pair in pairs:
+                per_pair[pair] = per_pair.get(pair, 0) + c
+        for (r, s), c in per_pair.items():
+            acc[r] = acc.get(r, 0) + c * values[s]
         return not any(acc.values())
 
     def contains(self, row: dict[int, object]) -> bool:

@@ -36,6 +36,12 @@ from .quiver import ArrowRef, QuiverA, Word
 # under Python 3.11.
 ORACLE_LABEL_LIMIT = 1_000_000
 
+# `hilbert` keeps an n x n dimension matrix per degree, n^2 (D+1) entries
+# through degree D, and builds as many again for its checks.  At this limit
+# (n = 400 through degree 6) it takes about 1.3 s and 125 MB on the same
+# guest.
+MATRIX_ENTRY_LIMIT = 1_200_000
+
 
 class NFMonomial(NamedTuple):
     """Canonical basis monomial: source vertex, nonstar count, star count."""
@@ -407,6 +413,12 @@ class HilbertReport:
 
 def hilbert(q: QuiverA, D: int, oracle: RelationIdealOracle | None = None) -> HilbertReport:
     """Dimension series through degree D, measured on the oracle."""
+    entries = q.n * q.n * (D + 1)
+    if entries > MATRIX_ENTRY_LIMIT:
+        raise MemoryError(
+            f"hilbert at n = {q.n} through degree {D} needs {entries} matrix entries, "
+            f"over the limit of {MATRIX_ENTRY_LIMIT}"
+        )
     oracle = oracle or RelationIdealOracle(q)
     oracle.extend(D)
     totals = [oracle.dimension(d) for d in range(D + 1)]

@@ -733,14 +733,6 @@ def growth_classify(dims: list[int], window: int) -> GrowthVerdict:
     return GrowthVerdict("inconclusive", ev)
 
 
-def _element_order(group: FiniteGroup, gi: int) -> int:
-    order, k = 1, gi
-    while k != group.identity_index:
-        k = group.table[k][gi]
-        order += 1
-    return order
-
-
 def root_order(m: int, k: int) -> int:
     """Multiplicative order of zeta_m^k."""
     return m // gcd(m, k)
@@ -772,9 +764,9 @@ def _scalar_theorem_bound(group: FiniteGroup) -> tuple[int, str] | None:
             return order * n
         return None
 
-    for gi, g in enumerate(group.elements):
-        if _element_order(group, gi) != order:
-            continue
+    # A root of order |G| among g's scalars or as their product makes g a
+    # generator: g's order is a multiple of that root's and divides |G|.
+    for g in group.elements:
         l_nonstar = pure_length(g.m, g.e)
         l_star = pure_length(g.m, g.e_star)
         if l_nonstar is not None and l_star is not None:
@@ -793,10 +785,7 @@ def theorem_bound(n: int, group: FiniteGroup) -> tuple[int | None, str | None]:
         if classify_auslander(n, group) == "iso":
             return 2 * n + 1, "missing_vertex_fixing_reflection"
         return None, None
-    hit = _scalar_theorem_bound(group)
-    if hit is not None:
-        return hit
-    return None, None
+    return _scalar_theorem_bound(group) or (None, None)
 
 
 def default_cutoff(n: int, group: FiniteGroup) -> int:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from auslab.cli import (
     scan_csv_text,
 )
 from auslab.quiver import QuiverA
-from auslab.symmetry import CapExceededError, dihedral_group, rotation
+from auslab.symmetry import CapExceededError, FiniteGroup, dihedral_group, rotation
 
 
 def test_parse_group_basic():
@@ -415,7 +416,16 @@ def test_series_commands_accept_degree_zero(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "n, group", [(4, "rot(1)"),(4, "refl(0)"), (4, "rot(2),refl(1)"), (3, "scalar(3;1,1,1;2,2,2)")]
+    "n, group",
+    [
+        (4, "rot(1)"),
+        (4, "refl(0)"),
+        (4, "rot(2),refl(1)"),
+        (3, "scalar(3;1,1,1;2,2,2)"),
+        # D_4 and the vertex-reflection subgroup, each with a scalar generator
+        (4, "rot(1),refl(0),scalar(2;1,1,1,1;1,1,1,1)"),
+        (4, "refl(0),refl(2),scalar(4;1,1,1,1;3,3,3,3)"),
+    ],
 )
 @pytest.mark.parametrize("check", ["--check-free-module", "--check-presentation"])
 def test_structure_checks_need_a_maximal_reflection_group(tmp_path, capsys, n, group, check):
@@ -459,3 +469,66 @@ def test_cli_imports_neither_sympy_nor_numpy():
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "group, target",
+    [
+        ("rot(3),refl(1)", "polynomial_two_vars"),
+        ("refl(3),rot(1)", "polynomial_two_vars"),
+        ("refl(0),refl(2)", "two_vertex_quiver"),
+        ("refl(2),rot(2)", "two_vertex_quiver"),
+    ],
+)
+def test_presentation_check_accepts_other_spellings(tmp_path, group, target):
+    argv = ["invariants", "--n", "4", "--group", group, "--degree", "6", "--check-presentation"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "invariants_n4.json").read_text())["payload"]
+    assert payload["presentation"]["target"] == target
+    assert payload["presentation"]["bijective_through"] == 6
+
+
+@pytest.mark.parametrize("check", [[], ["--check-presentation"]])
+def test_invariants_builds_one_group(monkeypatch, tmp_path, check):
+    built = []
+    init = FiniteGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(len(args[1]))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    argv = ["invariants", "--n", "8", "--group", "rot(1),refl(0)", "--degree", "4"]
+    assert main(argv + check + ["--out", str(tmp_path)]) == 0
+    assert built == [2]
+
+
+@pytest.mark.parametrize("n_list", ["", "3,3", "x", "3,,4", "4,3,4", "3.0"])
+def test_scan_refuses_a_bad_n_list(tmp_path, capsys, n_list):
+    argv = ["scan", "--n-list", n_list, "--all-dihedral-subgroups", "--degree", "2", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--n-list" in err and repr(n_list) in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_hilbert_matrix_size_is_checked_up_front(capsys):
+    from auslab.preproj import MATRIX_ENTRY_LIMIT
+
+    started = time.monotonic()
+    assert main(["hilbert", "--n", "20000", "--degree", "1"]) == 1
+    assert time.monotonic() - started < 1
+    err = capsys.readouterr().err
+    assert "n = 20000" in err and "degree 1" in err
+    # degree 0 is bounded too, and the limit sits just above n = 400 at degree 6
+    assert main(["hilbert", "--n", "2000", "--degree", "0"]) == 1
+    assert 400 * 400 * 7 <= MATRIX_ENTRY_LIMIT < 400 * 400 * 8
+    assert main(["hilbert", "--n", "400", "--degree", "7"]) == 1
+    assert "n = 400" in capsys.readouterr().err
+
+
+def test_hilbert_runs_at_the_sizes_the_limits_allow(tmp_path):
+    for n, degree in ((400, 6), (20, 157)):
+        assert main(["hilbert", "--n", str(n), "--degree", str(degree), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / f"hilbert_n{n}.json").read_text())["payload"]
+        assert payload["totals"] == [n * (d + 1) for d in range(degree + 1)]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from auslab.cli import build_group
 from auslab.preproj import AlgebraElement, NFMonomial, nf_basis, normal_form
-from auslab.quiver import QuiverA
+from auslab.quiver import ArrowRef, QuiverA, Word
 from auslab.scalars import multiplicative_order, root
 from auslab.smash import _scalar_theorem_bound, root_order
 from auslab.symmetry import (
@@ -18,6 +18,7 @@ from auslab.symmetry import (
     build_subgroup,
     NotAnAutomorphismError,
     ScalarGroupNotClassifiableError,
+    Validation,
     apply,
     classify_auslander,
     dihedral_group,
@@ -32,6 +33,99 @@ from auslab.symmetry import (
     vertex_fixing_reflections,
     w_subgroup,
 )
+
+
+def _omega_words(q: QuiverA) -> dict[Word, int]:
+    """The preprojective relation as a free-algebra element."""
+    out: dict[Word, int] = {}
+    for i in range(q.n):
+        nonstar, star = ArrowRef(i, False), ArrowRef(i, True)
+        out[q.word(i, (nonstar, star))] = 1
+        out[q.word((i + 1) % q.n, (star, nonstar))] = -1
+    return out
+
+
+def _validate_in_free_algebra(g):
+    """The oracle for `validate`: sigma(Omega) word by word in the free
+    algebra, with the ratio to Omega checked on every word and the per-vertex
+    products xi_i * xi_i* checked against it."""
+    q = g.quiver
+    omega = _omega_words(q)
+    image: dict[Word, object] = {}
+    for w, sign in omega.items():
+        c, img = g.word_image(w)
+        acc = image.get(img, 0) + sign * c
+        if acc:
+            image[img] = acc
+        else:
+            image.pop(img, None)
+    scalar = None
+    for w, c in image.items():
+        if w not in omega:
+            raise NotAnAutomorphismError(f"sigma(Omega) has support outside Omega at word {w}")
+        ratio = c / omega[w] if omega[w] == 1 else -c
+        if scalar is None:
+            scalar = ratio
+        elif scalar != ratio:
+            raise NotAnAutomorphismError(f"ratio {ratio} at word {w} disagrees with {scalar}")
+    omega_value = g.xi[0] * g.xi_star[0]
+    for i in range(q.n):
+        if g.xi[i] * g.xi_star[i] != omega_value:
+            raise NotAnAutomorphismError(f"xi_{i} * xi_{i}* differs from xi_0 * xi_0*")
+    if g.refl:
+        kind, expected = "star_inverting", -omega_value
+    else:
+        kind, expected = ("scalar_diag" if g.rot == 0 else "star_preserving"), omega_value
+    if scalar != expected:
+        raise NotAnAutomorphismError(f"sigma(Omega) = {scalar} * Omega but xi products give {expected}")
+    return Validation(kind, omega_value, scalar)
+
+
+@st.composite
+def candidate_automorphisms(draw, constant: bool):
+    """A rotation or reflection with scalars zeta_m^e on the arrows, n 3..7
+    and m up to 12.  With `constant` e_i + e_i* is one constant mod m, so the
+    candidate is an automorphism; otherwise the exponents are free."""
+    n, m = draw(st.integers(3, 7)), draw(st.integers(1, 12))
+    e = draw(st.lists(st.integers(0, 3 * m), min_size=n, max_size=n))
+    if constant:
+        c = draw(st.integers(0, m - 1))
+        e_star = [c - k + m * draw(st.integers(-1, 1)) for k in e]
+    else:
+        e_star = draw(st.lists(st.integers(0, 3 * m), min_size=n, max_size=n))
+    q = QuiverA(n)
+    dihedral = draw(st.sampled_from([rotation, reflection]))(q, draw(st.integers(0, n - 1)))
+    return dihedral * scalar_powers(q, m, e, e_star)
+
+
+# Half of the candidates have a constant sum e_i + e_i*, half free exponents.
+@pytest.mark.parametrize("constant", [True, False])
+def test_validate_matches_the_free_algebra_oracle(constant):
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(candidate_automorphisms(constant))
+    def check(g):
+        _check_validate_against_oracle(g)
+
+    check()
+
+
+def _check_validate_against_oracle(g):
+    try:
+        expected = _validate_in_free_algebra(g)
+    except NotAnAutomorphismError:
+        with pytest.raises(NotAnAutomorphismError, match="not proportional to Omega"):
+            validate(g)
+        return
+    got = validate(g)
+    assert got.kind == expected.kind
+    assert got.omega == expected.omega and got.relation_scalar == expected.relation_scalar
+
+
+def test_validate_names_the_first_differing_product():
+    q = QuiverA(5)
+    bad = reflection(q, 1) * scalar_powers(q, 6, [1, 1, 2, 1, 4], [0, 0, 0, 0, 0])
+    with pytest.raises(NotAnAutomorphismError, match="xi_2 \\* xi_2\\* = zeta_6\\^2"):
+        validate(bad)
 
 
 def test_validate_rotation_and_reflection():
@@ -202,11 +296,11 @@ def test_subgroup_tables_follow_dihedral_law(n):
 
 
 def test_subgroup_descriptors_flag_reflection_content():
-    descs = dict((d.label, d) for d, _ in enumerate_subgroups(4))
-    assert descs["dihedral(1,0)"].contains_all_vertex_fixing_reflections
-    assert descs["dihedral(2,0)"].contains_all_vertex_fixing_reflections
-    assert not descs["dihedral(2,1)"].contains_all_vertex_fixing_reflections
-    assert not descs["cyclic(1)"].contains_all_vertex_fixing_reflections
+    groups = dict(enumerate_subgroups(4))
+    assert classify_auslander(4, groups["dihedral(1,0)"]) == "not_iso"
+    assert classify_auslander(4, groups["dihedral(2,0)"]) == "not_iso"
+    assert classify_auslander(4, groups["dihedral(2,1)"]) == "iso"
+    assert classify_auslander(4, groups["cyclic(1)"]) == "iso"
 
 
 def test_classify_auslander():
