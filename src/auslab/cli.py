@@ -16,7 +16,6 @@ import hashlib
 import io
 import json
 import os
-import platform
 import sys
 import time
 from dataclasses import dataclass
@@ -225,7 +224,7 @@ def make_envelope(command: str, payload: dict, started: float) -> dict:
         "meta": {
             "engine": "auslab",
             "version": __version__,
-            "python": platform.python_version(),
+            "python": sys.version.split()[0],
             "elapsed_seconds": round(time.monotonic() - started, 3),
             "payload_sha256": hashlib.sha256(body).hexdigest(),
         },

@@ -1,13 +1,15 @@
 """The smash product R#G and the two-sided ideal generated by f_G.
 
 Multiplication follows (r1 # g1)(r2 # g2) = r1 g1(r2) # g1 g2.  The ideal
-(f_G), f_G = sum_g 1#g, is truncated degree by degree:
+I = (f_G), f_G = sum_g 1#g, is truncated degree by degree by the recursion
 
-  * degree 0 is spanned by the cuts e_i f_G (e_j # h);
-  * degree d is spanned by (degree-1 monomials of R) * layer_{d-1} together
-    with layer_{d-1} * (degree-1 monomials # 1) -- right factors 1#h are
-    absorbed because v*(m#h) = (v*(1#h)) * (h^{-1}(m)#1) and layer 0 is
-    closed under right multiplication by 1#h.
+    I_0 = span of the cuts e_i f_G e_j,
+    I_d = (R_1#1) I_(d-1) + I_0 (R_d#1).
+
+Proof: I_d is the sum of (R_a#G) f_G (R_b#G) over a + b = d.  For a >= 1,
+R_a = R_1 R_(a-1), so that piece lies in (R_1#1) I_(d-1).  For a = 0,
+(1#g) f_G = f_G, and x (m#h) = (x (1#h)) (h^-1(m)#1) with x (1#h) in I_0
+for x in I_0, so the piece is I_0 (R_d#1).  Both pieces lie in I_d.
 
 Everything is graded by idempotent cuts: e_i (R#G) e_j splits each degree
 into n^2 blocks, and a spanning vector splits into its block pieces.  The
@@ -25,17 +27,27 @@ phi_(t, psi, l) = sum_(h in N) psi(h) (th, l); the characters are the
 closure of the arrow characters chi_a (h's scalar on the arrow a), and
 character values and scalars are roots of unity, stored as exponents of
 z = zeta_K, K = lcm(2, M) for the group's conductor M.  In these
-coordinates every map the build uses is monomial: a left extension keeps
-phi, a right extension by a sends phi_(t, psi) to s_t(a) phi_(t, psi chi_a),
-and an orbit transfer is a root of unity times a relabelling.  A degree-0
-cut is the sum of phi_(t, 1, 0) over the t with t(j) = i, and G/N acts on
-the vertices as a subgroup of D_n, where a vertex stabilizer has order at
-most 2, so every cut is a unit or a binomial.  The span of each block is
-therefore a gain graph, kept as a `SignedPartition` with gains mod K;
-degree d absorbs each source block's partition through one composed index
-map with gains per (target, source) and stops once the target block is
-spanned.  With N trivial and no scalars (the subgroups of D_n), K = 2 and
-the coordinates are the pairs (g, l) themselves.
+coordinates a left extension keeps phi and an orbit transfer is a root of
+unity times a relabelling.  The cut row e_i f_G e_j (m#1), for a monomial
+m of degree d from j to k, lies in block (i, k): it is the sum over the
+coset representatives t with t(j) = i of z^(s_t(m)) phi_(t, chi_m, l'),
+where s_t(m) and chi_m are t's exponent and N's character on m, read off
+periodic prefix sums of the arrow exponents, and l' is m's nonstar count,
+or its star count when t reflects.  G/N acts on the vertices as a subgroup
+of D_n, where a vertex stabilizer has order at most 2, so every cut row is
+a unit or a binomial.  The span of each block is therefore a gain graph,
+kept as a `SignedPartition` with gains mod K: degree d absorbs the two
+left-source partitions through composed index maps with gains, adds its
+cut rows, and stops once the block is spanned.  With N trivial and no
+scalars (the subgroups of D_n), K = 2 and the coordinates are the pairs
+(g, l) themselves.
+
+For even n the build splits into two chains by the parity of j - i + d:
+block (i, j) at degree d draws only on blocks at d - 1 of its parity, and
+conjugation keeps it.  Identity coordinates need j - i + d even, so
+`extend` builds that chain only; the queries that see every block
+(`block_rank`, `ideal_dimension`, `contains`) build the other on demand.
+For odd n there is one chain.
 
 Rank is read off the partition.  The identity coordinates are
 (1, l) = |N|^-1 sum_psi phi_(1, psi, l), so the identity intersection is
@@ -52,14 +64,16 @@ identity components, so only one block per diagonal orbit is built and the
 rest are coordinate transfers.  Second, a block whose two left-extension
 sources are entirely contained in the ideal is itself entirely contained
 (every canonical monomial factors off its first arrow), so saturated
-regions propagate without arithmetic.  Third, once every block of a degree
-is saturated so is every later degree, which is then not built at all.
+regions propagate without arithmetic.  Third, once every block of a chain
+is saturated at some degree, so is every later degree of that chain, which
+is then not built at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -221,12 +235,6 @@ def _progression(n: int, c: int, d: int) -> tuple[int, int]:
     return first, len(range(first, d + 1, step))
 
 
-def _identity_tail_size(n: int, i: int, j: int, d: int) -> int:
-    """Number of identity-component coordinates of e_i (R#G)_d e_j: the l in
-    0..d with i + 2l - d = j (mod n)."""
-    return _progression(n, d + j - i, d)[1]
-
-
 class BlockCoords:
     """Coordinate scheme of e_i (R#G)_d e_j: pairs (g, l), l the nonstar
     count, with i + 2l - d = g(j) (mod n).  For each group index g these l
@@ -260,7 +268,8 @@ _SATURATED = _Block(None, True)
 
 class IdealTruncation:
     """Degreewise spans of the two-sided ideal (f_G) in R#G, one gain
-    partition per orbit-representative block, in character coordinates."""
+    partition per orbit-representative block, in character coordinates,
+    built one parity chain at a time."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group
@@ -268,15 +277,21 @@ class IdealTruncation:
         self.n = self.quiver.n
         self._coords: dict[tuple[int, int, int], BlockCoords] = {}
         self._layers: list[dict[tuple[int, int], _Block]] = []
-        self._full_from: int | None = None     # least degree whose blocks are all saturated
+        # Per chain, 0 the identity chain: the degree built through, and the
+        # least degree whose blocks are all saturated.
+        self._through = [-1, -1]
+        self._full_from: list[int | None] = [None, None]
+        self._chains = 1 if self.n % 2 else 2
         ident = group.identity_index
         self._order = tuple(gi for gi in range(len(group)) if gi != ident) + (ident,)
         self._step = self.n if self.n % 2 else self.n // 2
         self._refl = [g.refl for g in group.elements]
         self._scales = [g.m != 1 for g in group.elements]
         self._conj: dict[int, list[int]] = {}
-        self._labels: dict[tuple, tuple[list[int], list[int] | None]] = {}
+        self._labels: dict[int, tuple[list[int], list[int] | None]] = {}
+        self._prefixes: dict[int, tuple[list[int], list[int], list[int]]] = {}
         self._monomials: dict[tuple[int, int, int], list[int]] = {}
+        self._cut_reps: dict[int, dict[int, list[int]]] = {}
         self._projections: dict[tuple[tuple[int, int], int, int], dict] = {}
         self._orbit_setup()
         self._character_setup()
@@ -310,6 +325,9 @@ class IdealTruncation:
                 seen.add(p)
             self.orbit_reps.append(rep)
             self.orbit_sizes[rep] = len(orbit)
+        # Conjugation keeps the parity of j - i when n is even; the blocks of
+        # chain c at degree d are those of _by_parity[(c + d) % _chains].
+        self._by_parity = [[(i, j) for i, j in self.orbit_reps if (j - i) % self._chains == p] for p in range(self._chains)]
 
     # -- character coordinates ----------------------------------------------
 
@@ -349,14 +367,42 @@ class IdealTruncation:
                     index[x] = len(chars)
                     chars.append(x)
         assert len(chars) == len(normal), "the arrow characters separate the points of N"
-        self._chars, self._char_index = chars, index
+        self._chars = chars
+        # A character is fixed by its values on generators of N: a greedy
+        # set of them (their positions in N), and each character's index
+        # keyed by those values.
+        gens, span = [], {ident}
+        for k, h in enumerate(normal):
+            if h not in span:
+                gens.append(k)
+                grown, x = set(span), h
+                while x not in span:
+                    grown.update(table[s][x] for s in span)
+                    x = table[x][h]
+                span = grown
+        gens = gens or [0]    # N trivial: the identity, so every monomial has a key
+        self._char_gens = gens
+        self._char_by_gens = {tuple(psi[k] for k in gens): c for c, psi in enumerate(chars)}
 
-    def _arrow_exponent(self, g: int, arrow: tuple[bool, int]) -> int:
-        """s with z^s the scalar of element g on the arrow (starred, i), for
-        z = zeta_K."""
-        elt = self.group.elements[g]
-        star, i = arrow
-        return (elt.e_star if star else elt.e)[i] * (self._K // elt.m) % self._K
+    def _word_exponents(self, g: int, j: int, d: int, ls) -> list[int]:
+        """s_l with z^s_l element g's scalar on the monomial (j, l, d - l),
+        for the l in ls: the canonical word's l nonstars from j, then d - l
+        stars back, summed from periodic prefix sums of g's exponents."""
+        hit = self._prefixes.get(g)
+        if hit is None:
+            elt = self.group.elements[g]
+            scale = self._K // elt.m
+            pre, pre_star = (list(accumulate((k * scale for k in ex), initial=0)) for ex in (elt.e, elt.e_star))
+            hit = self._prefixes[g] = (pre, pre_star, [a + b for a, b in zip(pre, pre_star)])
+        pre, pre_star, both = hit
+        n, K = self.n, self._K
+        out = []
+        for l in ls:
+            # nonstars on the arrows j..j+l-1, stars on j+2l-d..j+l-1
+            q, r = divmod(j + l, n)
+            q2, r2 = divmod(j + 2 * l - d, n)
+            out.append((q * both[n] + both[r] - q2 * pre_star[n] - pre_star[r2] - pre[j]) % K)
+        return out
 
     # -- coordinates --------------------------------------------------------
 
@@ -379,41 +425,32 @@ class IdealTruncation:
             hit = self._conj[t] = [table[k][tinv] for k in table[t]]
         return hit
 
-    def _label_map(self, t: int, arrow: tuple[bool, int] | None) -> tuple[list[int], list[int] | None]:
-        """(labels, gains), stored for (t, arrow): conjugation by 1#t, then
-        the right extension by `arrow` when given, sends phi_(label g) to
-        z^gains[g] phi_(labels[g]) times t's scalar on the monomial (see
-        `_monomial_gains`).
+    def _label_map(self, t: int) -> tuple[list[int], list[int] | None]:
+        """(labels, gains), stored for t: conjugation by 1#t sends
+        phi_(label g) to z^gains[g] phi_(labels[g]) times t's scalar on the
+        monomial (see `_monomial_gains`).
 
         With t c t^-1 = c' h' (c, c' coset representatives, h' in N),
         conjugation sends phi_(c, psi) to psi^t(h')^-1 phi_(c', psi^t), where
-        psi^t(h) = psi(t^-1 h t); the extension then sends phi_(c', psi) to
-        s_c'(arrow) phi_(c', psi chi_arrow).  Gains are None when all 0."""
+        psi^t(h) = psi(t^-1 h t).  Gains are None when all 0."""
         conj = self._conjugation(t)
         if not self.group.has_scalars:
             # N is trivial and every gain is 0: the labels are the elements.
-            hit = self._labels[(t, arrow)] = (conj, None)
+            hit = self._labels[t] = (conj, None)
             return hit
         table, normal, chars, K = self.group.table, self._normal, self._chars, self._K
-        coset, kth, index = self._coset, self._kth, self._char_index
+        coset, kth, key = self._coset, self._kth, self._char_by_gens
         # pull[j]: the position in N of t^-1 h_j t
         at = {h: k for k, h in enumerate(normal)}
         back = self._conjugation(self.group.inverse[t])
         pull = [at[back[h]] for h in normal]
-        twist = [index[tuple(psi[p] for p in pull)] for psi in chars]
-        if arrow is not None:
-            chi = [self._arrow_exponent(h, arrow) for h in normal]
-            shift = [index[tuple((u + v) % K for u, v in zip(psi, chi))] for psi in chars]
+        twist = [key[tuple(psi[pull[k]] for k in self._char_gens)] for psi in chars]
         labels, gains = [], []
         for g in range(len(table)):
             x = conj[coset[g]]
-            c, psi = coset[x], chars[kth[g]]
-            s, k = -psi[pull[kth[x]]], twist[kth[g]]
-            if arrow is not None:
-                s, k = s + self._arrow_exponent(c, arrow), shift[k]
-            labels.append(table[c][normal[k]])
-            gains.append(s % K)
-        hit = self._labels[(t, arrow)] = (labels, gains if any(gains) else None)
+            labels.append(table[coset[x]][normal[twist[kth[g]]]])
+            gains.append(-chars[kth[g]][pull[kth[x]]] % K)
+        hit = self._labels[t] = (labels, gains if any(gains) else None)
         return hit
 
     def _monomial_gains(self, t: int, i: int, e: int) -> list[int] | None:
@@ -423,32 +460,27 @@ class IdealTruncation:
             return None
         key = (t, i, e)
         if key not in self._monomials:
-            elt = self.group.elements[t]
-            scale = self._K // elt.m
-            self._monomials[key] = [elt.monomial_exponent(NFMonomial(i, l, e - l)) * scale % self._K for l in range(e + 1)]
+            self._monomials[key] = self._word_exponents(t, i, e, range(e + 1))
         return self._monomials[key]
 
-    def _push_map(
-        self, pair: tuple[int, int], e: int, dst: BlockCoords, t: int, shift: tuple[int, int], arrow: tuple[bool, int] | None
-    ) -> tuple[list[int], list[int] | None]:
+    def _push_map(self, pair: tuple[int, int], e: int, dst: BlockCoords, t: int, shift: int) -> tuple[list[int], list[int] | None]:
         """Index map and gains from block `pair` at degree e into block dst:
-        conjugation by t (l goes to e - l when t reflects), then a degree-1
-        extension adding shift[refl] nonstars, the right extension by
-        `arrow` when given.  Gains are None when all 0."""
+        conjugation by t (l goes to e - l when t reflects), then a left
+        extension adding `shift` nonstars.  Gains are None when all 0."""
         src = self.block_coords(*pair, e)
-        labels, label_gains = self._labels.get((t, arrow)) or self._label_map(t, arrow)
-        refl, step = self._refl, dst.step
-        flip = refl[t]
+        labels, label_gains = self._labels.get(t) or self._label_map(t)
+        step = dst.step
+        flip = self._refl[t]
         out: list[int] = []
         for h in src.order:
             cnt = src.count[h]
             if not cnt:
                 continue
             g = labels[h]
-            l = (e - src.first[h] if flip else src.first[h]) + shift[refl[h]]
+            l = (e - src.first[h] if flip else src.first[h]) + shift
             k = dst.start[g] + (l - dst.first[g]) // step     # dst.position(g, l)
             out.extend(range(k, k - cnt, -1) if flip else range(k, k + cnt))
-        mono = self._monomial_gains(t, pair[0], e) if self._scales[t] else None
+        mono = self._monomial_gains(t, pair[0], e)
         if label_gains is None and mono is None:
             return out, None
         gains: list[int] = []
@@ -464,21 +496,25 @@ class IdealTruncation:
                 gains += [(base + mono[l]) % self._K for l in range(first, first + cnt * step, step)]
         return out, gains
 
-    def block_rank(self, pair: tuple[int, int], d: int) -> int:
+    def _block(self, pair: tuple[int, int], d: int) -> _Block:
+        """pair's representative block at degree d, its chain built first."""
         rep = self.pair_rep[pair]
-        block = self._layers[d][rep]
+        self._build_chain((rep[1] - rep[0] + d) % self._chains, d)
+        return self._layers[d][rep]
+
+    def block_rank(self, pair: tuple[int, int], d: int) -> int:
+        block = self._block(pair, d)
         if block.full:
-            return self.block_coords(*rep, d).size
+            return self.block_coords(*self.pair_rep[pair], d).size
         return block.kernel.rank
 
     def block_identity_intersection(self, pair: tuple[int, int], d: int) -> int:
         """dim of the block's span meeting the identity coordinates
         (1, l) = |N|^-1 sum_psi phi_(1, psi, l): their number minus the rank
         of their images in the quotient."""
-        rep = self.pair_rep[pair]
-        block = self._layers[d][rep]
+        block, rep = self._block(pair, d), self.pair_rep[pair]
         if block.full:
-            return _identity_tail_size(self.n, *rep, d)
+            return _progression(self.n, d + rep[1] - rep[0], d)[1]     # the l with i + 2l - d = j
         coords = self.block_coords(*rep, d)
         count = coords.count[self.group.identity_index]
         return count - block.kernel.image_rank([coords.start[h] for h in self._normal], count)
@@ -486,106 +522,110 @@ class IdealTruncation:
     # -- construction -----------------------------------------------------------
 
     def built_through(self) -> int:
-        return len(self._layers) - 1
+        """The degree the identity chain is built through."""
+        return self._through[0]
 
     def extend(self, D: int) -> None:
-        while self.built_through() < D:
-            if not self._layers:
-                self._build_degree_zero()
-            elif self._full_from is not None:
+        """Build the identity chain through degree D."""
+        self._build_chain(0, D)
+
+    def _build_chain(self, c: int, D: int) -> None:
+        while self._through[c] < D:
+            d = self._through[c] + 1
+            if d == len(self._layers):
+                self._layers.append({})
+            layer, reps = self._layers[d], self._by_parity[(c + d) % self._chains]
+            if self._full_from[c] is not None:
                 # Saturation propagates: every later degree is saturated too.
-                self._layers.append(self._layers[-1])
+                layer.update(dict.fromkeys(reps, _SATURATED))
             else:
-                self._build_next()
-            if self._full_from is None and all(b.full for b in self._layers[-1].values()):
-                self._full_from = self.built_through()
-
-    def _saturated(self, d: int) -> bool:
-        return self._full_from is not None and d >= self._full_from
-
-    def _build_degree_zero(self) -> None:
-        # Degree 0 is spanned by the cuts e_i f_G (e_j # h); reindexing the
-        # sum over the group shows f_G (e_{j0} # h) = f_G (e_{h^-1 j0} # 1),
-        # so the h = identity column cuts already span everything.  A cut is
-        # the sum of (g, 0) over the g with g(j) = i, which is the sum of
-        # phi_(t, 1, 0) over the coset representatives t with t(j) = i; G/N
-        # acts on the vertices as a subgroup of D_n, where a vertex
-        # stabilizer has order at most 2, so each cut is a unit or a binomial.
-        group, n = self.group, self.n
-        kernels = {rep: SignedPartition(self.block_coords(*rep, 0).size, self._values) for rep in self.orbit_reps}
-        for j in range(n):
-            pieces: dict[int, dict] = {}
-            for t in self._reps:
-                i = group.vertex_maps[t][j]
-                if (i, j) != self.pair_rep[(i, j)]:
-                    continue
-                pieces.setdefault(i, {})[self.block_coords(i, j, 0).position(t, 0)] = 1
-            for i, row in pieces.items():
-                kernels[(i, j)].insert(row)
-        self._layers.append({
-            rep: _Block(kernel) if kernel.live else _SATURATED for rep, kernel in kernels.items()
-        })
-
-    def _build_next(self) -> None:
-        d = len(self._layers)
-        n, prev = self.n, self._layers[d - 1]
-        layer: dict[tuple[int, int], _Block] = {}
-        for (i, j) in self.orbit_reps:
-            # Every canonical monomial of positive degree factors off its
-            # first arrow, so a block whose two left sources are saturated is.
-            if prev[self.pair_rep[((i + 1) % n, j)]].full and prev[self.pair_rep[((i - 1) % n, j)]].full:
-                layer[(i, j)] = _SATURATED
-            else:
-                layer[(i, j)] = self._build_block(i, j, d)
-        self._layers.append(layer)
+                for rep in reps:
+                    layer[rep] = self._build_block(*rep, d)
+                if all(layer[rep].full for rep in reps):
+                    self._full_from[c] = d
+            self._through[c] = d
 
     def _build_block(self, i: int, j: int, d: int) -> _Block:
+        if d:
+            # Every canonical monomial of positive degree factors off its
+            # first arrow, so a block whose two left sources are saturated is.
+            n, prev = self.n, self._layers[d - 1]
+            if prev[self.pair_rep[((i + 1) % n, j)]].full and prev[self.pair_rep[((i - 1) % n, j)]].full:
+                return _SATURATED
         kernel = SignedPartition(self.block_coords(i, j, d).size, self._values)
-        if kernel.live:
-            for source, mapping, gains in self._sources(i, j, d):
-                kernel.absorb(mapping, source.kernel, gains)
-                if not kernel.live:
-                    break
+        for source, mapping, gains in self._sources(i, j, d) if d else ():
+            kernel.absorb(mapping, source.kernel, gains)
+        K = self._K
+        for (pa, sa), *rest in self._cut_rows(i, j, d) if kernel.live else ():
+            if rest:
+                ((pb, sb),) = rest                 # a vertex stabilizer of G/N has order at most 2
+                for a, b, s, u in zip(pa, pb, sa, sb):
+                    kernel.join(a, b, (u - s + K // 2) % K)
+            else:
+                for a in pa:
+                    kernel.kill(a)
+            if not kernel.live:
+                break
         return _Block(kernel) if kernel.live else _SATURATED
 
     def _sources(self, i: int, j: int, d: int):
         """(source representative's block at d - 1, index map into block
-        (i, j) at d, gains) for the four degree-1 extensions landing in
-        (i, j).  Left multiplication by alpha_i (from (i+1, j)) adds a
-        nonstar, by alpha_{i-1}* (from (i-1, j)) a star; right
-        multiplication by alpha_{j-1} # 1 (from (i, j-1)) or alpha_j* # 1
-        (from (i, j+1)) appends g of that arrow, whose kind flips when g
-        reflects."""
+        (i, j) at d, gains) for the two left extensions landing in (i, j):
+        alpha_i (from (i+1, j)) adds a nonstar, alpha_{i-1}* (from
+        (i-1, j)) a star."""
         n, prev = self.n, self._layers[d - 1]
         dst = self.block_coords(i, j, d)
-        for pair, shift, arrow in (
-            (((i + 1) % n, j), (1, 1), None),
-            (((i - 1) % n, j), (0, 0), None),
-            ((i, (j - 1) % n), (1, 0), (False, (j - 1) % n)),
-            ((i, (j + 1) % n), (0, 1), (True, j)),
-        ):
+        for pair, shift in ((((i + 1) % n, j), 1), (((i - 1) % n, j), 0)):
             rep = self.pair_rep[pair]
-            mapping, gains = self._push_map(rep, d - 1, dst, self.pair_transfer[pair], shift, arrow)
+            mapping, gains = self._push_map(rep, d - 1, dst, self.pair_transfer[pair], shift)
             if mapping:
                 yield prev[rep], mapping, gains
+
+    def _cut_rows(self, i: int, k: int, d: int):
+        """The cut rows e_i f_G e_j (m#1) of block (i, k) at degree d, the
+        sum over the coset representatives t with t(j) = i of
+        z^(s_t(m)) phi_(t, chi_m, l'), for the monomials m = (j, l, d - l)
+        ending at k.  Per vertex j, one (positions, exponents of z) pair of
+        lists per t, indexed by the monomials in increasing l: t sends them
+        onto t's own coordinates of the block, reversed when t reflects."""
+        by_j = self._cut_reps.get(i)
+        if by_j is None:
+            by_j = self._cut_reps[i] = {}
+            for t in self._reps:
+                by_j.setdefault(self.group.inverse_vertex_maps[t][i], []).append(t)
+        dst, refl, table, normal = self.block_coords(i, k, d), self._refl, self.group.table, self._normal
+        for j, ts in by_j.items():
+            count = dst.count[ts[0]]
+            if not count:
+                continue
+            zero = [0] * count
+            if not self.group.has_scalars:
+                yield [(range(dst.start[t] + count - 1, dst.start[t] - 1, -1) if refl[t] else range(dst.start[t], dst.start[t] + count), zero) for t in ts]
+                continue
+            first = _progression(self.n, d + k - j, d)[0]
+            ls = range(first, first + count * self._step, self._step)
+            chis = [normal[self._char_by_gens[x]] for x in zip(*(self._word_exponents(normal[k], j, d, ls) for k in self._char_gens))]
+            yield [
+                (
+                    [dst.start[table[t][h]] + (count - 1 - x if refl[t] else x) for x, h in enumerate(chis)],
+                    self._word_exponents(t, j, d, ls) if self._scales[t] else zero,
+                )
+                for t in ts
+            ]
 
     # -- measurements -------------------------------------------------------------
 
     def ideal_dimension(self, d: int) -> int:
-        self.extend(d)
-        if self._saturated(d):
-            return self.smash_dimension(d)
-        return sum(
-            self.orbit_sizes[rep] * self.block_rank(rep, d) for rep in self.orbit_reps
-        )
+        return sum(self.orbit_sizes[rep] * self.block_rank(rep, d) for rep in self.orbit_reps)
 
     def identity_intersection_dim(self, d: int) -> int:
+        """Only the identity chain holds identity coordinates."""
         self.extend(d)
-        if self._saturated(d):
+        if self._full_from[0] is not None and d >= self._full_from[0]:
             return self.n * (d + 1)
         return sum(
             self.orbit_sizes[rep] * self.block_identity_intersection(rep, d)
-            for rep in self.orbit_reps
+            for rep in self._by_parity[d % self._chains]
         )
 
     def identity_component_dim(self, d: int) -> int:
@@ -603,13 +643,12 @@ class IdealTruncation:
         d = x.degree()
         if d is None:
             raise MixedDegreeError("membership requires a homogeneous element")
-        self.extend(d)
         n, inv_vm = self.n, self.group.inverse_vertex_maps
         pieces: dict[tuple[int, int], list[tuple[int, int, object]]] = {}
         for (m, gi), c in x.terms.items():
             pieces.setdefault((m.source, inv_vm[gi][m.target(n)]), []).append((gi, m.nonstars, c))
         for pair, terms in pieces.items():
-            block = self._layers[d][self.pair_rep[pair]]
+            block = self._block(pair, d)
             if not block.full and not block.kernel.vanishes((c, self._projection(pair, d, g)[l]) for g, l, c in terms):
                 return False
         return True
@@ -626,7 +665,7 @@ class IdealTruncation:
         hit = self._projections.get(key)
         if hit is None:
             rep = self.pair_rep[pair]
-            kernel = self._layers[d][rep].kernel
+            kernel = self._block(pair, d).kernel
             src, dst = self.block_coords(*pair, d), self.block_coords(*rep, d)
             u = self.group.inverse[self.pair_transfer[pair]]
             g2, flip = self._conjugation(u)[g], self._refl[u]
@@ -775,14 +814,15 @@ def _scalar_theorem_bound(group: FiniteGroup) -> tuple[int, str] | None:
     return None
 
 
-def theorem_bound(n: int, group: FiniteGroup) -> tuple[int | None, str | None]:
+def theorem_bound(n: int, group: FiniteGroup, classifier: str | None = None) -> tuple[int | None, str | None]:
     """Degree beyond which the identity component provably vanishes, when a
     structural argument applies: 2n+1 for subgroups of D_n missing some
-    vertex-fixing reflection, 4L-1 for qualifying scalar actions."""
+    vertex-fixing reflection, 4L-1 for qualifying scalar actions.
+    `classifier` is classify_auslander(n, group) when the caller has it."""
     from .symmetry import classify_auslander
 
     if not group.has_scalars:
-        if classify_auslander(n, group) == "iso":
+        if (classifier or classify_auslander(n, group)) == "iso":
             return 2 * n + 1, "missing_vertex_fixing_reflection"
         return None, None
     return _scalar_theorem_bound(group) or (None, None)
@@ -845,7 +885,8 @@ def auslander_verdict(n: int, group: FiniteGroup, D: int | None = None, label: s
     if D is None:
         D = default_cutoff(n, group)
     dims = identity_component_dims(group, D)
-    bound, bound_reason = theorem_bound(n, group)
+    classifier = None if group.has_scalars else classify_auslander(n, group)
+    bound, bound_reason = theorem_bound(n, group, classifier)
     if bound is not None:
         window = max(2, (D - min(bound, D) + 1) // 2)
     else:
@@ -863,12 +904,7 @@ def auslander_verdict(n: int, group: FiniteGroup, D: int | None = None, label: s
         verdict, basis = "not_iso", "growth"
     pert = {"iso": 2, "not_iso": 1 if growth.kind == "gk1" else 0}.get(verdict)
 
-    classifier = None
-    agrees = None
-    if not group.has_scalars:
-        classifier = classify_auslander(n, group)
-        if verdict != "unknown":
-            agrees = verdict == classifier
+    agrees = None if classifier is None or verdict == "unknown" else verdict == classifier
     return AuslanderReport(
         n=n,
         group_order=len(group),

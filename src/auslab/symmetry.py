@@ -337,7 +337,7 @@ def generate_group(generators: Sequence[Automorphism], cap: int = 512) -> Finite
 
 
 def dihedral_group(q: QuiverA) -> FiniteGroup:
-    return generate_group([rotation(q, 1), reflection(q, 0)])
+    return generate_group([rotation(q, 1), reflection(q, 0)], cap=2 * q.n)
 
 
 def vertex_fixing_reflections(q: QuiverA) -> list[Automorphism]:
@@ -349,7 +349,7 @@ def vertex_fixing_reflections(q: QuiverA) -> list[Automorphism]:
 def w_subgroup(q: QuiverA) -> FiniteGroup:
     """The subgroup generated by the vertex-fixing reflections (equal to
     D_n when n is odd, of index 2 when n is even)."""
-    return generate_group(vertex_fixing_reflections(q))
+    return generate_group(vertex_fixing_reflections(q), cap=2 * q.n)
 
 
 def subgroup_keys(n: int) -> list[tuple[str, int, int | None]]:
@@ -372,7 +372,7 @@ def build_subgroup(n: int, kind: str, d: int, j: int | None) -> tuple[str, Finit
     else:
         raise ValueError(f"unknown subgroup kind {kind!r}")
     label = f"cyclic({d})" if kind == "cyclic" else f"dihedral({d},{j})"
-    return label, generate_group(gens)
+    return label, generate_group(gens, cap=2 * n)    # a subgroup of D_n has at most 2n elements
 
 
 def enumerate_subgroups(n: int) -> list[tuple[str, FiniteGroup]]:

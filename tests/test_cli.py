@@ -14,6 +14,7 @@ from auslab.cli import (
     build_group,
     canonical_payload_bytes,
     main,
+    make_envelope,
     parse_group,
     run_scan,
     scan_csv_text,
@@ -532,3 +533,25 @@ def test_hilbert_runs_at_the_sizes_the_limits_allow(tmp_path):
         assert main(["hilbert", "--n", str(n), "--degree", str(degree), "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / f"hilbert_n{n}.json").read_text())["payload"]
         assert payload["totals"] == [n * (d + 1) for d in range(degree + 1)]
+
+
+def test_scan_classifies_each_subgroup_once(monkeypatch):
+    import auslab.symmetry
+
+    calls = []
+    original = auslab.symmetry.classify_auslander
+
+    def counting(n, group):
+        calls.append(n)
+        return original(n, group)
+
+    monkeypatch.setattr(auslab.symmetry, "classify_auslander", counting)
+    payload = run_scan([12], None)
+    assert len(payload["rows"]) == len(calls) == 34
+
+
+def test_envelope_python_version_is_platforms():
+    import platform
+
+    envelope = make_envelope("x", {}, time.monotonic())
+    assert envelope["meta"]["python"] == sys.version.split()[0] == platform.python_version()

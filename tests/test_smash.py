@@ -195,7 +195,7 @@ def test_saturated_block_identity_intersection_is_coordinate_tail():
         trunc = build_ideal(group, 12)
         for d in range(13):
             for rep in trunc.orbit_reps:
-                if trunc._layers[d][rep].full:
+                if trunc._block(rep, d).full:
                     coords = trunc.block_coords(*rep, d)
                     tail = coords.size - coords.tail_start
                     assert trunc.block_identity_intersection(rep, d) == tail
@@ -522,7 +522,7 @@ def _compare_with_row_engine(group, D):
             block = (
                 trunc.block_rank(rep, d),
                 trunc.block_identity_intersection(rep, d),
-                trunc._layers[d][rep].full,
+                trunc._block(rep, d).full,
             )
             assert block == want, (group.elements, d, rep)
     return trunc, oracle
@@ -619,8 +619,10 @@ def test_membership_through_transfers_carrying_scalars():
 
 
 def _pushed_rows(trunc, i, j, d):
-    """The rows the build pushes into block (i, j) at degree d: source
-    coordinate k goes to z^gains[k] e_mapping[k]."""
+    """The rows the build pushes into block (i, j) at degree d: the two
+    left sources, whose coordinate k goes to z^gains[k] e_mapping[k], then
+    the cut rows e_i f_G e_j' (m#1), each a sum of z^s e_p over the
+    representatives t."""
     values = trunc._values
     for source, mapping, gains in trunc._sources(i, j, d):
         rows = (
@@ -630,6 +632,57 @@ def _pushed_rows(trunc, i, j, d):
         )
         for row in rows:
             yield {mapping[k]: c if gains is None else c * values[gains[k]] for k, c in row.items()}
+    for terms in trunc._cut_rows(i, j, d):
+        for x in range(len(terms[0][0])):
+            yield {pos[x]: values[s[x]] for pos, s in terms}
+
+
+def _expanded_cut_rows(trunc, i, k, d):
+    """The cut rows of block (i, k) at degree d, back in the coordinates
+    (g, l): phi_(t, psi, l) = sum over h in N of psi(h) (t h, l).  Each row
+    is a frozenset of ((g, l), exponent of z)."""
+    bc, K, table = trunc.block_coords(i, k, d), trunc._K, trunc.group.table
+    at = {bc.start[g] + x: (g, bc.first[g] + x * bc.step) for g in bc.order for x in range(bc.count[g])}
+    rows = set()
+    for terms in trunc._cut_rows(i, k, d):
+        for x in range(len(terms[0][0])):
+            row = set()
+            for pos, s in terms:
+                label, l = at[pos[x]]
+                t, psi = trunc._coset[label], trunc._chars[trunc._kth[label]]
+                row |= {((table[t][h], l), (s[x] + psi[p]) % K) for p, h in enumerate(trunc._normal)}
+            rows.add(frozenset(row))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda key=key: build_subgroup(4, *key)[1] for key in subgroup_keys(4)]
+    + [lambda key=key: build_subgroup(5, *key)[1] for key in subgroup_keys(5)]
+    + [
+        lambda: dihedral_group(QuiverA(6)),
+        minus_ones_group,
+        twisted_reflection_group,
+        lambda: _smash_group((3, "rot(1),scalar(4;1,1,1;3,3,3)")),
+        lambda: _smash_group((4, "refl(1),scalar(4;1,2,3,1;3,2,1,3)")),
+    ],
+)
+def test_cut_rows_are_the_products_in_the_smash_product(make):
+    # every cut row of every orbit-rep block is e_i f_G (m#1) for a monomial
+    # m of degree d ending at k, multiplied out in R#G, and every such
+    # nonzero product is a cut row
+    group = make()
+    q, trunc = group.quiver, IdealTruncation(group)
+    f_g = SmashElement.group_sum(group)
+    for i, k in trunc.orbit_reps:
+        left = SmashElement.from_algebra(group, AlgebraElement.idempotent(q, i)) * f_g
+        for d in range(6):
+            want = set()
+            for m in nf_basis(q, d):
+                x = left * SmashElement.from_algebra(group, AlgebraElement.monomial(q, m)) if m.target(q.n) == k else None
+                if x is not None and not x.is_zero():
+                    want.add(frozenset(((g, mono.nonstars), trunc._values.index(c)) for (mono, g), c in x.terms.items()))
+            assert _expanded_cut_rows(trunc, i, k, d) == want, (group.elements, i, k, d)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -764,7 +817,7 @@ def test_partition_invariants(spec):
     trunc = build_ideal(group, 2 * n + 2)
     for d in range(2 * n + 3):
         for rep in trunc.orbit_reps:
-            block = trunc._layers[d][rep]
+            block = trunc._block(rep, d)
             size = trunc.block_coords(*rep, d).size
             assert 0 <= trunc.block_rank(rep, d) <= size
             assert 0 <= trunc.block_identity_intersection(rep, d) <= size - trunc.block_coords(*rep, d).tail_start
@@ -829,3 +882,53 @@ def test_identity_series_of_dihedral_subgroups_is_closed_form():
             assert identity_component_dims(group, 4 * n + 4) == _predicted_dims(n, group, 4 * n + 4), (n, key)
             count += 1
     assert count == 866
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(group_specs())
+@example((4, "refl(0),scalar(2;1,1,1,1;1,1,1,1)"))
+@example((3, "refl(0),scalar(2;1,1,1;1,1,1)"))
+@example((6, "refl(1),scalar(3;1,1,1,1,1,1;2,2,2,2,2,2)"))
+@example((5, "rot(1),scalar(2;1,1,1,1,1;1,1,1,1,1)"))
+@example((4, "rot(2),refl(1),scalar(2;1,0,1,0;1,0,1,0)"))
+def test_identity_chain_alone_gives_the_series(case):
+    # Q = R#G/(f_G) is generated in degree 1 over Q_0 and Q_d vanishes with
+    # its identity component, so after the first zero of the series every
+    # entry is zero.  The identity chain alone gives the series that a build
+    # of both chains, degree by degree, gives; and the two-source recursion
+    # spans the naive spanning set's ideal.
+    n, spec = case
+    try:
+        group, _ = build_group(spec, n, cap=16)
+    except CapExceededError:
+        assume(False)
+    D = 14
+    dims = identity_component_dims(group, D)
+    if 0 in dims:
+        assert not any(dims[dims.index(0):])
+    both = IdealTruncation(group)
+    for d in range(D + 1):
+        both.ideal_dimension(d)
+    assert both._through == ([D, D] if n % 2 == 0 else [D, -1])
+    assert [both.identity_component_dim(d) for d in range(D + 1)] == dims
+    for d in range(4):
+        assert both.ideal_dimension(d) == naive_ideal_dimension(group, d)
+
+
+def test_extend_builds_the_identity_chain_only():
+    # D_16 never saturates: extend leaves every block of the other parity
+    # chain unbuilt, and a query that reads every block builds it on demand
+    group = dihedral_group(QuiverA(16))
+    trunc = build_ideal(group, 10)
+    assert trunc._through == [10, -1] and trunc.built_through() == 10
+    for d in range(11):
+        assert {(j - i + d) % 2 for i, j in trunc._layers[d]} == {0}
+    assert 0 < trunc.ideal_dimension(10) < trunc.smash_dimension(10)
+    assert trunc._through == [10, 10]
+    assert {(j - i) % 2 for i, j in trunc._layers[10]} == {0, 1}

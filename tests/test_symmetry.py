@@ -283,6 +283,13 @@ def test_enumeration_is_the_per_key_builds(n):
     assert enumerate_subgroups(n) == [build_subgroup(n, *key) for key in subgroup_keys(n)]
 
 
+def test_subgroup_cap_is_sized_from_n():
+    # a subgroup of D_n has at most 2n elements, past the default cap of 512
+    _, group = build_subgroup(257, "dihedral", 1, 0)
+    assert len(group) == 514 and len(dihedral_group(QuiverA(257))) == 514
+    assert len(w_subgroup(QuiverA(257))) == 514
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_subgroup_tables_follow_dihedral_law(n):
     # rho^a r^s * rho^b r^t = rho^(a -+ b) r^(s xor t), minus when s is set
