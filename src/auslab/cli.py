@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .invariants import (
+    check_basis_size,
     check_orbit_sum_relations,
     invariant_basis,
     orbit_monomials,
@@ -35,10 +36,12 @@ from .invariants import (
 from .preproj import AlgebraElement, NFMonomial, RelationIdealOracle, hilbert, nf_basis
 from .quiver import QuiverA
 from .smash import (
+    NAIVE_ROW_LIMIT,
     IdealTruncation,
     SmashElement,
     auslander_verdict,
     naive_ideal_dimension,
+    naive_row_count,
 )
 from .symmetry import (
     Automorphism,
@@ -286,6 +289,7 @@ def cmd_hilbert(args) -> int:
 def cmd_invariants(args) -> int:
     started = time.monotonic()
     degree = _default_degree(args.degree, 16)
+    check_basis_size(args.n, degree)
     group, spec = build_group(args.group, args.n)
     # A subgroup of D_n holding every vertex-fixing reflection holds the
     # subgroup W they generate: it is D_n at order 2n, or W at order n.
@@ -540,11 +544,21 @@ def suite_relations(n: int, degree: int) -> list[tuple[str, bool, str]]:
 
 
 def suite_smash(n: int, degree: int) -> list[tuple[str, bool, str]]:
+    """The incremental ideal of D_n against the naive spanning set through
+    degree min(degree, 4), refused up front when that set is too large."""
     q = QuiverA(n)
+    small = min(degree, 4)
+    rows = naive_row_count(n, 2 * n, small)
+    if rows > NAIVE_ROW_LIMIT:
+        fits = [d for d in range(small) if naive_row_count(n, 2 * n, d) <= NAIVE_ROW_LIMIT]
+        raise ValueError(
+            f"the naive spanning set of D_{n} through degree {small} has {rows} rows, "
+            f"over the limit of {NAIVE_ROW_LIMIT}; "
+            + (f"the largest --degree that fits is {fits[-1]}" if fits else f"no --degree fits at n = {n}")
+        )
     dn = dihedral_group(q)
     results = []
     trunc = IdealTruncation(dn)
-    small = min(degree, 4)
     trunc.extend(small)
     naive_ok = all(
         trunc.ideal_dimension(d) == naive_ideal_dimension(dn, d) for d in range(small + 1)

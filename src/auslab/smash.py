@@ -32,15 +32,15 @@ unity times a relabelling.  The cut row e_i f_G e_j (m#1), for a monomial
 m of degree d from j to k, lies in block (i, k): it is the sum over the
 coset representatives t with t(j) = i of z^(s_t(m)) phi_(t, chi_m, l'),
 where s_t(m) and chi_m are t's exponent and N's character on m, read off
-periodic prefix sums of the arrow exponents, and l' is m's nonstar count,
-or its star count when t reflects.  G/N acts on the vertices as a subgroup
-of D_n, where a vertex stabilizer has order at most 2, so every cut row is
-a unit or a binomial.  The span of each block is therefore a gain graph,
-kept as a `SignedPartition` with gains mod K: degree d absorbs the two
-left-source partitions through composed index maps with gains, adds its
-cut rows, and stops once the block is spanned.  With N trivial and no
-scalars (the subgroups of D_n), K = 2 and the coordinates are the pairs
-(g, l) themselves.
+periodic prefix sums by `Automorphism.word_exponents`, and l' is m's
+nonstar count, or its star count when t reflects.  G/N acts on the
+vertices as a subgroup of D_n, where a vertex stabilizer has order at most
+2, so every cut row is a unit or a binomial.  The span of each block is
+therefore a gain graph, kept as a `SignedPartition` with gains mod K:
+degree d absorbs the two left-source partitions through composed index
+maps with gains, adds its cut rows, and stops once the block is spanned.
+With N trivial and no scalars (the subgroups of D_n), K = 2 and the
+coordinates are the pairs (g, l) themselves.
 
 For even n the build splits into two chains by the parity of j - i + d:
 block (i, j) at degree d draws only on blocks at d - 1 of its parity, and
@@ -73,7 +73,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -289,7 +288,6 @@ class IdealTruncation:
         self._scales = [g.m != 1 for g in group.elements]
         self._conj: dict[int, list[int]] = {}
         self._labels: dict[int, tuple[list[int], list[int] | None]] = {}
-        self._prefixes: dict[int, tuple[list[int], list[int], list[int]]] = {}
         self._monomials: dict[tuple[int, int, int], list[int]] = {}
         self._cut_reps: dict[int, dict[int, list[int]]] = {}
         self._projections: dict[tuple[tuple[int, int], int, int], dict] = {}
@@ -386,23 +384,10 @@ class IdealTruncation:
 
     def _word_exponents(self, g: int, j: int, d: int, ls) -> list[int]:
         """s_l with z^s_l element g's scalar on the monomial (j, l, d - l),
-        for the l in ls: the canonical word's l nonstars from j, then d - l
-        stars back, summed from periodic prefix sums of g's exponents."""
-        hit = self._prefixes.get(g)
-        if hit is None:
-            elt = self.group.elements[g]
-            scale = self._K // elt.m
-            pre, pre_star = (list(accumulate((k * scale for k in ex), initial=0)) for ex in (elt.e, elt.e_star))
-            hit = self._prefixes[g] = (pre, pre_star, [a + b for a, b in zip(pre, pre_star)])
-        pre, pre_star, both = hit
-        n, K = self.n, self._K
-        out = []
-        for l in ls:
-            # nonstars on the arrows j..j+l-1, stars on j+2l-d..j+l-1
-            q, r = divmod(j + l, n)
-            q2, r2 = divmod(j + 2 * l - d, n)
-            out.append((q * both[n] + both[r] - q2 * pre_star[n] - pre_star[r2] - pre[j]) % K)
-        return out
+        for the l in ls: its exponents over zeta_m scaled to z = zeta_K."""
+        elt = self.group.elements[g]
+        scale = self._K // elt.m
+        return [s * scale for s in elt.word_exponents(j, d, ls)]
 
     # -- coordinates --------------------------------------------------------
 
@@ -690,6 +675,19 @@ def identity_component_dims(group: FiniteGroup, D: int) -> list[int]:
     """dim of the image of R_d in (R#G)/(f_G) for d = 0..D."""
     trunc = build_ideal(group, D)
     return [trunc.identity_component_dim(d) for d in range(D + 1)]
+
+
+# `naive_ideal_dimension` eliminates one row p f_G (q # h) per monomial p of
+# degree a, monomial q of degree d - a and element h.  At this limit (D_6
+# through degree 4, 30,240 rows) `verify --suite smash` takes about 1 s on
+# a 2-core x86-64 guest under Python 3.11.
+NAIVE_ROW_LIMIT = 32_000
+
+
+def naive_row_count(n: int, order: int, D: int) -> int:
+    """Rows of the naive spanning sets of degrees 0..D together, for a group
+    of the given order: n(a+1) * n(d-a+1) * order for each split a + (d - a)."""
+    return sum(n * (a + 1) * n * (d - a + 1) * order for d in range(D + 1) for a in range(d + 1))
 
 
 def naive_ideal_dimension(group: FiniteGroup, d: int) -> int:

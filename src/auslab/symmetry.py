@@ -10,6 +10,12 @@ vertex-fixing diagonal family has a homological determinant: the common
 value xi_i * xi_i*.  `validate` decides in closed form, on the exponents,
 whether the parametrized map preserves the preprojective relation; the
 tests hold it to the image of the relation in the free algebra.
+
+The scalar of an element on a canonical monomial is zeta_m to the sum of
+the exponents along its word: l nonstars from the source, then the stars
+back over the last of them.  Each sum is a difference of periodic prefix
+sums of e and e_star, so `word_exponents` gives it in O(1) per monomial,
+for the orbit walk of `invariants` and the cut rows of `smash` alike.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import NamedTuple, Sequence
 
@@ -90,12 +97,28 @@ class Automorphism:
         return root(self.m, self.monomial_exponent(x)), img
 
     def monomial_exponent(self, x: NFMonomial) -> int:
-        """k mod m with zeta_m^k the scalar of `monomial_image`: the sum of
-        the exponents along the canonical word."""
-        n, i, l = self.quiver.n, x.source, x.nonstars
-        k = sum(self.e[(i + t) % n] for t in range(l))
-        k += sum(self.e_star[(i + l - 1 - t) % n] for t in range(x.stars))
-        return k % self.m
+        """k mod m with zeta_m^k the scalar of `monomial_image`."""
+        return self.word_exponents(x.source, x.degree, (x.nonstars,))[0]
+
+    @cached_property
+    def _prefix_sums(self) -> tuple[list[int], list[int], list[int]]:
+        """Prefix sums of e, of e_star and of both: p[i] sums the first i."""
+        pre, pre_star = list(accumulate(self.e, initial=0)), list(accumulate(self.e_star, initial=0))
+        return pre, pre_star, [a + b for a, b in zip(pre, pre_star)]
+
+    def word_exponents(self, j: int, d: int, ls) -> list[int]:
+        """k_l mod m with zeta_m^k_l the scalar on the canonical monomial
+        (j, l, d - l), for the l in ls: the sum of the exponents on the
+        nonstar arrows j..j+l-1 and the star arrows j+2l-d..j+l-1, indices
+        mod n, read off the prefix sums extended periodically."""
+        pre, pre_star, both = self._prefix_sums
+        n, m = self.quiver.n, self.m
+        out = []
+        for l in ls:
+            q, r = divmod(j + l, n)
+            q2, r2 = divmod(j + 2 * l - d, n)
+            out.append((q * both[n] + both[r] - q2 * pre_star[n] - pre_star[r2] - pre[j]) % m)
+        return out
 
     # -- group structure -------------------------------------------------------
 

@@ -555,3 +555,65 @@ def test_envelope_python_version_is_platforms():
 
     envelope = make_envelope("x", {}, time.monotonic())
     assert envelope["meta"]["python"] == sys.version.split()[0] == platform.python_version()
+
+
+@pytest.mark.parametrize(
+    "n, group, degree, digest",
+    [
+        ("4", "refl(0),scalar(4;1,2,3,1;3,2,1,3)", "40", "7090da5004c3da3f61e1092114de10dd9779a34f1e2837a61f1cba9ed176a64c"),
+        ("5", "scalar(7;1,1,1,1,1;6,6,6,6,6)", "60", "1678bec853fec9ee6186441847a37c1d6c55acb3a99a60beb91d6d047244fe1c"),
+        ("6", "rot(2),scalar(6;1,2,3,4,5,0;5,4,3,2,1,0)", "30", "a44242403ae23ce51f3e6e9a1838f7554394c3bf341233e1d6f50106218e1af3"),
+        ("3", "rot(1),scalar(4;1,0,0;3,0,0)", "24", "f276fa8a7ce556fed969f431be4ec0d494150415f0924ee85cfe5eeb9787948f"),
+    ],
+)
+def test_scalar_invariants_pinned(tmp_path, n, group, degree, digest):
+    # sha256 of each payload while every element's scalar on every monomial
+    # was a field value summed arrow by arrow
+    assert main(["invariants", "--n", n, "--group", group, "--degree", degree, "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / f"invariants_n{n}.json").read_text())["payload"]
+    assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == digest
+
+
+def test_invariants_size_is_checked_up_front(tmp_path, capsys):
+    from auslab.invariants import INVARIANT_TERM_LIMIT
+
+    started = time.monotonic()
+    assert main(["invariants", "--n", "20000", "--group", "rot(0)", "--degree", "5", "--out", str(tmp_path)]) == 1
+    assert time.monotonic() - started < 1
+    err = capsys.readouterr().err
+    assert "n = 20000" in err and "degree 5" in err and f"limit of {INVARIANT_TERM_LIMIT}" in err
+    # the limit sits between degrees 445 and 446 at n = 3
+    assert 3 * 446 * 447 // 2 <= INVARIANT_TERM_LIMIT < 3 * 447 * 448 // 2
+    assert main(["invariants", "--n", "3", "--group", "rot(1),refl(0)", "--degree", "446", "--out", str(tmp_path)]) == 1
+    assert "n = 3 through degree 446" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_invariants_run_at_the_size_the_limit_allows(tmp_path):
+    assert main(["invariants", "--n", "3", "--group", "rot(1),refl(0)", "--degree", "445", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "invariants_n3.json").read_text())["payload"]
+    assert payload["dims"] == [d // 2 + 1 for d in range(446)]
+
+
+def test_verify_smash_size_is_checked_up_front(tmp_path, capsys):
+    from auslab.smash import NAIVE_ROW_LIMIT
+
+    started = time.monotonic()
+    assert main(["verify", "--suite", "smash", "--n", "16", "--out", str(tmp_path)]) == 1
+    assert time.monotonic() - started < 1
+    err = capsys.readouterr().err
+    assert f"limit of {NAIVE_ROW_LIMIT}" in err and "the largest --degree that fits is 0" in err
+    assert main(["verify", "--suite", "smash", "--n", "7", "--out", str(tmp_path)]) == 1
+    assert "the largest --degree that fits is 3" in capsys.readouterr().err
+    assert main(["verify", "--suite", "smash", "--n", "30", "--degree", "0", "--out", str(tmp_path)]) == 1
+    assert "no --degree fits at n = 30" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("n, degree", [(16, "0"), (7, "3"), (6, None)])
+def test_verify_smash_runs_at_the_sizes_the_limit_allows(tmp_path, n, degree):
+    # n = 16 and 7 at the degree their refusal names, n = 6 at the default
+    argv = ["verify", "--suite", "smash", "--n", str(n)] + (["--degree", degree] if degree else [])
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / f"verify_smash_n{n}.json").read_text())["payload"]
+    assert all(check["ok"] for check in payload["checks"])

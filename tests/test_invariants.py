@@ -300,3 +300,50 @@ def test_twisted_orbit_sums_drop_orbits_with_a_scaling_stabilizer():
     assert basis.vectors[1] == _reynolds_basis(group, 1) == []
     assert basis.vectors[2] == _reynolds_basis(group, 2)
     assert sorted(len(v.terms) for v in basis.vectors[2]) == [3, 3, 3]
+
+
+def _orbit_sums_by_images(group, d):
+    """Reference: the twisted orbit sums from `monomial_image`, the first
+    element sending the least monomial to an image giving its coefficient."""
+    q, rows, seen = group.quiver, [], set()
+    for m in nf_basis(q, d):
+        if m in seen:
+            continue
+        terms, fixed = {}, True
+        for g in group.elements:
+            c, img = g.monomial_image(m)
+            fixed = terms.setdefault(img, c) == c and fixed
+        seen.update(terms)
+        if fixed:
+            rows.append(AlgebraElement(q, terms))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "n, spec",
+    [
+        (5, "scalar(7;1,1,1,1,1;6,6,6,6,6)"),
+        (6, "rot(2),scalar(6;1,2,3,4,5,0;5,4,3,2,1,0)"),
+        (3, "rot(1),scalar(4;1,0,0;3,0,0)"),
+    ],
+)
+def test_twisted_orbit_sums_past_the_wrap(n, spec):
+    # at D = 2n + 3 the canonical words run around the cycle, which the
+    # degree-4 comparisons above never reach for n >= 5; the coefficients
+    # are those of the field values, type for type
+    group, _ = build_group(spec, n)
+    assert group.has_scalars
+    D = 2 * n + 3
+    basis = invariant_basis(group, D)
+    for d in range(D + 1):
+        ref = _orbit_sums_by_images(group, d)
+        assert basis.vectors[d] == ref == _reynolds_basis(group, d)
+        for got, want in zip(basis.vectors[d], ref):
+            assert [(m, type(c)) for m, c in got.terms.items()] == [(m, type(c)) for m, c in want.terms.items()]
+
+
+def test_matrix_dims_need_even_n():
+    # the target parity p + d holds only when n is even
+    basis = invariant_basis(dihedral_group(QuiverA(5)), 2)
+    with pytest.raises(ValueError, match="n even"):
+        basis.matrix_dims(2)

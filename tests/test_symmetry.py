@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from auslab.cli import build_group
@@ -450,3 +450,39 @@ def test_cayley_table_matches_the_action(case, rng):
             assert root_order(g.m, sum(exps)) == _value_order(product)
     assert _scalar_theorem_bound(group) == _value_theorem_bound(group)
 
+
+def _exponent_by_arrows(g, x):
+    """Reference: g's exponents summed arrow by arrow along the canonical
+    word of x, mod g's conductor."""
+    n, i, l = g.quiver.n, x.source, x.nonstars
+    k = sum(g.e[(i + t) % n] for t in range(l))
+    k += sum(g.e_star[(i + l - 1 - t) % n] for t in range(x.stars))
+    return k % g.m
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(group_specs(), st.randoms(use_true_random=False))
+@example((4, "refl(1),scalar(4;1,2,3,1;3,2,1,3)"), random.Random(4))
+@example((5, "scalar(3;1,0,2,1,1;2,0,1,2,2),scalar(4;1,2,3,0,1;3,2,1,0,3)"), random.Random(5))
+@example((6, "rot(3),refl(2),scalar(6;1,2,3,4,5,0;5,4,3,2,1,0)"), random.Random(6))
+def test_prefix_sum_exponents_match_the_arrow_sums(case, rng):
+    # degrees up to 3n + 2, so the canonical words wrap around the cycle
+    # more than once; reflections and mixed conductors among the groups
+    n, spec = case
+    try:
+        group, _ = build_group(spec, n, cap=64)
+    except CapExceededError:
+        assume(False)
+    for g in rng.sample(group.elements, min(len(group), 6)):
+        for d in range(3 * n + 3):
+            for j in range(n):
+                want = [_exponent_by_arrows(g, NFMonomial(j, l, d - l)) for l in range(d + 1)]
+                assert g.word_exponents(j, d, range(d + 1)) == want
+                assert g.word_exponents(j, d, range(d % 2, d + 1, 2)) == want[d % 2 :: 2]
+                assert [g.monomial_exponent(NFMonomial(j, l, d - l)) for l in range(d + 1)] == want
