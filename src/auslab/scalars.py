@@ -230,30 +230,6 @@ class ScalarValue:
         norm = ctx._product(self.num, others)[0]
         return ctx._value([c * self.den for c in others], norm)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, exp: int):
-        if exp < 0:
-            return self.inverse() ** (-exp)
-        result = self.context.one()
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
-
     # -- comparison / hashing ----------------------------------------------
 
     def __bool__(self):

@@ -275,6 +275,7 @@ class IdealTruncation:
         self.quiver: QuiverA = group.quiver
         self.n = self.quiver.n
         self._coords: dict[tuple[int, int, int], BlockCoords] = {}
+        self._progressions: dict[int, list[tuple[int, int]]] = {}    # per degree, _progression(n, c, d) for c mod n
         self._layers: list[dict[tuple[int, int], _Block]] = []
         # Per chain, 0 the identity chain: the degree built through, and the
         # least degree whose blocks are all saturated.
@@ -396,8 +397,8 @@ class IdealTruncation:
         hit = self._coords.get(key)
         if hit is None:
             n = self.n
-            by_vertex = [_progression(n, d + v - i, d) for v in range(n)]
-            fc = [by_vertex[vm[j]] for vm in self.group.vertex_maps]
+            by_c = self._progressions.get(d) or self._progressions.setdefault(d, [_progression(n, c, d) for c in range(n)])
+            fc = [by_c[(d + vm[j] - i) % n] for vm in self.group.vertex_maps]
             hit = BlockCoords(self._order, [f for f, _ in fc], [c for _, c in fc], self._step)
             self._coords[key] = hit
         return hit
@@ -419,10 +420,6 @@ class IdealTruncation:
         conjugation sends phi_(c, psi) to psi^t(h')^-1 phi_(c', psi^t), where
         psi^t(h) = psi(t^-1 h t).  Gains are None when all 0."""
         conj = self._conjugation(t)
-        if not self.group.has_scalars:
-            # N is trivial and every gain is 0: the labels are the elements.
-            hit = self._labels[t] = (conj, None)
-            return hit
         table, normal, chars, K = self.group.table, self._normal, self._chars, self._K
         coset, kth, key = self._coset, self._kth, self._char_by_gens
         # pull[j]: the position in N of t^-1 h_j t

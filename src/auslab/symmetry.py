@@ -158,9 +158,6 @@ class Automorphism:
     def is_identity(self) -> bool:
         return self.rot == 0 and not self.refl and self.m == 1
 
-    def fixed_vertices(self) -> list[int]:
-        return [i for i in range(self.quiver.n) if self.vertex_image(i) == i]
-
     def sort_key(self):
         return (self.refl, self.rot, self.m, self.e, self.e_star)
 
@@ -230,15 +227,11 @@ def validate(g: Automorphism) -> Validation:
 
 
 def apply(g: Automorphism, x: AlgebraElement) -> AlgebraElement:
-    """Linear extension of the monomial action."""
+    """Linear extension of the monomial action, which permutes monomials."""
     out: dict[NFMonomial, object] = {}
     for m, c in x.terms.items():
         mult, img = g.monomial_image(m)
-        acc = out.get(img, 0) + c * mult
-        if acc:
-            out[img] = acc
-        else:
-            out.pop(img, None)
+        out[img] = c * mult
     return AlgebraElement(x.quiver, out)
 
 
@@ -363,16 +356,10 @@ def dihedral_group(q: QuiverA) -> FiniteGroup:
     return generate_group([rotation(q, 1), reflection(q, 0)], cap=2 * q.n)
 
 
-def vertex_fixing_reflections(q: QuiverA) -> list[Automorphism]:
-    """The reflections of D_n whose vertex permutation has a fixed point.
-    Computed from fixed points, not from a parity rule."""
-    return [g for g in (reflection(q, j) for j in range(q.n)) if g.fixed_vertices()]
-
-
 def w_subgroup(q: QuiverA) -> FiniteGroup:
-    """The subgroup generated by the vertex-fixing reflections (equal to
-    D_n when n is odd, of index 2 when n is even)."""
-    return generate_group(vertex_fixing_reflections(q), cap=2 * q.n)
+    """<rho^2, r>, generated by the vertex-fixing reflections: rho^j r (i -> j - i) fixes
+    a vertex exactly when 2i = j (mod n) is solvable, for all j if n is odd, even j if not."""
+    return generate_group([rotation(q, 2), reflection(q, 0)], cap=2 * q.n)
 
 
 def subgroup_keys(n: int) -> list[tuple[str, int, int | None]]:
@@ -408,13 +395,14 @@ def enumerate_subgroups(n: int) -> list[tuple[str, FiniteGroup]]:
 
 
 def classify_auslander(n: int, group: FiniteGroup) -> str:
-    """'iso' when some vertex-fixing reflection of D_n is missing from the
-    group, 'not_iso' when the group contains them all.  Only meaningful for
-    subgroups of D_n; groups with scalar parts are refused."""
+    """'iso' when the group misses some vertex-fixing reflection of D_n,
+    'not_iso' when it holds them all: rho^j r (i -> j - i) fixes a vertex
+    exactly when 2i = j (mod n) is solvable.  Only for subgroups of D_n;
+    groups with scalar parts are refused."""
     if group.has_scalars:
         raise ScalarGroupNotClassifiableError(
             "closed-form classifier applies to subgroups of D_n only; "
             "use the pertinency computation for scalar or mixed actions"
         )
-    contains_all = all(tau in group for tau in vertex_fixing_reflections(QuiverA(n)))
-    return "not_iso" if contains_all else "iso"
+    reflections = {g.rot for g in group.elements if g.refl}
+    return "not_iso" if reflections.issuperset(range(0, n, 2 - n % 2)) else "iso"

@@ -595,6 +595,43 @@ def test_invariants_run_at_the_size_the_limit_allows(tmp_path):
     assert payload["dims"] == [d // 2 + 1 for d in range(446)]
 
 
+def test_invariants_at_large_n_classify_in_closed_form(tmp_path):
+    # the classifier reads the group's reflections off its elements; building
+    # all n reflections of D_n instead took O(n^2) time and memory
+    started = time.monotonic()
+    assert main(["invariants", "--n", "20000", "--group", "rot(0)", "--degree", "1", "--out", str(tmp_path)]) == 0
+    assert time.monotonic() - started < 10
+    payload = json.loads((tmp_path / "invariants_n20000.json").read_text())["payload"]
+    assert payload["dims"] == [20000, 40000]
+
+
+ORDER_192 = "rot(1),scalar(4;1,0,0;3,0,0)"    # 64 of its elements fix every vertex
+
+
+def test_invariants_walk_is_checked_once_the_group_is_built(tmp_path, capsys):
+    from auslab.invariants import INVARIANT_TERM_LIMIT, INVARIANT_WALK_LIMIT
+
+    # the walk limit sits between degrees 100 and 101 for this group, and
+    # degree 445 is inside the term limit
+    assert 64 * 3 * 101 * 102 // 2 <= INVARIANT_WALK_LIMIT < 64 * 3 * 102 * 103 // 2
+    assert 3 * 446 * 447 // 2 <= INVARIANT_TERM_LIMIT
+    for degree in ("101", "445"):
+        started = time.monotonic()
+        assert main(["invariants", "--n", "3", "--group", ORDER_192, "--degree", degree, "--out", str(tmp_path)]) == 1
+        assert time.monotonic() - started < 1
+        err = capsys.readouterr().err
+        assert f"n = 3 through degree {degree}" in err and "order 192" in err and f"limit of {INVARIANT_WALK_LIMIT}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_invariants_run_at_the_walk_the_limit_allows(tmp_path):
+    dims = []
+    for degree in ("24", "100"):
+        assert main(["invariants", "--n", "3", "--group", ORDER_192, "--degree", degree, "--out", str(tmp_path)]) == 0
+        dims.append(json.loads((tmp_path / "invariants_n3.json").read_text())["payload"]["dims"])
+    assert len(dims[1]) == 101 and dims[1][:25] == dims[0]
+
+
 def test_verify_smash_size_is_checked_up_front(tmp_path, capsys):
     from auslab.smash import NAIVE_ROW_LIMIT
 

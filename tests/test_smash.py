@@ -869,7 +869,7 @@ def _predicted_dims(n, group, D):
     some reflection of G at degree 0 and nothing after."""
     if classify_auslander(n, group) == "not_iso":
         return [n * min(d + 1, n // gcd(n, 2)) for d in range(D + 1)]
-    fixed = {v for g in group.elements if g.refl for v in g.fixed_vertices()}
+    fixed = {v for g in group.elements if g.refl for v in range(n) if g.vertex_image(v) == v}
     return [len(fixed)] + [0] * D
 
 
@@ -932,3 +932,26 @@ def test_extend_builds_the_identity_chain_only():
     assert 0 < trunc.ideal_dimension(10) < trunc.smash_dimension(10)
     assert trunc._through == [10, 10]
     assert {(j - i) % 2 for i, j in trunc._layers[10]} == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [("rot(0)", 9), ("rot(1),refl(0)", 8), ("rot(2),scalar(6;1,2,3,4,5,0;5,4,3,2,1,0)", 6)],
+)
+def test_block_coords_read_the_progressions_once_per_degree(monkeypatch, spec, n):
+    # an element's progression depends only on d + g(j) - i mod n, so the n
+    # progressions of a degree serve all n^2 of its blocks
+    import auslab.smash as smash
+
+    progression, calls = smash._progression, []
+    monkeypatch.setattr(smash, "_progression", lambda *args: calls.append(args) or progression(*args))
+    group, _ = build_group(spec, n)
+    trunc = IdealTruncation(group)
+    for d in range(4):
+        calls.clear()
+        for i in range(n):
+            for j in range(n):
+                coords = trunc.block_coords(i, j, d)
+                every = [progression(n, d + vm[j] - i, d) for vm in group.vertex_maps]
+                assert (coords.first, coords.count) == ([f for f, _ in every], [c for _, c in every])
+        assert len(calls) == n

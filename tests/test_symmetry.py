@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -30,7 +31,6 @@ from auslab.symmetry import (
     scalar_powers,
     subgroup_keys,
     validate,
-    vertex_fixing_reflections,
     w_subgroup,
 )
 
@@ -63,7 +63,7 @@ def _validate_in_free_algebra(g):
     for w, c in image.items():
         if w not in omega:
             raise NotAnAutomorphismError(f"sigma(Omega) has support outside Omega at word {w}")
-        ratio = c / omega[w] if omega[w] == 1 else -c
+        ratio = c if omega[w] == 1 else -c
         if scalar is None:
             scalar = ratio
         elif scalar != ratio:
@@ -230,10 +230,19 @@ def test_generate_group_sizes():
     assert len(dihedral_group(q4)) == 2 * len(w4)
 
 
+def _vertex_fixing_reflections(q: QuiverA):
+    """The reflections of D_n whose vertex permutation has a fixed point,
+    found by testing every vertex."""
+    return [
+        g for g in (reflection(q, j) for j in range(q.n))
+        if any(g.vertex_image(i) == i for i in range(q.n))
+    ]
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_odd_n_vertex_reflections_generate_everything(n):
     q = QuiverA(n)
-    refls = vertex_fixing_reflections(q)
+    refls = _vertex_fixing_reflections(q)
     assert len(refls) == n
     assert w_subgroup(q) == dihedral_group(q)
 
@@ -242,11 +251,38 @@ def test_vertex_fixing_parity_characterization():
     # computed from fixed points, asserted against the parity rule
     for n in (3, 4, 5, 6):
         q = QuiverA(n)
-        fixing = {g.rot for g in vertex_fixing_reflections(q)}
+        fixing = {g.rot for g in _vertex_fixing_reflections(q)}
         if n % 2:
             assert fixing == set(range(n))
         else:
             assert fixing == set(range(0, n, 2))
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_classify_auslander_matches_the_fixed_point_oracle(n):
+    # every subgroup of D_n, and the same subgroup spelled by other
+    # generators in shuffled order: 'not_iso' exactly when the group holds
+    # every reflection that fixes some vertex
+    q = QuiverA(n)
+    fixing = _vertex_fixing_reflections(q)
+    rng = random.Random(n)
+    for kind, d, j in subgroup_keys(n):
+        _, group = build_subgroup(n, kind, d, j)
+        want = "not_iso" if all(tau in group for tau in fixing) else "iso"
+        assert classify_auslander(n, group) == want, (n, kind, d, j)
+        unit = rng.choice([u for u in range(1, n // d + 1) if math.gcd(u, n // d) == 1])
+        terms = [f"rot({unit * d % n})"]
+        if kind == "dihedral":
+            terms += [f"refl({(j + rng.randrange(n // d) * d) % n})", f"refl({(j + rng.randrange(n // d) * d) % n})"]
+        rng.shuffle(terms)
+        spelled, _ = build_group(",".join(terms), n)
+        assert spelled == group and classify_auslander(n, spelled) == want, (n, terms)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_w_subgroup_is_generated_by_the_vertex_fixing_reflections(n):
+    q = QuiverA(n)
+    assert w_subgroup(q) == generate_group(_vertex_fixing_reflections(q), cap=2 * n)
 
 
 def test_cap_exceeded():
@@ -486,3 +522,46 @@ def test_prefix_sum_exponents_match_the_arrow_sums(case, rng):
                 assert g.word_exponents(j, d, range(d + 1)) == want
                 assert g.word_exponents(j, d, range(d % 2, d + 1, 2)) == want[d % 2 :: 2]
                 assert [g.monomial_exponent(NFMonomial(j, l, d - l)) for l in range(d + 1)] == want
+
+
+def _apply_accumulating(g, x):
+    """The reference for `apply`: the images of the terms summed one by one,
+    a term dropped when its sum cancels."""
+    out = {}
+    for m, c in x.terms.items():
+        mult, img = g.monomial_image(m)
+        acc = out.get(img, 0) + c * mult
+        if acc:
+            out[img] = acc
+        else:
+            out.pop(img, None)
+    return AlgebraElement(x.quiver, out)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(group_specs(), st.randoms(use_true_random=False))
+@example((6, "rot(3),refl(2),scalar(6;1,2,3,4,5,0;5,4,3,2,1,0)"), random.Random(6))
+def test_apply_matches_the_accumulating_loop(case, rng):
+    # random elements of mixed degree, with rational and cyclotomic
+    # coefficients, under random elements of groups with scalars
+    n, spec = case
+    try:
+        group, _ = build_group(spec, n, cap=64)
+    except CapExceededError:
+        assume(False)
+    q, conductor = group.quiver, math.lcm(*(g.m for g in group.elements))
+    monomials = [x for d in range(2 * n) for x in nf_basis(q, d)]
+    for _ in range(20):
+        g = rng.choice(group.elements)
+        x = AlgebraElement(q, {
+            m: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * root(conductor, rng.randrange(conductor))
+            for m in rng.sample(monomials, 15)
+        })
+        got, want = apply(g, x), _apply_accumulating(g, x)
+        assert got == want and list(got.terms) == list(want.terms)
