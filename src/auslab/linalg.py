@@ -220,20 +220,17 @@ class SignedPartition:
             raise ValueError(f"row {row} is neither a unit nor a signed binomial")
         return self.live < live
 
-    def absorb(self, mapping: list[int], source: "SignedPartition | None", gains: list[int] | None = None) -> None:
-        """Add the image of `source`'s span under the monomial map sending
-        source coordinate e_x to z^gains[x] e_mapping[x]; the map is injective,
-        None gains are all 0, and a None source spans its whole space."""
+    def absorb(self, mapping: list[int], source: "SignedPartition | None") -> None:
+        """Add the image of `source`'s span under the injective relabelling
+        sending source coordinate e_x to e_mapping[x]; a None source spans its
+        whole space."""
         if source is None:
             for a in mapping:
                 self.kill(a)
             return
-        root, gain, K = self.root, self.gain, self.K
-        # e_x = z^source.gain[x] e_r in the source maps to e_a = z^target[x] e_b,
-        # for a = mapping[x] and b = mapping[r].
-        target = source.gain if gains is None else [
-            (s + gains[r] - gains[x]) % K for x, (r, s) in enumerate(zip(source.root, source.gain))
-        ]
+        # e_x = z^s e_r in the source, s = source_gain[x], maps to
+        # e_a = z^s e_b, for a = mapping[x] and b = mapping[r].
+        root, gain, source_gain, K = self.root, self.gain, source.gain, self.K
         if self.live == len(root):
             # Nothing added yet: the image partition is copied outright.
             members = self.members
@@ -242,7 +239,7 @@ class SignedPartition:
                 image = [mapping[x] for x in mem]
                 for x, a in zip(mem, image):
                     root[a] = b
-                    gain[a] = target[x]
+                    gain[a] = source_gain[x]
                 members[b] = image
             self.dead.update(mapping[r] for r in source.dead)
             self.live -= source.rank
@@ -254,8 +251,8 @@ class SignedPartition:
             for x in mem:
                 a = mapping[x]
                 # Skip rows the partition already holds.
-                if root[a] != rb or (gain[a] - gb) % K != target[x]:
-                    join(a, b, target[x])
+                if root[a] != rb or (gain[a] - gb) % K != source_gain[x]:
+                    join(a, b, source_gain[x])
                     rb, gb = root[b], gain[b]
         for r in source.dead:
             self.kill(mapping[r])

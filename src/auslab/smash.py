@@ -20,27 +20,29 @@ last.  The same positions index the character coordinates below: the
 group index g = t h_k labels phi_(t, psi_k), for the k-th element h_k of N
 and its k-th character psi_k.
 
-Each block is kept in character coordinates.  N, the vertex-fixing
-elements of G, is a normal, abelian, diagonal subgroup with G/N <= D_n.  For
-a coset representative t, a character psi of N and a nonstar count l,
-phi_(t, psi, l) = sum_(h in N) psi(h) (th, l); the characters are the
-closure of the arrow characters chi_a (h's scalar on the arrow a), and
-character values and scalars are roots of unity, stored as exponents of
-z = zeta_K, K = lcm(2, M) for the group's conductor M.  In these
-coordinates a left extension keeps phi and an orbit transfer is a root of
-unity times a relabelling.  The cut row e_i f_G e_j (m#1), for a monomial
-m of degree d from j to k, lies in block (i, k): it is the sum over the
-coset representatives t with t(j) = i of z^(s_t(m)) phi_(t, chi_m, l'),
-where s_t(m) and chi_m are t's exponent and N's character on m, read off
-periodic prefix sums by `Automorphism.word_exponents`, and l' is m's
-nonstar count, or its star count when t reflects.  G/N acts on the
+Each block is kept in character coordinates.  N, the vertex-fixing elements
+of G, is a normal, abelian, diagonal subgroup with G/N <= D_n.  Each spec
+generator is a pure rotation, reflection or scalar, so every coset of N
+holds one scalar-free element, its representative (the build refuses a
+group without them).  For a representative t, a character psi of N and a
+nonstar count l, phi_(t, psi, l) = sum_(h in N) psi(h) (th, l); the
+characters are the closure of the arrow characters chi_a (h's scalar on the
+arrow a), and character values and scalars are roots of unity, stored as
+exponents of z = zeta_K, K = lcm(2, M) for the group's conductor M.  In
+these coordinates a left extension keeps phi and an orbit transfer, by a
+scalar-free element, is a relabelling.  The cut row e_i f_G e_j (m#1), for
+a monomial m of degree d from j to k, lies in block (i, k): it is the sum
+over the coset representatives t with t(j) = i of phi_(t, chi_m, l'), with
+no factor z^(s_t(m)) as t scales no arrow; chi_m is N's character on m,
+read off periodic prefix sums by `Automorphism.word_exponents`, and l' is
+m's nonstar count, or its star count when t reflects.  G/N acts on the
 vertices as a subgroup of D_n, where a vertex stabilizer has order at most
 2, so every cut row is a unit or a binomial.  The span of each block is
 therefore a gain graph, kept as a `SignedPartition` with gains mod K:
 degree d absorbs the two left-source partitions through composed index
-maps with gains, adds its cut rows, and stops once the block is spanned.
-With N trivial and no scalars (the subgroups of D_n), K = 2 and the
-coordinates are the pairs (g, l) themselves.
+maps, adds its cut rows, and stops once the block is spanned.  With N
+trivial and no scalars (the subgroups of D_n), K = 2 and the coordinates
+are the pairs (g, l) themselves.
 
 For even n the build splits into two chains by the parity of j - i + d:
 block (i, j) at degree d draws only on blocks at d - 1 of its parity, and
@@ -80,7 +82,7 @@ from .linalg import FieldEchelon, SignedPartition
 from .preproj import AlgebraElement, NFMonomial
 from .quiver import QuiverA
 from .scalars import root_powers
-from .symmetry import Automorphism, FiniteGroup, apply
+from .symmetry import FiniteGroup, apply
 
 
 class MixedDegreeError(ValueError):
@@ -112,14 +114,9 @@ class SmashElement:
         return SmashElement(group)
 
     @staticmethod
-    def from_algebra(group: FiniteGroup, x: AlgebraElement, g: int | Automorphism | None = None) -> "SmashElement":
-        """x # g, defaulting to x # 1."""
-        if g is None:
-            gi = group.identity_index
-        elif isinstance(g, Automorphism):
-            gi = group.index(g)
-        else:
-            gi = g
+    def from_algebra(group: FiniteGroup, x: AlgebraElement, g: int | None = None) -> "SmashElement":
+        """x # g for the element index g, defaulting to x # 1."""
+        gi = group.identity_index if g is None else g
         return SmashElement(group, {(m, gi): c for m, c in x.terms.items()})
 
     @staticmethod
@@ -210,11 +207,10 @@ class SmashElement:
     __repr__ = __str__
 
 
-def eval_auslander_map(group: FiniteGroup, a: AlgebraElement, g: int | Automorphism, b: AlgebraElement) -> AlgebraElement:
-    """The endomorphism attached to a # g, evaluated at b: a * g(b)."""
-    if isinstance(g, int):
-        g = group.elements[g]
-    return a * apply(g, b)
+def eval_auslander_map(group: FiniteGroup, a: AlgebraElement, g: int, b: AlgebraElement) -> AlgebraElement:
+    """The endomorphism attached to a # g, g an element index, evaluated at
+    b: a * g(b)."""
+    return a * apply(group.elements[g], b)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +282,8 @@ class IdealTruncation:
         self._order = tuple(gi for gi in range(len(group)) if gi != ident) + (ident,)
         self._step = self.n if self.n % 2 else self.n // 2
         self._refl = [g.refl for g in group.elements]
-        self._scales = [g.m != 1 for g in group.elements]
         self._conj: dict[int, list[int]] = {}
-        self._labels: dict[int, tuple[list[int], list[int] | None]] = {}
-        self._monomials: dict[tuple[int, int, int], list[int]] = {}
+        self._labels: dict[int, list[int]] = {}
         self._cut_reps: dict[int, dict[int, list[int]]] = {}
         self._projections: dict[tuple[tuple[int, int], int, int], dict] = {}
         self._orbit_setup()
@@ -334,10 +328,10 @@ class IdealTruncation:
         """N, the vertex-fixing elements (identity first); its characters
         (trivial first) as tuples of exponents of z = zeta_K over N, the
         closure of the arrow characters; and for every group index g = t h_k,
-        t the representative of the coset tN (the identity for N itself):
-        coset[g] = t and kth[g] = k.  The index g also labels the character
-        coordinate phi_(t, psi_k), so with N trivial the labels are the group
-        elements themselves."""
+        t the scalar-free element of the coset tN: coset[g] = t and
+        kth[g] = k.  The index g also labels the character coordinate
+        phi_(t, psi_k), so with N trivial the labels are the group elements
+        themselves."""
         group = self.group
         elements, table, ident = group.elements, group.table, group.identity_index
         self._values = root_powers(lcm(*(g.m for g in elements)))
@@ -345,14 +339,19 @@ class IdealTruncation:
         self._normal = normal = [ident] + [
             gi for gi, g in enumerate(elements) if gi != ident and g.rot == 0 and not g.refl
         ]
-        coset: list[int | None] = [None] * len(group)
-        kth = [0] * len(group)
-        for t in (ident, *range(len(group))):
-            if coset[t] is None:
-                for k, h in enumerate(normal):
-                    coset[table[t][h]], kth[table[t][h]] = t, k
+        # Two scalar-free elements of one coset differ by a scalar-free
+        # element of N, the identity, so none is missing when they number |G/N|.
+        self._reps = reps = [gi for gi, g in enumerate(elements) if g.m == 1]
+        if len(reps) * len(normal) != len(group):
+            raise ValueError(
+                "the ideal build needs a scalar-free element in every coset of the vertex-fixing elements, "
+                f"but {len(reps)} scalar-free times {len(normal)} vertex-fixing is not the order {len(group)}"
+            )
+        coset, kth = [0] * len(group), [0] * len(group)
+        for t in reps:
+            for k, h in enumerate(normal):
+                coset[table[t][h]], kth[table[t][h]] = t, k
         self._coset, self._kth = coset, kth
-        self._reps = sorted(set(coset))
         # One character per arrow: its exponents under the elements of N.
         arrow_chars = set(zip(*(
             [k * (K // elements[h].m) % K for k in elements[h].e + elements[h].e_star] for h in normal
@@ -411,46 +410,28 @@ class IdealTruncation:
             hit = self._conj[t] = [table[k][tinv] for k in table[t]]
         return hit
 
-    def _label_map(self, t: int) -> tuple[list[int], list[int] | None]:
-        """(labels, gains), stored for t: conjugation by 1#t sends
-        phi_(label g) to z^gains[g] phi_(labels[g]) times t's scalar on the
-        monomial (see `_monomial_gains`).
-
-        With t c t^-1 = c' h' (c, c' coset representatives, h' in N),
-        conjugation sends phi_(c, psi) to psi^t(h')^-1 phi_(c', psi^t), where
-        psi^t(h) = psi(t^-1 h t).  Gains are None when all 0."""
+    def _label_map(self, t: int) -> list[int]:
+        """Labels, stored for the scalar-free t: conjugation by 1#t sends
+        phi_(label g) to phi_(labels[g]), with no root of unity.  For a coset
+        representative c, t c t^-1 is scalar-free, its own representative, so
+        phi_(c, psi) goes to phi_(t c t^-1, psi^t), psi^t(h) = psi(t^-1 h t)."""
         conj = self._conjugation(t)
-        table, normal, chars, K = self.group.table, self._normal, self._chars, self._K
+        table, normal, chars = self.group.table, self._normal, self._chars
         coset, kth, key = self._coset, self._kth, self._char_by_gens
         # pull[j]: the position in N of t^-1 h_j t
         at = {h: k for k, h in enumerate(normal)}
         back = self._conjugation(self.group.inverse[t])
         pull = [at[back[h]] for h in normal]
         twist = [key[tuple(psi[pull[k]] for k in self._char_gens)] for psi in chars]
-        labels, gains = [], []
-        for g in range(len(table)):
-            x = conj[coset[g]]
-            labels.append(table[coset[x]][normal[twist[kth[g]]]])
-            gains.append(-chars[kth[g]][pull[kth[x]]] % K)
-        hit = self._labels[t] = (labels, gains if any(gains) else None)
+        hit = self._labels[t] = [table[conj[coset[g]]][normal[twist[kth[g]]]] for g in range(len(table))]
         return hit
 
-    def _monomial_gains(self, t: int, i: int, e: int) -> list[int] | None:
-        """s_l with z^s_l t's scalar on the monomial (i, l, e - l), for
-        l = 0..e; None when t carries no scalars."""
-        if not self._scales[t]:
-            return None
-        key = (t, i, e)
-        if key not in self._monomials:
-            self._monomials[key] = self._word_exponents(t, i, e, range(e + 1))
-        return self._monomials[key]
-
-    def _push_map(self, pair: tuple[int, int], e: int, dst: BlockCoords, t: int, shift: int) -> tuple[list[int], list[int] | None]:
-        """Index map and gains from block `pair` at degree e into block dst:
+    def _push_map(self, pair: tuple[int, int], e: int, dst: BlockCoords, t: int, shift: int) -> list[int]:
+        """Index map from block `pair` at degree e into block dst:
         conjugation by t (l goes to e - l when t reflects), then a left
-        extension adding `shift` nonstars.  Gains are None when all 0."""
+        extension adding `shift` nonstars."""
         src = self.block_coords(*pair, e)
-        labels, label_gains = self._labels.get(t) or self._label_map(t)
+        labels = self._labels.get(t) or self._label_map(t)
         step = dst.step
         flip = self._refl[t]
         out: list[int] = []
@@ -462,21 +443,7 @@ class IdealTruncation:
             l = (e - src.first[h] if flip else src.first[h]) + shift
             k = dst.start[g] + (l - dst.first[g]) // step     # dst.position(g, l)
             out.extend(range(k, k - cnt, -1) if flip else range(k, k + cnt))
-        mono = self._monomial_gains(t, pair[0], e)
-        if label_gains is None and mono is None:
-            return out, None
-        gains: list[int] = []
-        for h in src.order:
-            cnt = src.count[h]
-            if not cnt:
-                continue
-            base = 0 if label_gains is None else label_gains[h]
-            if mono is None:
-                gains += [base] * cnt
-            else:
-                first = src.first[h]
-                gains += [(base + mono[l]) % self._K for l in range(first, first + cnt * step, step)]
-        return out, gains
+        return out
 
     def _block(self, pair: tuple[int, int], d: int) -> _Block:
         """pair's representative block at degree d, its chain built first."""
@@ -535,14 +502,13 @@ class IdealTruncation:
             if prev[self.pair_rep[((i + 1) % n, j)]].full and prev[self.pair_rep[((i - 1) % n, j)]].full:
                 return _SATURATED
         kernel = SignedPartition(self.block_coords(i, j, d).size, self._values)
-        for source, mapping, gains in self._sources(i, j, d) if d else ():
-            kernel.absorb(mapping, source.kernel, gains)
-        K = self._K
-        for (pa, sa), *rest in self._cut_rows(i, j, d) if kernel.live else ():
+        for source, mapping in self._sources(i, j, d) if d else ():
+            kernel.absorb(mapping, source.kernel)
+        for pa, *rest in self._cut_rows(i, j, d) if kernel.live else ():
             if rest:
-                ((pb, sb),) = rest                 # a vertex stabilizer of G/N has order at most 2
-                for a, b, s, u in zip(pa, pb, sa, sb):
-                    kernel.join(a, b, (u - s + K // 2) % K)
+                (pb,) = rest                       # a vertex stabilizer of G/N has order at most 2
+                for a, b in zip(pa, pb):
+                    kernel.join(a, b, self._K // 2)    # the row e_a + e_b
             else:
                 for a in pa:
                     kernel.kill(a)
@@ -552,24 +518,25 @@ class IdealTruncation:
 
     def _sources(self, i: int, j: int, d: int):
         """(source representative's block at d - 1, index map into block
-        (i, j) at d, gains) for the two left extensions landing in (i, j):
+        (i, j) at d) for the two left extensions landing in (i, j):
         alpha_i (from (i+1, j)) adds a nonstar, alpha_{i-1}* (from
         (i-1, j)) a star."""
         n, prev = self.n, self._layers[d - 1]
         dst = self.block_coords(i, j, d)
         for pair, shift in ((((i + 1) % n, j), 1), (((i - 1) % n, j), 0)):
             rep = self.pair_rep[pair]
-            mapping, gains = self._push_map(rep, d - 1, dst, self.pair_transfer[pair], shift)
+            mapping = self._push_map(rep, d - 1, dst, self.pair_transfer[pair], shift)
             if mapping:
-                yield prev[rep], mapping, gains
+                yield prev[rep], mapping
 
     def _cut_rows(self, i: int, k: int, d: int):
         """The cut rows e_i f_G e_j (m#1) of block (i, k) at degree d, the
         sum over the coset representatives t with t(j) = i of
-        z^(s_t(m)) phi_(t, chi_m, l'), for the monomials m = (j, l, d - l)
-        ending at k.  Per vertex j, one (positions, exponents of z) pair of
-        lists per t, indexed by the monomials in increasing l: t sends them
-        onto t's own coordinates of the block, reversed when t reflects."""
+        phi_(t, chi_m, l'), for the monomials m = (j, l, d - l) ending at k;
+        t is scalar-free, so no factor z^(s_t(m)) arises.  Per vertex j, one
+        run of positions per t, indexed by the monomials in increasing l: t
+        sends them onto t's own coordinates of the block, reversed when t
+        reflects."""
         by_j = self._cut_reps.get(i)
         if by_j is None:
             by_j = self._cut_reps[i] = {}
@@ -580,20 +547,13 @@ class IdealTruncation:
             count = dst.count[ts[0]]
             if not count:
                 continue
-            zero = [0] * count
             if not self.group.has_scalars:
-                yield [(range(dst.start[t] + count - 1, dst.start[t] - 1, -1) if refl[t] else range(dst.start[t], dst.start[t] + count), zero) for t in ts]
+                yield [range(dst.start[t] + count - 1, dst.start[t] - 1, -1) if refl[t] else range(dst.start[t], dst.start[t] + count) for t in ts]
                 continue
             first = _progression(self.n, d + k - j, d)[0]
             ls = range(first, first + count * self._step, self._step)
             chis = [normal[self._char_by_gens[x]] for x in zip(*(self._word_exponents(normal[k], j, d, ls) for k in self._char_gens))]
-            yield [
-                (
-                    [dst.start[table[t][h]] + (count - 1 - x if refl[t] else x) for x, h in enumerate(chis)],
-                    self._word_exponents(t, j, d, ls) if self._scales[t] else zero,
-                )
-                for t in ts
-            ]
+            yield [[dst.start[table[t][h]] + (count - 1 - x if refl[t] else x) for x, h in enumerate(chis)] for t in ts]
 
     # -- measurements -------------------------------------------------------------
 
@@ -639,10 +599,9 @@ class IdealTruncation:
         """l -> the image of the coordinate (g, l) of block `pair` at degree d
         in the quotient of the representative's block, as (live root,
         exponent of z) pairs for `SignedPartition.vanishes`: conjugation by
-        1#u, u the inverse transfer, sends it to u's scalar on the monomial
-        times (u g u^-1, l'), and (c h_k, l') = |N|^-1 sum_psi psi(h_k)^-1
-        phi_(c, psi, l'), whose common factor |N|^-1 is dropped.  Built once
-        per (pair, degree, g)."""
+        1#u, u the scalar-free inverse transfer, sends it to (u g u^-1, l'),
+        and (c h_k, l') = |N|^-1 sum_psi psi(h_k)^-1 phi_(c, psi, l'), whose
+        common factor |N|^-1 is dropped.  Built once per (pair, degree, g)."""
         key = (pair, d, g)
         hit = self._projections.get(key)
         if hit is None:
@@ -651,14 +610,12 @@ class IdealTruncation:
             src, dst = self.block_coords(*pair, d), self.block_coords(*rep, d)
             u = self.group.inverse[self.pair_transfer[pair]]
             g2, flip = self._conjugation(u)[g], self._refl[u]
-            mono = self._monomial_gains(u, pair[0], d)
             c, k, table = self._coset[g2], self._kth[g2], self.group.table
             starts = [(dst.start[table[c][h]], -psi[k]) for h, psi in zip(self._normal, self._chars)]
             hit = self._projections[key] = {}
             for l in range(src.first[g], src.first[g] + src.count[g] * src.step, src.step):
                 off = ((d - l if flip else l) - dst.first[g2]) // dst.step
-                s = mono[l] if mono else 0
-                hit[l] = kernel.reduce([(p + off, s + t) for p, t in starts])
+                hit[l] = kernel.reduce([(p + off, t) for p, t in starts])
         return hit
 
 
@@ -832,6 +789,18 @@ def default_cutoff(n: int, group: FiniteGroup) -> int:
     return max(4 * n + 4, 24)
 
 
+# The ideal build fills tables over the n^2 vertex pairs once, each pair
+# costing about 30 cells.  At each degree d it lays out about n^2/|G/N|
+# orbit-rep blocks, N the vertex-fixing elements, each indexed by all of G,
+# and their |N| n(d+1) coordinates: |N| n(n + d + 1) cells.  So a build
+# through degree D counts 30n^2 + |N| n(D+1)(n + (D+2)/2) cells.  At this
+# limit the trivial group at n = 279 and degree 1 and D_16 through degree
+# 540 take about 1.0 s, and <rho, r, -1> at n = 100 through degree 77 and
+# the order-192 group of `invariants`' walk limit at n = 3 through degree
+# 156 about 1.4 s, on a 2-core x86-64 guest under Python 3.11.
+IDEAL_CELL_LIMIT = 2_500_000
+
+
 @dataclass
 class AuslanderReport:
     n: int
@@ -879,6 +848,13 @@ def auslander_verdict(n: int, group: FiniteGroup, D: int | None = None, label: s
 
     if D is None:
         D = default_cutoff(n, group)
+    fixing = sum(1 for g in group.elements if not g.rot and not g.refl)
+    cells = 30 * n * n + fixing * n * (D + 1) * (2 * n + D + 2) // 2
+    if cells > IDEAL_CELL_LIMIT:
+        raise MemoryError(
+            f"the ideal build at n = {n} through degree {D} counts {cells} cells for |N| = {fixing}, "
+            f"N the vertex-fixing elements, over the limit of {IDEAL_CELL_LIMIT}"
+        )
     dims = identity_component_dims(group, D)
     classifier = None if group.has_scalars else classify_auslander(n, group)
     bound, bound_reason = theorem_bound(n, group, classifier)

@@ -265,8 +265,7 @@ class FiniteGroup:
                 if k is None:
                     if len(found) >= cap:
                         raise CapExceededError(
-                            f"group closure exceeded cap {cap}; "
-                            "is a generator of infinite order?"
+                            f"group closure exceeded cap {cap}: the group's order is over the limit of {cap} elements"
                         )
                     k = index[p] = len(found)
                     found.append(p)

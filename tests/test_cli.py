@@ -654,3 +654,37 @@ def test_verify_smash_runs_at_the_sizes_the_limit_allows(tmp_path, n, degree):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / f"verify_smash_n{n}.json").read_text())["payload"]
     assert all(check["ok"] for check in payload["checks"])
+
+
+def test_ideal_build_size_is_checked_up_front(tmp_path, capsys):
+    from auslab.smash import IDEAL_CELL_LIMIT
+
+    def cells(n, fixing, degree):
+        return 30 * n * n + fixing * n * (degree + 1) * (2 * n + degree + 2) // 2
+
+    # the trivial group fits through n = 279 at degree 1, D_16 through degree 540
+    assert cells(279, 1, 1) <= IDEAL_CELL_LIMIT < cells(280, 1, 1)
+    assert cells(16, 1, 540) <= IDEAL_CELL_LIMIT < cells(16, 1, 541)
+    for n, group, degree in (("800", "rot(0)", "1"), ("16", "rot(1),refl(0)", "1088"), ("280", "rot(0)", "1"), ("16", "rot(1),refl(0)", "541")):
+        started = time.monotonic()
+        assert main(["auslander", "--n", n, "--group", group, "--degree", degree, "--out", str(tmp_path)]) == 1
+        assert time.monotonic() - started < 1
+        err = capsys.readouterr().err
+        assert f"n = {n} through degree {degree}" in err and f"limit of {IDEAL_CELL_LIMIT}" in err
+    assert main(["scan", "--n-list", "280", "--all-dihedral-subgroups", "--degree", "1", "--out", str(tmp_path)]) == 1
+    assert "n = 280 through degree 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_ideal_build_runs_at_the_size_the_limit_allows(tmp_path):
+    assert main(["auslander", "--n", "16", "--group", "rot(1),refl(0)", "--degree", "540", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "auslander_n16.json").read_text())["payload"]
+    assert len(payload["identity_component_dims"]) == 541 and payload["verdict_empirical"] == "not_iso"
+
+
+def test_group_order_cap_names_the_order(capsys):
+    # D_5000 has order 10000, past the cap, though every generator has
+    # finite order
+    assert main(["invariants", "--n", "5000", "--group", "rot(1),refl(0)", "--degree", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "exceeded cap 4096" in err and "order is over the limit of 4096" in err and "infinite" not in err

@@ -138,7 +138,7 @@ def test_eval_auslander_map():
     assert eval_auslander_map(dn, one, dn.identity_index, x) == x
     # e_0 * r(alpha_0) = alpha_{n-1}*
     e0 = AlgebraElement.idempotent(q, 0)
-    r = reflection(q, 0)
+    r = dn.index(reflection(q, 0))
     assert eval_auslander_map(dn, e0, r, x) == AlgebraElement.monomial(
         q, NFMonomial(0, 0, 1)
     )
@@ -539,9 +539,10 @@ def test_signed_partitions_match_the_row_engine(n):
 
 def scalar_transfer_group():
     """rot(1) scaled by zeta_4 on alpha_0 and zeta_4^3 on alpha_0*, with
-    refl(0), at n = 4: order 256 with no pure rotation, so orbit transfers
-    carry scalars.  A spec the CLI parses always contains the pure dihedral
-    elements, which sort first and become the transfers."""
+    refl(0), at n = 4: order 256 with no pure rotation, so a coset of the
+    vertex-fixing elements holds no scalar-free element to be its orbit
+    transfer.  A spec the CLI parses always contains the pure dihedral
+    elements, which become the transfers."""
     q = QuiverA(4)
     return generate_group([rotation(q, 1) * scalar_powers(q, 4, [1, 0, 0, 0], [3, 0, 0, 0]), reflection(q, 0)])
 
@@ -552,6 +553,41 @@ def twisted_reflection_group():
     transfer and right-extension arrow both carry a scalar."""
     q = QuiverA(3)
     return generate_group([rotation(q, 1), reflection(q, 0) * scalar_powers(q, 3, [1, 1, 1], [2, 2, 2])])
+
+
+def _assert_transfers_are_scalar_free(group):
+    # every coset representative and orbit transfer is scalar-free, so the
+    # orbit transfers of the ideal build are relabellings
+    trunc = IdealTruncation(group)
+    assert len(trunc._reps) * len(trunc._normal) == len(group)
+    assert all(group.elements[t].m == 1 for t in trunc._reps + list(trunc.pair_transfer.values()))
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(group_specs())
+@example((4, "rot(2),refl(1),scalar(4;1,2,3,1;3,2,1,3)"))
+@example((3, "rot(1),refl(0),scalar(3;1,1,1;2,2,2)"))
+def test_every_spec_group_builds_with_scalar_free_transfers(case):
+    # every spec generator is a pure rotation, reflection or scalar, so the
+    # group is N x| D with D its scalar-free elements
+    n, spec = case
+    try:
+        group, _ = build_group(spec, n, cap=256)
+    except CapExceededError:
+        assume(False)
+    _assert_transfers_are_scalar_free(group)
+
+
+def test_every_dihedral_subgroup_builds_with_scalar_free_transfers():
+    for n in range(3, 11):
+        for key in subgroup_keys(n):
+            _assert_transfers_are_scalar_free(build_subgroup(n, *key)[1])
 
 
 @pytest.mark.parametrize(
@@ -568,24 +604,38 @@ def twisted_reflection_group():
             (3, "scalar(3;1,1,1;2,2,2)", 15),
             (3, "scalar(3;1,1,1;2,2,2),scalar(4;1,1,1;3,3,3)", 12),
         )
-    ]
-    + [
-        pytest.param(scalar_transfer_group, 5, id="scalar_transfers"),
-        pytest.param(twisted_reflection_group, 24, id="twisted_reflections"),
     ],
 )
 def test_scalar_blocks_match_the_row_engine(make, D):
-    # groups with scalars: the closed-form maps and their gains give
-    # the former row engine's rank, identity intersection and saturation
+    # groups with scalars: the closed-form maps give the former row
+    # engine's rank, identity intersection and saturation
     _compare_with_row_engine(make(), D)
 
 
 def test_membership_through_transfers_carrying_scalars():
-    group = scalar_transfer_group()
+    # a group with a coset of N, the vertex-fixing elements, holding no
+    # scalar-free element would need transfers carrying scalars: the ideal
+    # build refuses it, and so does the verdict
+    for make in (scalar_transfer_group, twisted_reflection_group):
+        group = make()
+        assert sum(g.m == 1 for g in group) * sum(not g.rot and not g.refl for g in group) < len(group)
+        with pytest.raises(ValueError, match="scalar-free element in every coset"):
+            IdealTruncation(group)
+        with pytest.raises(ValueError, match="scalar-free element in every coset"):
+            auslander_verdict(group.quiver.n, group, 4)
+
+
+@pytest.mark.parametrize("n, spec", [(3, "rot(1),refl(0),scalar(3;1,1,1;2,2,2)"), (4, "refl(1),scalar(4;1,2,3,1;3,2,1,3)")])
+def test_membership_through_relabelling_transfers(n, spec):
+    # groups with scalars whose orbit transfers are scalar-free elements
+    # moving vertices: p f_G (q # h) is a member, and conjugation by 1#t
+    # maps the representative's block onto block (i, j) and keeps the
+    # two-sided ideal, so x in (i, j) is a member exactly when
+    # (1#t^-1) x (1#t) is, which the representative's kernel decides alone
+    group = _smash_group((n, spec))
     q = group.quiver
     trunc = build_ideal(group, 5)
-    transfers = {t for p, t in trunc.pair_transfer.items() if p != trunc.pair_rep[p]}
-    assert len(group) == 256 and sum(group.elements[t].m != 1 for t in transfers) == 6
+    assert group.has_scalars and any(p != trunc.pair_rep[p] for p in trunc.pair_rep)
     f_g = SmashElement.group_sum(group)
     rng = random.Random(11)
     for _ in range(40):
@@ -595,62 +645,59 @@ def test_membership_through_transfers_carrying_scalars():
         right = SmashElement.from_algebra(group, AlgebraElement.monomial(q, qm), rng.randrange(len(group)))
         x = p * f_g * right
         assert not x.is_zero() and trunc.contains(x)
-    # Conjugation by 1#t maps the representative's block onto block (i, j)
-    # and keeps the two-sided ideal, so x in (i, j) is a member exactly when
-    # (1#t^-1) x (1#t) is, which the representative's kernel decides alone.
     one = AlgebraElement.one(q)
-    refused = 0
-    for _ in range(60):
+    refused = checked = 0
+    while checked < 60:
         d = rng.randint(1, 5)
         m1, g1 = rng.choice(nf_basis(q, d)), rng.randrange(len(group))
         pair = (m1.source, group.inverse_vertex_maps[g1][m1.target(q.n)])
         t = trunc.pair_transfer[pair]
-        if group.elements[t].m == 1:
+        if pair == trunc.pair_rep[pair]:
             continue
-        m2 = rng.choice([m for m in nf_basis(q, d) if m.source == pair[0]])
-        g2 = rng.choice([g for g, vm in enumerate(group.vertex_maps) if vm[pair[1]] == m2.target(q.n)])
+        # a second term of block (i, j): m1 is one candidate
+        m2, g2 = rng.choice([(m, g) for m in nf_basis(q, d) for g, vm in enumerate(group.vertex_maps) if m.source == pair[0] and vm[pair[1]] == m.target(q.n)])
         x = SmashElement(group, {(m1, g1): Fraction(rng.randint(1, 3)), (m2, g2): Fraction(rng.choice([-2, -1, 1]))})
         back = SmashElement.from_algebra(group, one, group.inverse[t]) * x * SmashElement.from_algebra(group, one, t)
         assert back.degree() == d and {(m.source, group.inverse_vertex_maps[g][m.target(q.n)]) for m, g in back.terms} == {trunc.pair_rep[pair]}
         member = trunc.contains(back)
         assert trunc.contains(x) == member
         refused += not member
+        checked += 1
     assert refused > 0
 
 
 def _pushed_rows(trunc, i, j, d):
     """The rows the build pushes into block (i, j) at degree d: the two
-    left sources, whose coordinate k goes to z^gains[k] e_mapping[k], then
-    the cut rows e_i f_G e_j' (m#1), each a sum of z^s e_p over the
-    representatives t."""
-    values = trunc._values
-    for source, mapping, gains in trunc._sources(i, j, d):
+    left sources, whose coordinate k goes to e_mapping[k], then the cut rows
+    e_i f_G e_j' (m#1), each a sum of e_p over the representatives t."""
+    one = trunc._values[0]
+    for source, mapping in trunc._sources(i, j, d):
         rows = (
             ({k: 1} for k in range(len(mapping)))
             if source.full
             else source.kernel.rows()
         )
         for row in rows:
-            yield {mapping[k]: c if gains is None else c * values[gains[k]] for k, c in row.items()}
-    for terms in trunc._cut_rows(i, j, d):
-        for x in range(len(terms[0][0])):
-            yield {pos[x]: values[s[x]] for pos, s in terms}
+            yield {mapping[k]: c for k, c in row.items()}
+    for runs in trunc._cut_rows(i, j, d):
+        for x in range(len(runs[0])):
+            yield {pos[x]: one for pos in runs}
 
 
 def _expanded_cut_rows(trunc, i, k, d):
     """The cut rows of block (i, k) at degree d, back in the coordinates
     (g, l): phi_(t, psi, l) = sum over h in N of psi(h) (t h, l).  Each row
     is a frozenset of ((g, l), exponent of z)."""
-    bc, K, table = trunc.block_coords(i, k, d), trunc._K, trunc.group.table
+    bc, table = trunc.block_coords(i, k, d), trunc.group.table
     at = {bc.start[g] + x: (g, bc.first[g] + x * bc.step) for g in bc.order for x in range(bc.count[g])}
     rows = set()
-    for terms in trunc._cut_rows(i, k, d):
-        for x in range(len(terms[0][0])):
+    for runs in trunc._cut_rows(i, k, d):
+        for x in range(len(runs[0])):
             row = set()
-            for pos, s in terms:
+            for pos in runs:
                 label, l = at[pos[x]]
                 t, psi = trunc._coset[label], trunc._chars[trunc._kth[label]]
-                row |= {((table[t][h], l), (s[x] + psi[p]) % K) for p, h in enumerate(trunc._normal)}
+                row |= {((table[t][h], l), psi[p]) for p, h in enumerate(trunc._normal)}
             rows.add(frozenset(row))
     return rows
 
@@ -662,7 +709,6 @@ def _expanded_cut_rows(trunc, i, k, d):
     + [
         lambda: dihedral_group(QuiverA(6)),
         minus_ones_group,
-        twisted_reflection_group,
         lambda: _smash_group((3, "rot(1),scalar(4;1,1,1;3,3,3)")),
         lambda: _smash_group((4, "refl(1),scalar(4;1,2,3,1;3,2,1,3)")),
     ],
@@ -919,6 +965,36 @@ def test_identity_chain_alone_gives_the_series(case):
     assert [both.identity_component_dim(d) for d in range(D + 1)] == dims
     for d in range(4):
         assert both.ideal_dimension(d) == naive_ideal_dimension(group, d)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(st.one_of(group_specs(), dihedral_specs()))
+@example((3, "rot(1),refl(0)"))
+@example((4, "rot(2),refl(0)"))
+@example((3, "rot(1),scalar(2;1,1,1;1,1,1)"))
+def test_identity_component_vanishes_exactly_when_its_chain_saturates(case):
+    # the lemma behind the third shortcut: at every degree up to the cutoff
+    # 4n + 4 the identity component is 0 exactly when every block of the
+    # identity chain is saturated, and no nonzero entry follows the first 0
+    n, spec = case
+    try:
+        group, _ = build_group(spec, n, cap=64)
+    except CapExceededError:
+        assume(False)
+    D = 4 * n + 4
+    trunc = build_ideal(group, D)
+    dims = [trunc.identity_component_dim(d) for d in range(D + 1)]
+    for d in range(D + 1):
+        saturated = all(trunc._layers[d][rep].full for rep in trunc._by_parity[d % trunc._chains])
+        assert (dims[d] == 0) == saturated, (spec, d)
+    if 0 in dims:
+        assert not any(dims[dims.index(0):])
 
 
 def test_extend_builds_the_identity_chain_only():
