@@ -471,15 +471,16 @@ def suite_structure(n: int, degree: int) -> list[tuple[str, bool, str]]:
     """Closed-form engine against the relation-ideal oracle."""
     q = QuiverA(n)
     oracle = RelationIdealOracle(q)
+    oracle.extend(degree)                 # refused up front over its label limit
     results = []
     dims_ok = all(oracle.dimension(d) == n * (d + 1) for d in range(degree + 1))
     results.append(("oracle dims equal n(d+1)", dims_ok, f"d <= {degree}"))
-    basis_ok = True
-    for d in range(degree + 1):
-        reps = {oracle.encode(w) for w in oracle.basis(d).basis_words}
-        nf = {oracle.encode(m.word(q)) for m in nf_basis(q, d)}
-        if reps != nf:
-            basis_ok = False
+    # The canonical monomial (i, d - k, k), d - k nonstars then k stars,
+    # has the code i 2^d + 2^k - 1; in source-major order these increase.
+    basis_ok = all(
+        oracle.minima(d) == [(i << d) + (1 << k) - 1 for i in range(n) for k in range(d + 1)]
+        for d in range(degree + 1)
+    )
     results.append(("canonical monomials are the oracle basis", basis_ok, ""))
     prod_ok = True
     rep = hilbert(q, min(degree, 10), oracle)
@@ -501,6 +502,7 @@ def suite_structure(n: int, degree: int) -> list[tuple[str, bool, str]]:
 
 
 def suite_orbits(n: int, degree: int) -> list[tuple[str, bool, str]]:
+    check_basis_size(n, degree)           # the orbits cover the monomials the basis covers
     q = QuiverA(n)
     dn = dihedral_group(q)
     results = []
@@ -551,7 +553,7 @@ def suite_smash(n: int, degree: int) -> list[tuple[str, bool, str]]:
     rows = naive_row_count(n, 2 * n, small)
     if rows > NAIVE_ROW_LIMIT:
         fits = [d for d in range(small) if naive_row_count(n, 2 * n, d) <= NAIVE_ROW_LIMIT]
-        raise ValueError(
+        raise MemoryError(
             f"the naive spanning set of D_{n} through degree {small} has {rows} rows, "
             f"over the limit of {NAIVE_ROW_LIMIT}; "
             + (f"the largest --degree that fits is {fits[-1]}" if fits else f"no --degree fits at n = {n}")
@@ -586,7 +588,10 @@ SUITES = {
 def cmd_verify(args) -> int:
     started = time.monotonic()
     degree = _default_degree(args.degree, 8)
-    results = SUITES[args.suite](args.n, degree)
+    try:
+        results = SUITES[args.suite](args.n, degree)
+    except MemoryError as exc:
+        raise MemoryError(f"verify --suite {args.suite}: {exc}") from exc
     payload = {
         "suite": args.suite,
         "n": args.n,

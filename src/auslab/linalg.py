@@ -1,24 +1,25 @@
 """Sparse exact row spans.
 
-Rows are dicts from coordinate index to coefficient.  Three kernels share
-one interface (`insert`, `rank`, `contains`, `lead_count_at_least`):
+Rows are dicts from ordered keys to coefficients: integer positions, or
+any mutually comparable keys such as `NFMonomial`s.  `rank(rows)`, one
+`FieldEchelon`, is the only rank asked for outside the smash ideal's
+partitions: the invariant-ring checks, the naive spanning set and the one
+elimination `image_rank` cannot count.  Three kernels share one interface
+(`insert`, `rank`, `contains`, `lead_count_at_least`):
 
   * `FieldEchelon`, an echelon basis with leading coefficients normalized
     to one, for rational or cyclotomic rows;
-  * `IntEchelon`, fraction-free elimination on primitive integer rows;
+  * `IntEchelon`, fraction-free elimination on primitive integer rows, the
+    tests' reference for the partitions;
   * `SignedPartition`, the span of unit rows e_a and binomials
     e_a - z^s e_b, z a primitive K-th root of unity, kept as a gain graph
     with gains stored as exponents mod K (K = 2: signs +-1).
 
 `SignedPartition` builds every block of the smash ideal: it `absorb`s
-another partition's span through an injective index map with a gain per
-coordinate, reports `live`, the dimension left outside the span, and the
-rank of a few sums of coordinates in the quotient (`image_rank`); a row's
-membership is a sum of coefficients times roots of unity per live root
-(`vanishes`).
-`FieldEchelon` serves the invariant rings, the naive spanning-set check
-and the one elimination `image_rank` cannot count; `IntEchelon` is the
-tests' reference for the partitions.
+another partition's span through an injective relabelling, reports `live`,
+the dimension left outside the span, and the rank of a few sums of
+coordinates in the quotient (`image_rank`); a row's membership is a sum of
+coefficients times roots of unity per live root (`vanishes`).
 
 Echelon pivots are leftmost nonzero coordinates, so any row whose pivot
 falls in a suffix of the coordinate order has its whole support in that
@@ -32,6 +33,14 @@ from fractions import Fraction
 from math import gcd
 
 SIGNS = (1, -1)
+
+
+def rank(rows) -> int:
+    """Rank of rational or cyclotomic rows, dicts from mutually ordered keys."""
+    echelon = FieldEchelon()
+    for row in rows:
+        echelon.insert(row)
+    return echelon.rank
 
 
 class IntEchelon:
@@ -296,7 +305,7 @@ class SignedPartition:
         """Rank of the images in the quotient of the `count` rows
         sum_(s in starts) e_(s + x), x = 0..count-1.  When every image meets
         one root, or no root is met by two images, the rank is a count;
-        otherwise the images are eliminated in a `FieldEchelon`."""
+        otherwise it is their `rank`."""
         root, dead, values = self.root, self.dead, self.values
         if len(starts) == 1:
             s = starts[0]
@@ -314,8 +323,7 @@ class SignedPartition:
             return len(set(met))
         if len(set(met)) == len(met):
             return len(images)
-        echelon = FieldEchelon()
-        return sum(echelon.insert(image) for image in images)
+        return rank(images)
 
     def lead_count_at_least(self, threshold: int) -> int:
         """Dimension of the span's intersection with the coordinates from

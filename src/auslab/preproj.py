@@ -343,13 +343,16 @@ class RelationIdealOracle:
 
     # -- queries ---------------------------------------------------------------
 
-    def dimension(self, d: int) -> int:
+    def minima(self, d: int) -> list[int]:
+        """The codes of the class minima of degree d, in increasing order."""
         self.extend(d)
-        return len(self._mins[d])
+        return self._mins[d]
+
+    def dimension(self, d: int) -> int:
+        return len(self.minima(d))
 
     def basis(self, d: int) -> DegreeSubspace:
-        self.extend(d)
-        reps = self._mins[d]
+        reps = self.minima(d)
         return DegreeSubspace(
             degree=d,
             dimension=len(reps),

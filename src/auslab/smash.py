@@ -55,7 +55,7 @@ Rank is read off the partition.  The identity coordinates are
 (1, l) = |N|^-1 sum_psi phi_(1, psi, l), so the identity intersection is
 their number minus the rank of their images in the quotient; that rank is
 a count unless two images meet a common root, and only then is it found by
-a small `FieldEchelon`, the one field elimination left.  Membership writes
+`linalg.rank`, the one field elimination left.  Membership writes
 an element's coordinates in character coordinates and checks that its
 image in the quotient vanishes: a sum of coefficients times roots of unity
 per live root (`SignedPartition.vanishes`).
@@ -78,7 +78,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .linalg import FieldEchelon, SignedPartition
+from .linalg import SignedPartition, rank
 from .preproj import AlgebraElement, NFMonomial
 from .quiver import QuiverA
 from .scalars import root_powers
@@ -286,38 +286,32 @@ class IdealTruncation:
         self._labels: dict[int, list[int]] = {}
         self._cut_reps: dict[int, dict[int, list[int]]] = {}
         self._projections: dict[tuple[tuple[int, int], int, int], dict] = {}
-        self._orbit_setup()
         self._character_setup()
+        self._orbit_setup()
 
     # -- diagonal orbit structure ------------------------------------------
 
     def _orbit_setup(self) -> None:
-        n, group = self.n, self.group
-        pairs = [(i, j) for i in range(n) for j in range(n)]
+        """Pairs are met in lexicographic order, so the first one not yet
+        seen is the least of its orbit, its representative.  N fixes every
+        vertex, so the scalar-free elements, one per coset, reach every
+        image; the first to reach a pair, in index order, is its transfer."""
+        n, vertex_maps = self.n, self.group.vertex_maps
         self.pair_rep: dict[tuple[int, int], tuple[int, int]] = {}
         self.pair_transfer: dict[tuple[int, int], int] = {}
-        self.orbit_reps: list[tuple[int, int]] = []
         self.orbit_sizes: dict[tuple[int, int], int] = {}
-        seen = set()
-        for start in pairs:
-            if start in seen:
+        for rep in ((i, j) for i in range(n) for j in range(n)):
+            if rep in self.pair_rep:
                 continue
-            rep = min(
-                (group.vertex_maps[gi][start[0]], group.vertex_maps[gi][start[1]])
-                for gi in range(len(group))
-            )
             orbit = {}
-            for gi in range(len(group)):
-                vm = group.vertex_maps[gi]
-                p = (vm[rep[0]], vm[rep[1]])
-                if p not in orbit:
-                    orbit[p] = gi
-            for p, gi in orbit.items():
+            for t in self._reps:
+                vm = vertex_maps[t]
+                orbit.setdefault((vm[rep[0]], vm[rep[1]]), t)
+            for p, t in orbit.items():
                 self.pair_rep[p] = rep
-                self.pair_transfer[p] = gi
-                seen.add(p)
-            self.orbit_reps.append(rep)
+                self.pair_transfer[p] = t
             self.orbit_sizes[rep] = len(orbit)
+        self.orbit_reps: list[tuple[int, int]] = list(self.orbit_sizes)
         # Conjugation keeps the parity of j - i when n is even; the blocks of
         # chain c at degree d are those of _by_parity[(c + d) % _chains].
         self._by_parity = [[(i, j) for i, j in self.orbit_reps if (j - i) % self._chains == p] for p in range(self._chains)]
@@ -651,24 +645,16 @@ def naive_ideal_dimension(group: FiniteGroup, d: int) -> int:
 
     q = group.quiver
     f_g = SmashElement.group_sum(group)
-    coords: dict[tuple[NFMonomial, int], int] = {}
-    for gi in range(len(group)):
-        for m in nf_basis(q, d):
-            coords[(m, gi)] = len(coords)
-    echelon = FieldEchelon()
-    for a in range(d + 1):
-        for p in nf_basis(q, a):
-            left = SmashElement.from_algebra(group, AlgebraElement.monomial(q, p))
-            pf = left * f_g
-            for qm in nf_basis(q, d - a):
-                for hi in range(len(group)):
-                    v = pf * SmashElement.from_algebra(
-                        group, AlgebraElement.monomial(q, qm), hi
-                    )
-                    row = {coords[t]: Fraction(c) if isinstance(c, int) else c for t, c in v.terms.items()}
-                    if row:
-                        echelon.insert(row)
-    return echelon.rank
+
+    def rows():
+        for a in range(d + 1):
+            for p in nf_basis(q, a):
+                pf = SmashElement.from_algebra(group, AlgebraElement.monomial(q, p)) * f_g
+                for qm in nf_basis(q, d - a):
+                    for hi in range(len(group)):
+                        yield (pf * SmashElement.from_algebra(group, AlgebraElement.monomial(q, qm), hi)).terms
+
+    return rank(rows())
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .preproj import AlgebraElement, NFMonomial
@@ -188,11 +188,13 @@ def reflection(q: QuiverA, j: int = 0) -> Automorphism:
 
 def scalar_powers(q: QuiverA, m: int, e: Sequence[int], e_star: Sequence[int]) -> Automorphism:
     """The vertex-fixing automorphism scaling alpha_i by zeta_m^e[i] and
-    alpha_i* by zeta_m^e_star[i]."""
+    alpha_i* by zeta_m^e_star[i], written over its true order m / g, g the
+    gcd of m and the exponents: zeta_m^(gk) = zeta_(m/g)^k."""
     if len(e) != q.n or len(e_star) != q.n:
         raise ValueError(f"need one scalar per arrow family ({q.n} each)")
-    e, e_star = tuple(k % m for k in e), tuple(k % m for k in e_star)
-    return Automorphism(q, 0, False, m if any(e + e_star) else 1, e, e_star)
+    g = gcd(m, *e, *e_star)
+    m //= g
+    return Automorphism(q, 0, False, m, tuple(k // g % m for k in e), tuple(k // g % m for k in e_star))
 
 
 # -- validation ----------------------------------------------------------------
@@ -341,10 +343,18 @@ def generate_group(generators: Sequence[Automorphism], cap: int = 512) -> Finite
     """Closure of the generators under composition, capped to guard against
     runaway inputs.  Each generator is validated, and all are first written
     over the lcm M of their conductors, so every scalar of the group lies in
-    Q or Q(zeta_M)."""
+    Q or Q(zeta_M).  The vertex-fixing generators span an abelian group whose
+    exponent, the lcm of their orders, divides |G|, so an lcm over the cap is
+    refused before validation builds Q(zeta_m) for any m."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator (the identity for the trivial group)")
+    scalar_order = lcm(*(g.m // gcd(g.m, *g.e, *g.e_star) for g in gens if not g.rot and not g.refl))
+    if scalar_order > cap:
+        raise CapExceededError(
+            f"group closure exceeded cap {cap}: the group's order is over the limit of {cap} elements, "
+            f"as its vertex-fixing generators have orders of lcm {scalar_order}"
+        )
     for g in gens:
         validate(g)
     conductor = lcm(*(g.m for g in gens))

@@ -688,3 +688,65 @@ def test_group_order_cap_names_the_order(capsys):
     assert main(["invariants", "--n", "5000", "--group", "rot(1),refl(0)", "--degree", "1"]) == 1
     err = capsys.readouterr().err
     assert "exceeded cap 4096" in err and "order is over the limit of 4096" in err and "infinite" not in err
+
+
+def test_scalar_order_over_the_cap_is_refused_at_once(tmp_path, capsys):
+    # the group has order 65536, over the cap: refused before Q(zeta_65536)
+    # is built
+    started = time.monotonic()
+    assert main(["auslander", "--n", "3", "--group", "scalar(65536;1,1,1;65535,65535,65535)", "--out", str(tmp_path)]) == 1
+    assert time.monotonic() - started < 1
+    assert "exceeded cap 4096" in capsys.readouterr().err and not list(tmp_path.iterdir())
+
+
+def test_scalar_term_answers_at_its_true_order(tmp_path):
+    # scalar(2;1,1,1;1,1,1) written over 65536: its payload but for the label
+    spec = "scalar(65536;32768,32768,32768;32768,32768,32768)"
+    started = time.monotonic()
+    assert main(["auslander", "--n", "3", "--group", spec, "--out", str(tmp_path)]) == 0
+    assert time.monotonic() - started < 1
+    payload = json.loads((tmp_path / "auslander_n3.json").read_text())["payload"]
+    assert main(["auslander", "--n", "3", "--group", "scalar(2;1,1,1;1,1,1)", "--out", str(tmp_path)]) == 0
+    expected = json.loads((tmp_path / "auslander_n3.json").read_text())["payload"]
+    assert payload.pop("group") == spec and expected.pop("group") == "scalar(2;1,1,1;1,1,1)"
+    assert payload == expected and payload["group_order"] == 2
+
+
+def _verify(tmp_path, suite, n, degree):
+    started = time.monotonic()
+    code = main(["verify", "--suite", suite, "--n", str(n), "--degree", str(degree), "--out", str(tmp_path)])
+    return code, time.monotonic() - started
+
+
+@pytest.mark.parametrize(
+    "suite, n, degree, limit",
+    [
+        ("structure", 3, 408, "ORACLE_LABEL_LIMIT"),
+        ("orbits", 3, 446, "INVARIANT_TERM_LIMIT"),
+        ("orbits", 3, 1000, "INVARIANT_TERM_LIMIT"),
+        ("relations", 3, 171, "RELATION_STEP_LIMIT"),
+        ("relations", 4, 104, "RELATION_STEP_LIMIT"),     # even n counts twice the products
+        ("relations", 4, 300, "RELATION_STEP_LIMIT"),
+    ],
+)
+def test_verify_suites_are_refused_up_front(tmp_path, capsys, suite, n, degree, limit):
+    from auslab import invariants, preproj
+
+    value = getattr(invariants, limit, None) or getattr(preproj, limit)
+    code, elapsed = _verify(tmp_path, suite, n, degree)
+    assert code == 1 and elapsed < 1
+    err = capsys.readouterr().err
+    assert f"verify --suite {suite}:" in err and f"n = {n}" in err and f"degree {degree}" in err
+    assert f"limit of {value}" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "suite, n, degree, seconds",
+    [("structure", 3, 400, 5), ("structure", 3, 407, 5), ("orbits", 3, 445, 10), ("relations", 3, 170, 10)],
+)
+def test_verify_suites_run_at_the_sizes_their_limits_allow(tmp_path, suite, n, degree, seconds):
+    code, elapsed = _verify(tmp_path, suite, n, degree)
+    assert code == 0 and elapsed < seconds
+    payload = json.loads((tmp_path / f"verify_{suite}_n{n}.json").read_text())["payload"]
+    assert payload["degree"] == degree and all(check["ok"] for check in payload["checks"])

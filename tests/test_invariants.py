@@ -33,6 +33,7 @@ from auslab.symmetry import (
     build_subgroup,
     dihedral_group,
     generate_group,
+    rotation,
     scalar_powers,
     subgroup_keys,
     w_subgroup,
@@ -208,6 +209,19 @@ def test_free_module_reflection_subgroup():
     q = QuiverA(4)
     checks = verify_free_module(w_subgroup(q), 8)
     assert all(c.ok for c in checks)
+
+
+def test_checks_report_the_ranks_where_they_fail():
+    # R is not free on {e_i, alpha_i} over the invariants of the rotations,
+    # and s1, s2 do not span them: the failures carry the ranks found
+    q = QuiverA(4)
+    rotations = generate_group([rotation(q, 1)])
+    checks = verify_free_module(rotations, 2)
+    assert [c.ok for c in checks] == [True, False, False]
+    assert checks[1].detail == "rank 8, direct-sum count 12, expected 8"
+    rep = verify_presentation_dihedral(4, 2, invariant_basis(rotations, 2))
+    assert not rep.ok and rep.bijective_through == 0
+    assert rep.failures[0] == "degree 1: image rank 1, free dim 1, invariant dim 2, series 1"
 
 
 def test_shift_summand():

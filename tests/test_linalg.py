@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from auslab.linalg import FieldEchelon, IntEchelon, SignedPartition
-from auslab.scalars import root_powers
+from auslab.linalg import FieldEchelon, IntEchelon, SignedPartition, rank
+from auslab.preproj import NFMonomial
+from auslab.scalars import get_context, root_powers
 
 
 def test_int_echelon_rank_and_membership():
@@ -189,3 +191,58 @@ def test_image_rank_is_the_rank_the_sums_add(rows, runs, m):
     for x in range(count):
         ech.insert({s + x: values[0] for s in starts})
     assert part.image_rank(starts, count) == ech.rank - base
+
+
+@st.composite
+def keyed_rows(draw):
+    """(rows, keys, m): rows over up to 8 keys, NFMonomials or
+    (NFMonomial, element index) pairs, with rational entries (m = 1) or
+    entries in Q(zeta_m); a third of them combine two earlier rows, so the
+    rank often falls short of the number of rows."""
+    m = draw(st.sampled_from([1, 3, 4, 5]))
+    monomials = st.builds(NFMonomial, st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+    key = st.tuples(monomials, st.integers(0, 5)) if draw(st.booleans()) else monomials
+    keys = draw(st.lists(key, min_size=1, max_size=8, unique=True))
+    fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if m == 1:
+        entry = fraction
+    else:
+        ctx = get_context(m)
+        entry = st.lists(fraction, min_size=1, max_size=ctx.degree).map(ctx.from_coeffs)
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        if len(rows) >= 2 and draw(st.integers(0, 2)) == 0:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ca, cb = draw(entry), draw(entry)
+            row = {k: ca * a.get(k, 0) + cb * b.get(k, 0) for k in keys}
+        else:
+            row = draw(st.dictionaries(st.sampled_from(keys), entry, max_size=len(keys)))
+        rows.append({k: c for k, c in row.items() if c})
+    return rows, keys, m
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=keyed_rows(), data=st.data())
+def test_rank_does_not_depend_on_how_keys_are_named(case, data):
+    # the rank of rows keyed by NFMonomials or (NFMonomial, int) pairs is
+    # the rank of the same rows re-keyed by integer positions, in any order
+    rows, keys, m = case
+    position = dict(zip(keys, data.draw(st.permutations(range(len(keys))))))
+    got = rank(rows)
+    assert got == rank({position[k]: c for k, c in row.items()} for row in rows)
+    assert got <= min(len(rows), len(keys))
+    if m == 1:
+        # and, over Q, the rank of the integer rows a fraction-free echelon finds
+        ints = IntEchelon()
+        for row in rows:
+            den = lcm(1, *(c.denominator for c in row.values()))
+            ints.insert({position[k]: int(c * den) for k, c in row.items()})
+        assert got == ints.rank
+
+
+def test_rank_of_rows_keyed_by_monomials():
+    a, b, c = NFMonomial(0, 1, 0), NFMonomial(0, 0, 1), NFMonomial(1, 1, 0)
+    rows = [{a: 1, b: 2}, {a: Fraction(1, 2), b: 1}, {c: 3}, {}]
+    assert rank(rows) == 2
+    assert rank([{(a, 0): 1}, {(a, 1): 1}, {(a, 0): 1, (a, 1): -1}]) == 2
+    assert rank([]) == 0

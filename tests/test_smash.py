@@ -590,6 +590,47 @@ def test_every_dihedral_subgroup_builds_with_scalar_free_transfers():
             _assert_transfers_are_scalar_free(build_subgroup(n, *key)[1])
 
 
+def _assert_orbits_are_those_of_all_of_g(group):
+    # walking the scalar-free elements finds what walking all of G finds:
+    # each representative is the least pair of its orbit, the orbit sizes
+    # sum to n^2, and each transfer is the first element of G, in index
+    # order, carrying the representative to the pair
+    n, vertex_maps = group.quiver.n, group.vertex_maps
+    trunc = IdealTruncation(group)
+    assert len(trunc.pair_rep) == n * n and sum(trunc.orbit_sizes.values()) == n * n
+    assert trunc.orbit_reps == sorted(trunc.orbit_sizes)
+    for pair, rep in trunc.pair_rep.items():
+        orbit = {(vm[pair[0]], vm[pair[1]]) for vm in vertex_maps}
+        assert rep == min(orbit) and trunc.orbit_sizes[rep] == len(orbit)
+        reaching = [gi for gi, vm in enumerate(vertex_maps) if (vm[rep[0]], vm[rep[1]]) == pair]
+        assert trunc.pair_transfer[pair] == reaching[0]
+
+
+def test_orbits_of_every_dihedral_subgroup_are_those_of_the_whole_group():
+    for n in range(3, 13):
+        for key in subgroup_keys(n):
+            _assert_orbits_are_those_of_all_of_g(build_subgroup(n, *key)[1])
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(group_specs())
+@example((4, "rot(1),refl(0),scalar(4;1,2,3,1;3,2,1,3)"))
+@example((6, "rot(2),refl(1),scalar(3;1,1,1,1,1,1;2,2,2,2,2,2)"))
+def test_orbits_of_every_spec_group_are_those_of_the_whole_group(case):
+    n, spec = case
+    try:
+        group, _ = build_group(spec, n, cap=256)
+    except CapExceededError:
+        assume(False)
+    _assert_orbits_are_those_of_all_of_g(group)
+
+
 @pytest.mark.parametrize(
     "make, D",
     [

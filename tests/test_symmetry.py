@@ -158,6 +158,32 @@ def test_validate_accepts_constant_product_scalars():
     assert v.kind == "scalar_diag" and v.omega == 1
 
 
+def test_scalar_terms_are_written_at_their_true_order():
+    q = QuiverA(3)
+    assert scalar_powers(q, 4, (2,) * 3, (2,) * 3) == scalar_powers(q, 2, (1,) * 3, (1,) * 3)
+    assert scalar_powers(q, 65536, (32768,) * 3, (-32768,) * 3) == scalar_powers(q, 2, (1,) * 3, (1,) * 3)
+    assert scalar_powers(q, 6, [2, 4, 0], [4, 2, 0]) == scalar_powers(q, 3, [1, 2, 0], [2, 1, 0])
+    assert scalar_powers(q, 8, [0] * 3, [8] * 3) == identity_automorphism(q)
+    # exponents sharing no factor with m keep it
+    assert scalar_powers(q, 4, [1, 2, 1], [3, 2, 3]).m == 4
+
+
+def test_scalar_order_over_the_cap_is_refused_before_validation(monkeypatch):
+    q = QuiverA(3)
+    zeta8 = scalar_powers(q, 8, [1] * 3, [7] * 3)
+    assert len(generate_group([zeta8, rotation(q, 1)], cap=24)) == 24
+    # the lcm of the vertex-fixing generators' orders bounds the order from
+    # below, so it is checked before `validate` builds any field
+    monkeypatch.setattr("auslab.symmetry.validate", lambda g: pytest.fail("validated past the cap"))
+    with pytest.raises(CapExceededError, match="exceeded cap 7"):
+        generate_group([zeta8], cap=7)
+    with pytest.raises(CapExceededError, match="exceeded cap 4096.*lcm 65536"):
+        generate_group([scalar_powers(q, 65536, [1] * 3, [65535] * 3), rotation(q, 1)], cap=4096)
+    zeta5 = scalar_powers(q, 5, [1] * 3, [4] * 3)
+    with pytest.raises(CapExceededError, match="lcm 40"):
+        generate_group([zeta8, zeta5], cap=39)
+
+
 def test_group_law_sanity():
     for n in (3, 4, 5):
         q = QuiverA(n)
