@@ -502,7 +502,9 @@ def suite_structure(n: int, degree: int) -> list[tuple[str, bool, str]]:
 
 
 def suite_orbits(n: int, degree: int) -> list[tuple[str, bool, str]]:
-    check_basis_size(n, degree)           # the orbits cover the monomials the basis covers
+    # The orbits cover the monomials a basis covers; for even n the parity
+    # orbits of W are walked as well.
+    check_basis_size(n, degree, walks=2 - n % 2)
     q = QuiverA(n)
     dn = dihedral_group(q)
     results = []

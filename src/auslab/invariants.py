@@ -115,10 +115,10 @@ INVARIANT_TERM_LIMIT = 300_000
 INVARIANT_WALK_LIMIT = 1_000_000
 
 
-def check_basis_size(n: int, D: int) -> None:
-    """Refuse a basis through degree D that may hold more than
-    INVARIANT_TERM_LIMIT terms, before any work."""
-    terms = n * (D + 1) * (D + 2) // 2
+def check_basis_size(n: int, D: int, walks: int = 1) -> None:
+    """Refuse `walks` bases through degree D that together may hold more
+    than INVARIANT_TERM_LIMIT terms, before any work."""
+    terms = walks * n * (D + 1) * (D + 2) // 2
     if terms > INVARIANT_TERM_LIMIT:
         raise MemoryError(
             f"invariants at n = {n} through degree {D} may hold {terms} basis terms, "
@@ -172,7 +172,7 @@ def invariant_basis(group: FiniteGroup, D: int) -> InvariantBasis:
     the terms of contributing orbits become field values, `root(m, k)`."""
     q, n, elements = group.quiver, group.quiver.n, group.elements
     check_basis_size(n, D)
-    fixing = sum(1 for g in elements if not g.rot and not g.refl)
+    fixing = len(group.vertex_fixing)
     walk = fixing * n * (D + 1) * (D + 2) // 2
     if walk > INVARIANT_WALK_LIMIT:
         raise MemoryError(
@@ -503,8 +503,10 @@ def verify_free_module(group: FiniteGroup, D: int, basis: InvariantBasis | None 
 
 def verify_shift_summand(group: FiniteGroup, D: int, basis: InvariantBasis | None = None) -> list[ModuleCheck]:
     """Witness the degree-shift isomorphism e_0 R^G -> alpha_{n-1} R^G given
-    by left multiplication with alpha_{n-1} (injective in every degree, onto
-    by construction): the endomorphism ring of R over R^G therefore contains
+    by left multiplication with alpha_{n-1}: for every basis vector v it
+    sends each term (0, l, k) of e_0 v to (n-1, l+1, k) with the same
+    coefficient, so it is injective in every degree, and onto by
+    construction.  The endomorphism ring of R over R^G therefore contains
     a map of negative degree."""
     q = group.quiver
     n = q.n
@@ -513,8 +515,11 @@ def verify_shift_summand(group: FiniteGroup, D: int, basis: InvariantBasis | Non
     alpha = AlgebraElement.arrow(q, n - 1)
     out = []
     for d in range(D + 1):
-        dom = rank((e0 * v).terms for v in basis.vectors[d])
-        img = rank((alpha * v).terms for v in basis.vectors[d])
-        ok = dom == img
-        out.append(ModuleCheck(d, ok, "" if ok else f"domain rank {dom} != image rank {img}"))
+        vectors = basis.vectors[d]
+        bad = sum(
+            (alpha * v).terms != {NFMonomial(n - 1, m.nonstars + 1, m.stars): c for m, c in (e0 * v).terms.items()}
+            for v in vectors
+        )
+        detail = f"alpha_{n - 1} v is not the shift of e_0 v for {bad} of {len(vectors)} basis vectors"
+        out.append(ModuleCheck(d, not bad, detail if bad else ""))
     return out

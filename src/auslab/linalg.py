@@ -4,8 +4,7 @@ Rows are dicts from ordered keys to coefficients: integer positions, or
 any mutually comparable keys such as `NFMonomial`s.  `rank(rows)`, one
 `FieldEchelon`, is the only rank asked for outside the smash ideal's
 partitions: the invariant-ring checks, the naive spanning set and the one
-elimination `image_rank` cannot count.  Three kernels share one interface
-(`insert`, `rank`, `contains`, `lead_count_at_least`):
+elimination `image_rank` cannot count.  The kernels:
 
   * `FieldEchelon`, an echelon basis with leading coefficients normalized
     to one, for rational or cyclotomic rows;
@@ -15,16 +14,12 @@ elimination `image_rank` cannot count.  Three kernels share one interface
     e_a - z^s e_b, z a primitive K-th root of unity, kept as a gain graph
     with gains stored as exponents mod K (K = 2: signs +-1).
 
-`SignedPartition` builds every block of the smash ideal: it `absorb`s
-another partition's span through an injective relabelling, reports `live`,
-the dimension left outside the span, and the rank of a few sums of
-coordinates in the quotient (`image_rank`); a row's membership is a sum of
-coefficients times roots of unity per live root (`vanishes`).
-
-Echelon pivots are leftmost nonzero coordinates, so any row whose pivot
-falls in a suffix of the coordinate order has its whole support in that
-suffix; intersections with a coordinate suffix are read straight off the
-pivot positions.
+`SignedPartition` builds every block of the smash ideal: it takes unit rows
+(`kill`) and binomials (`join`), `absorb`s another partition's span through
+an injective relabelling, reports `live`, the dimension left outside the
+span, and the rank of a few sums of coordinates in the quotient
+(`image_rank`); a row's membership is a sum of coefficients times roots of
+unity per live root (`vanishes`).
 """
 
 from __future__ import annotations
@@ -93,12 +88,6 @@ class IntEchelon:
         self.pivots[lead] = {k: c // content for k, c in v.items()}
         return True
 
-    def contains(self, row: dict[int, int]) -> bool:
-        return not self.residue(row)
-
-    def lead_count_at_least(self, threshold: int) -> int:
-        return sum(1 for lead in self.pivots if lead >= threshold)
-
 
 class FieldEchelon:
     """Echelon basis over a field; rows normalized to leading coefficient 1."""
@@ -142,12 +131,6 @@ class FieldEchelon:
         inv = Fraction(1) / c if isinstance(c, (int, Fraction)) else c.inverse()
         self.pivots[lead] = {k: inv * c for k, c in v.items()}
         return True
-
-    def contains(self, row: dict[int, object]) -> bool:
-        return not self.residue(row)
-
-    def lead_count_at_least(self, threshold: int) -> int:
-        return sum(1 for lead in self.pivots if lead >= threshold)
 
 
 class SignedPartition:
@@ -214,21 +197,6 @@ class SignedPartition:
             dead.add(rb)
         self.live -= 1
 
-    def insert(self, row: dict[int, object]) -> bool:
-        """Add a unit row, or a binomial whose two coefficients are equal or
-        opposite; returns whether the rank grew.  Any other shape raises
-        ValueError."""
-        terms = [(k, c) for k, c in row.items() if c]
-        live = self.live
-        if len(terms) == 1:
-            self.kill(terms[0][0])
-        elif len(terms) == 2 and terms[0][1] in (terms[1][1], -terms[1][1]):
-            (a, ca), (b, cb) = terms
-            self.join(a, b, self.K // 2 if ca == cb else 0)
-        elif terms:
-            raise ValueError(f"row {row} is neither a unit nor a signed binomial")
-        return self.live < live
-
     def absorb(self, mapping: list[int], source: "SignedPartition | None") -> None:
         """Add the image of `source`'s span under the injective relabelling
         sending source coordinate e_x to e_mapping[x]; a None source spans its
@@ -266,16 +234,6 @@ class SignedPartition:
         for r in source.dead:
             self.kill(mapping[r])
 
-    def rows(self):
-        """A basis of the span: e_k - z^gain[k] e_root[k] for every non-root
-        k, and e_r for every dead root r."""
-        values = self.values
-        for k, (r, s) in enumerate(zip(self.root, self.gain)):
-            if r != k:
-                yield {k: values[0], r: -values[s]}
-        for r in sorted(self.dead):
-            yield {r: values[0]}
-
     def reduce(self, terms) -> list[tuple[int, int]]:
         """z^s e_k for the (k, s) in `terms`, in the quotient: a list of
         (live root, exponent) pairs, the dead components dropped."""
@@ -295,11 +253,6 @@ class SignedPartition:
         for (r, s), c in per_pair.items():
             acc[r] = acc.get(r, 0) + c * values[s]
         return not any(acc.values())
-
-    def contains(self, row: dict[int, object]) -> bool:
-        """A row lies in the span exactly when, for every live root, its
-        gain-weighted coefficient sum over that root's component is 0."""
-        return self.vanishes((c, self.reduce([(k, 0)])) for k, c in row.items())
 
     def image_rank(self, starts: list[int], count: int) -> int:
         """Rank of the images in the quotient of the `count` rows
@@ -324,9 +277,3 @@ class SignedPartition:
         if len(set(met)) == len(met):
             return len(images)
         return rank(images)
-
-    def lead_count_at_least(self, threshold: int) -> int:
-        """Dimension of the span's intersection with the coordinates from
-        `threshold` on, as for the echelon kernels."""
-        count = len(self.root) - threshold
-        return count - self.image_rank([threshold], count)

@@ -68,13 +68,6 @@ class NFMonomial(NamedTuple):
         return f"m({self.source};{self.nonstars},{self.stars})"
 
 
-def normal_form(q: QuiverA, w: Word) -> NFMonomial:
-    """Canonical form of a composable word: exhaustive rewriting preserves
-    the source and the two arrow counts and never kills a word."""
-    stars = sum(1 for a in w.arrows if a.starred)
-    return NFMonomial(w.source % q.n, len(w.arrows) - stars, stars)
-
-
 def nf_basis(q: QuiverA, d: int) -> list[NFMonomial]:
     """The n*(d+1) canonical monomials of degree d, source-major."""
     return [
@@ -145,11 +138,6 @@ class AlgebraElement:
             return AlgebraElement.zero(self.quiver)
         return AlgebraElement(self.quiver, {m: c * v for m, v in self.terms.items()})
 
-    def __rmul__(self, c):
-        if isinstance(c, AlgebraElement):
-            return NotImplemented
-        return self.scale(c)
-
     # -- ring structure ------------------------------------------------------
 
     def __mul__(self, other):
@@ -176,28 +164,15 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int | None:
-        """Common degree of all terms, None for 0 or mixed-degree elements."""
-        degs = {m.degree for m in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def sorted_terms(self) -> list[tuple[NFMonomial, object]]:
-        return sorted(self.terms.items(), key=lambda t: t[0])
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self.quiver == other.quiver and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.quiver.n, tuple(self.sorted_terms())))
-
     def __str__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*{m}" for m, c in self.sorted_terms())
+        return " + ".join(f"{c}*{m}" for m, c in sorted(self.terms.items()))
 
     __repr__ = __str__
 
@@ -209,14 +184,6 @@ class AlgebraElement:
 # ---------------------------------------------------------------------------
 # The relation-ideal oracle
 # ---------------------------------------------------------------------------
-
-
-class DegreeSubspace(NamedTuple):
-    """Row-reduced picture of one free degree component modulo the ideal."""
-
-    degree: int
-    dimension: int
-    basis_words: list[Word]            # complement basis, monomial order
 
 
 @dataclass
@@ -351,14 +318,6 @@ class RelationIdealOracle:
     def dimension(self, d: int) -> int:
         return len(self.minima(d))
 
-    def basis(self, d: int) -> DegreeSubspace:
-        reps = self.minima(d)
-        return DegreeSubspace(
-            degree=d,
-            dimension=len(reps),
-            basis_words=[self.decode(d, r) for r in reps],
-        )
-
     def reduce_word(self, w: Word) -> int:
         """Position of the class of `w` in the complement basis."""
         d = len(w.arrows)
@@ -369,9 +328,6 @@ class RelationIdealOracle:
         c = self.reduce_word(w)
         d = len(w.arrows)
         return self.decode(d, self._mins[d][c])
-
-    def ideal_dimension(self, d: int) -> int:
-        return (self.quiver.n << d) - self.dimension(d)
 
     def matrix_dimensions(self, d: int) -> list[list[int]]:
         """(i, j) entry: dimension of e_i R_d e_j."""

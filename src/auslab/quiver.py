@@ -1,4 +1,4 @@
-"""The doubled quiver of A-tilde_n and its free path combinatorics.
+"""The doubled quiver of A-tilde_n and its words.
 
 Vertices are residues 0..n-1.  The nonstar arrow alpha_i runs i -> i+1 and
 the star arrow alpha_i* runs i+1 -> i, indices mod n.  For n >= 3 the double
@@ -13,7 +13,7 @@ any quotient algebra built on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class ArrowRef(NamedTuple):
@@ -30,9 +30,6 @@ class Word:
 
     source: int
     arrows: tuple[ArrowRef, ...]
-
-    def __len__(self):
-        return len(self.arrows)
 
     def __str__(self):
         if not self.arrows:
@@ -67,17 +64,6 @@ class QuiverA:
     def arrow_target(self, a: ArrowRef) -> int:
         return a.index if a.starred else (a.index + 1) % self.n
 
-    def arrow_between(self, src: int, dst: int) -> ArrowRef:
-        """The unique arrow src -> dst (schurian); raises if none exists."""
-        if dst == (src + 1) % self.n:
-            return ArrowRef(src, False)
-        if dst == (src - 1) % self.n:
-            return ArrowRef(dst, True)
-        raise ValueError(f"no arrow {src} -> {dst} in the double of A~{self.n}")
-
-    def arrows_from(self, v: int) -> tuple[ArrowRef, ArrowRef]:
-        return ArrowRef(v, False), ArrowRef((v - 1) % self.n, True)
-
     # -- words -------------------------------------------------------------
 
     def word(self, source: int, arrows) -> Word:
@@ -103,55 +89,11 @@ class QuiverA:
             return None
         return Word(w1.source, w1.arrows + w2.arrows)
 
-    def free_basis(self, d: int) -> list[Word]:
-        """All composable words of length d, each once."""
-        if d < 0:
-            raise ValueError("degree must be nonnegative")
-        return [w for i in range(self.n) for w in self._words_from(i, d)]
-
-    def _words_from(self, source: int, d: int) -> Iterator[Word]:
-        if d == 0:
-            yield Word(source, ())
-            return
-        stack = [(source, ())]
-        while stack:
-            at, arrows = stack.pop()
-            if len(arrows) == d:
-                yield Word(source, arrows)
-                continue
-            for a in self.arrows_from(at):
-                stack.append((self.arrow_target(a), arrows + (a,)))
-
     # -- adjacency ---------------------------------------------------------
 
-    def adjacency_matrix(self) -> list[list[int]]:
-        """0/1 circulant with ones at j = i +- 1 mod n."""
-        n = self.n
-        return [
-            [1 if (j - i) % n in (1, n - 1) else 0 for j in range(n)]
-            for i in range(n)
-        ]
-
     def adjacency_times(self, c: list[list[int]]) -> list[list[int]]:
-        """M c for the adjacency matrix M, by shift-and-add: row i of M c is
+        """M c for the adjacency matrix M, the 0/1 circulant with ones at
+        j = i +- 1 mod n, by shift-and-add: row i of M c is
         row i - 1 plus row i + 1 of c."""
         n = self.n
         return [[a + b for a, b in zip(c[i - 1], c[(i + 1) % n])] for i in range(n)]
-
-    def path_count_matrix(self, d: int) -> list[list[int]]:
-        """d-th power of the adjacency matrix: (i, j) counts words i -> j."""
-        n = self.n
-        out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        m = self.adjacency_matrix()
-        for _ in range(d):
-            out = mat_mul(out, m)
-        return out
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-

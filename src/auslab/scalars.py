@@ -52,7 +52,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 class CyclotomicContext:
-    """The field Q(zeta_m), carried around as the conductor plus Phi_m.
+    """The field Q(zeta_m), carried around as the conductor plus Phi_m; one
+    per conductor, shared through `get_context`.
 
     `fold[k]` lists the nonzero (i, c) with x^(deg+k) = sum c x^i modulo
     Phi_m, for every exponent deg+k <= 2*deg-2 a product of two residues
@@ -72,20 +73,8 @@ class CyclotomicContext:
             power = [p - top * c for p, c in zip([0] + power[:-1], self.phi)]
         self.fold = tuple(fold)
 
-    def __eq__(self, other):
-        return isinstance(other, CyclotomicContext) and self.m == other.m
-
-    def __hash__(self):
-        return hash(("CyclotomicContext", self.m))
-
     def __repr__(self):
         return f"CyclotomicContext(m={self.m})"
-
-    def zero(self) -> "ScalarValue":
-        return self.from_rational(0)
-
-    def one(self) -> "ScalarValue":
-        return self.from_rational(1)
 
     def from_rational(self, value: Rational) -> "ScalarValue":
         value = Fraction(value)
@@ -303,32 +292,3 @@ def root_powers(m: int) -> tuple:
     if m % 2 == 0:
         return tuple(root(m, s) for s in range(m))
     return tuple(-root(m, s * (m + 1) // 2 % m) if s % 2 else root(m, s // 2) for s in range(2 * m))
-
-
-def multiplicative_order(a) -> int | None:
-    """Least e >= 1 with a^e = 1, or None when a has infinite order.
-
-    The torsion of Q(zeta_m)^x is generated by -zeta_m, of order lcm(2, m),
-    so checking exponents up to that bound is exhaustive.
-    """
-    if isinstance(a, int):
-        a = Fraction(a)
-    if isinstance(a, Fraction):
-        if not a:
-            raise ZeroDivisionError("zero scalar has no multiplicative order")
-        if a == 1:
-            return 1
-        if a == -1:
-            return 2
-        return None
-    if not a:
-        raise ZeroDivisionError("zero scalar has no multiplicative order")
-    m = a.context.m
-    bound = m if m % 2 == 0 else 2 * m
-    one = a.context.one()
-    power = a
-    for e in range(1, bound + 1):
-        if power == one:
-            return e
-        power = power * a
-    return None

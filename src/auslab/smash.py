@@ -82,7 +82,7 @@ from .linalg import SignedPartition, rank
 from .preproj import AlgebraElement, NFMonomial
 from .quiver import QuiverA
 from .scalars import root_powers
-from .symmetry import FiniteGroup, apply
+from .symmetry import FiniteGroup
 
 
 class MixedDegreeError(ValueError):
@@ -191,9 +191,6 @@ class SmashElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (t[0][1], t[0][0]))
-
     def __eq__(self, other):
         if not isinstance(other, SmashElement):
             return NotImplemented
@@ -202,15 +199,10 @@ class SmashElement:
     def __str__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*({m} # g{g})" for (m, g), c in self.sorted_terms())
+        terms = sorted(self.terms.items(), key=lambda t: (t[0][1], t[0][0]))
+        return " + ".join(f"{c}*({m} # g{g})" for (m, g), c in terms)
 
     __repr__ = __str__
-
-
-def eval_auslander_map(group: FiniteGroup, a: AlgebraElement, g: int, b: AlgebraElement) -> AlgebraElement:
-    """The endomorphism attached to a # g, g an element index, evaluated at
-    b: a * g(b)."""
-    return a * apply(group.elements[g], b)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +238,6 @@ class BlockCoords:
             pos += count[gi]
         self.size = pos
         self.tail_start = pos - count[order[-1]]
-
-    def position(self, g: int, l: int) -> int:
-        """Index of the coordinate (g, l), which must belong to the block."""
-        return self.start[g] + (l - self.first[g]) // self.step
 
 
 @dataclass
@@ -330,9 +318,7 @@ class IdealTruncation:
         elements, table, ident = group.elements, group.table, group.identity_index
         self._values = root_powers(lcm(*(g.m for g in elements)))
         self._K = K = len(self._values)
-        self._normal = normal = [ident] + [
-            gi for gi, g in enumerate(elements) if gi != ident and g.rot == 0 and not g.refl
-        ]
+        self._normal = normal = group.vertex_fixing
         # Two scalar-free elements of one coset differ by a scalar-free
         # element of N, the identity, so none is missing when they number |G/N|.
         self._reps = reps = [gi for gi, g in enumerate(elements) if g.m == 1]
@@ -435,7 +421,7 @@ class IdealTruncation:
                 continue
             g = labels[h]
             l = (e - src.first[h] if flip else src.first[h]) + shift
-            k = dst.start[g] + (l - dst.first[g]) // step     # dst.position(g, l)
+            k = dst.start[g] + (l - dst.first[g]) // step     # the position of (g, l)
             out.extend(range(k, k - cnt, -1) if flip else range(k, k + cnt))
         return out
 
@@ -566,9 +552,6 @@ class IdealTruncation:
 
     def identity_component_dim(self, d: int) -> int:
         return self.n * (d + 1) - self.identity_intersection_dim(d)
-
-    def smash_dimension(self, d: int) -> int:
-        return self.n * (d + 1) * len(self.group)
 
     # -- membership ------------------------------------------------------------------
 
@@ -730,7 +713,7 @@ def _scalar_theorem_bound(group: FiniteGroup) -> tuple[int, str] | None:
     """
     n = group.quiver.n
     order = len(group)
-    if order == 1 or any(g.refl or g.rot != 0 for g in group.elements):
+    if order == 1 or len(group.vertex_fixing) < order:
         return None
 
     def pure_length(m: int, exps: tuple) -> int | None:
@@ -834,7 +817,7 @@ def auslander_verdict(n: int, group: FiniteGroup, D: int | None = None, label: s
 
     if D is None:
         D = default_cutoff(n, group)
-    fixing = sum(1 for g in group.elements if not g.rot and not g.refl)
+    fixing = len(group.vertex_fixing)
     cells = 30 * n * n + fixing * n * (D + 1) * (2 * n + D + 2) // 2
     if cells > IDEAL_CELL_LIMIT:
         raise MemoryError(

@@ -28,7 +28,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .preproj import AlgebraElement, NFMonomial
-from .quiver import QuiverA, Word
+from .quiver import QuiverA
 from .scalars import root
 
 
@@ -64,25 +64,6 @@ class Automorphism:
         n = self.quiver.n
         return (self.rot - i) % n if self.refl else (self.rot + i) % n
 
-    @cached_property
-    def xi(self) -> tuple:
-        return tuple(root(self.m, k) for k in self.e)
-
-    @cached_property
-    def xi_star(self) -> tuple:
-        return tuple(root(self.m, k) for k in self.e_star)
-
-    def word_image(self, w: Word) -> tuple[object, Word]:
-        """Image of a word arrow by arrow: each arrow goes to the unique arrow
-        between the image vertices, and the scalar is the product of the
-        arrows' scalar values."""
-        q, image = self.quiver, self.vertex_image
-        scalar, arrows = Fraction(1), []
-        for a in w.arrows:
-            scalar = scalar * (self.xi_star[a.index] if a.starred else self.xi[a.index])
-            arrows.append(q.arrow_between(image(q.arrow_source(a)), image(q.arrow_target(a))))
-        return scalar, q.word(image(w.source), arrows)
-
     def monomial_image(self, x: NFMonomial) -> tuple[object, NFMonomial]:
         """Closed form on canonical monomials: rotations shift the source,
         reflections also swap the two arrow counts; the scalar multiplier is
@@ -94,11 +75,7 @@ class Automorphism:
             img = NFMonomial((self.rot + x.source) % n, x.nonstars, x.stars)
         if self.m == 1:
             return Fraction(1), img
-        return root(self.m, self.monomial_exponent(x)), img
-
-    def monomial_exponent(self, x: NFMonomial) -> int:
-        """k mod m with zeta_m^k the scalar of `monomial_image`."""
-        return self.word_exponents(x.source, x.degree, (x.nonstars,))[0]
+        return root(self.m, self.word_exponents(x.source, x.degree, (x.nonstars,))[0]), img
 
     @cached_property
     def _prefix_sums(self) -> tuple[list[int], list[int], list[int]]:
@@ -155,9 +132,6 @@ class Automorphism:
         e, e_star = tuple(f * k for k in self.e), tuple(f * k for k in self.e_star)
         return self if self.m == 1 else replace(self, m=m, e=e, e_star=e_star)
 
-    def is_identity(self) -> bool:
-        return self.rot == 0 and not self.refl and self.m == 1
-
     def sort_key(self):
         return (self.refl, self.rot, self.m, self.e, self.e_star)
 
@@ -166,7 +140,7 @@ class Automorphism:
         if self.rot or self.refl:
             parts.append(f"rho^{self.rot}" + (" r" if self.refl else ""))
         if self.m != 1:
-            parts.append(f"xi={tuple(str(c) for c in self.xi)}")
+            parts.append(f"zeta_{self.m} exponents e={self.e} e*={self.e_star}")
         return " ".join(parts) or "id"
 
 
@@ -279,7 +253,6 @@ class FiniteGroup:
         for i, k in enumerate(order):
             at[k] = i
         self.elements = [found[k] for k in order]
-        self._index = {g: i for i, g in enumerate(self.elements)}
         self.identity_index = at[0]
         self.has_scalars = any(g.m != 1 for g in self.elements)
         self.table = []
@@ -304,6 +277,12 @@ class FiniteGroup:
         return hit
 
     @cached_property
+    def vertex_fixing(self) -> list[int]:
+        """N, the indices of the elements fixing every vertex, identity first."""
+        ident = self.identity_index
+        return [ident] + [gi for gi, g in enumerate(self.elements) if gi != ident and not g.rot and not g.refl]
+
+    @cached_property
     def inverse_vertex_maps(self) -> list[tuple[int, ...]]:
         out = []
         for vm in self.vertex_maps:
@@ -316,27 +295,8 @@ class FiniteGroup:
     def __len__(self):
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, g: Automorphism) -> bool:
-        return g in self._index
-
-    def index(self, g: Automorphism) -> int:
-        return self._index[g]
-
     def element_key_set(self) -> frozenset:
         return frozenset(g.sort_key() for g in self.elements)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteGroup)
-            and self.quiver == other.quiver
-            and self.element_key_set() == other.element_key_set()
-        )
-
-    def __hash__(self):
-        return hash((self.quiver.n, self.element_key_set()))
 
 
 def generate_group(generators: Sequence[Automorphism], cap: int = 512) -> FiniteGroup:

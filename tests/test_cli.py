@@ -21,6 +21,7 @@ from auslab.cli import (
 )
 from auslab.quiver import QuiverA
 from auslab.symmetry import CapExceededError, FiniteGroup, dihedral_group, rotation
+from reference import adjacency_matrix, xi, xi_star
 
 
 def test_parse_group_basic():
@@ -34,14 +35,14 @@ def test_parse_group_dihedral_generators():
     spec = parse_group("rot(1),refl(0)")
     from auslab.symmetry import generate_group
 
-    assert generate_group(spec.elaborate(4)) == dihedral_group(QuiverA(4))
+    assert generate_group(spec.elaborate(4)).element_key_set() == dihedral_group(QuiverA(4)).element_key_set()
 
 
 def test_parse_group_scalar():
     spec = parse_group("scalar(2;1,1,1;1,1,1)")
     gens = spec.elaborate(3)
     assert len(gens) == 1
-    assert all(c == Fraction(-1) for c in gens[0].xi + gens[0].xi_star)
+    assert all(c == Fraction(-1) for c in xi(gens[0]) + xi_star(gens[0]))
 
 
 def test_parse_group_whitespace_insensitive():
@@ -100,7 +101,7 @@ def test_cli_hilbert(tmp_path):
     assert payload["totals"] == [3 * (d + 1) for d in range(9)]
     assert payload["recurrence_holds"] is True
     assert payload["matches_inverse_square_series"] is False
-    assert payload["matrices"][1] == QuiverA(3).adjacency_matrix()
+    assert payload["matrices"][1] == adjacency_matrix(QuiverA(3))
 
 
 def test_cli_invariants_with_checks(tmp_path):
@@ -724,6 +725,7 @@ def _verify(tmp_path, suite, n, degree):
         ("structure", 3, 408, "ORACLE_LABEL_LIMIT"),
         ("orbits", 3, 446, "INVARIANT_TERM_LIMIT"),
         ("orbits", 3, 1000, "INVARIANT_TERM_LIMIT"),
+        ("orbits", 4, 273, "INVARIANT_TERM_LIMIT"),     # even n walks the parity orbits as well
         ("relations", 3, 171, "RELATION_STEP_LIMIT"),
         ("relations", 4, 104, "RELATION_STEP_LIMIT"),     # even n counts twice the products
         ("relations", 4, 300, "RELATION_STEP_LIMIT"),
@@ -743,7 +745,13 @@ def test_verify_suites_are_refused_up_front(tmp_path, capsys, suite, n, degree, 
 
 @pytest.mark.parametrize(
     "suite, n, degree, seconds",
-    [("structure", 3, 400, 5), ("structure", 3, 407, 5), ("orbits", 3, 445, 10), ("relations", 3, 170, 10)],
+    [
+        ("structure", 3, 400, 5),
+        ("structure", 3, 407, 5),
+        ("orbits", 3, 445, 10),
+        ("orbits", 4, 272, 10),
+        ("relations", 3, 170, 10),
+    ],
 )
 def test_verify_suites_run_at_the_sizes_their_limits_allow(tmp_path, suite, n, degree, seconds):
     code, elapsed = _verify(tmp_path, suite, n, degree)

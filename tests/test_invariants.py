@@ -60,7 +60,7 @@ def test_reynolds_fixes_invariants_and_projects():
     y = AlgebraElement.monomial(q, NFMonomial(0, 1, 1))
     # stabilizer of the out-and-back loop is {1, r}
     assert reynolds(dn, y) == orbit_sum(q, 1, 1).scale(Fraction(1, 3))
-    for g in dn:
+    for g in dn.elements:
         assert apply(g, avg) == avg
 
 
@@ -159,7 +159,7 @@ def test_every_basis_vector_is_fixed():
         basis = invariant_basis(group, 5)
         for vecs in basis.vectors:
             for v in vecs:
-                for g in group:
+                for g in group.elements:
                     assert apply(g, v) == v
 
 
@@ -229,6 +229,19 @@ def test_shift_summand():
         checks = verify_shift_summand(group, 8)
         assert all(c.ok for c in checks)
         assert checks[0].degree == 0
+
+
+def test_shift_summand_fails_with_the_wrong_arrow(monkeypatch):
+    # left multiplication by alpha_0, which leaves vertex 0 instead of
+    # entering it, is not the shift of e_0 R^G: every degree fails
+    q = QuiverA(4)
+    group = dihedral_group(q)
+    basis = invariant_basis(group, 4)
+    alpha_0 = AlgebraElement.monomial(q, NFMonomial(0, 1, 0))
+    monkeypatch.setattr(AlgebraElement, "arrow", staticmethod(lambda q, i, starred=False: alpha_0))
+    checks = verify_shift_summand(group, 4, basis)
+    assert [c.ok for c in checks] == [False] * 5
+    assert checks[2].detail == "alpha_3 v is not the shift of e_0 v for 2 of 2 basis vectors"
 
 
 def test_presentation_two_vertex_n6():

@@ -10,9 +10,9 @@ from auslab.preproj import (
     RelationIdealOracle,
     hilbert,
     nf_basis,
-    normal_form,
 )
 from auslab.quiver import ArrowRef, QuiverA
+from reference import adjacency_matrix, contains, free_basis, normal_form, oracle_basis
 
 
 def test_oracle_dims_small():
@@ -86,8 +86,8 @@ def test_label_recursion_matches_word_level_union_find(n):
         got = [oracle.encode(oracle.class_minimum(oracle.decode(d, flat))) for flat in range(n << d)]
         assert got == rep
         minima = sorted(set(rep))
-        assert [oracle.encode(w) for w in oracle.basis(d).basis_words] == minima
-        assert oracle.ideal_dimension(d) == (n << d) - len(minima)
+        assert [oracle.encode(w) for w in oracle_basis(oracle, d).basis_words] == minima
+        assert oracle.dimension(d) == len(minima)
         for flat in (0, (n << d) // 2, (n << d) - 1):
             assert minima[oracle.reduce_word(oracle.decode(d, flat))] == rep[flat]
 
@@ -96,7 +96,7 @@ def test_degree_two_against_explicit_row_reduction():
     """Independent mini-oracle: the three vertex relations, row-reduced by a
     plain field echelon over the 12 free words of degree 2."""
     q = QuiverA(3)
-    words = q.free_basis(2)
+    words = free_basis(q, 2)
     index = {w: i for i, w in enumerate(words)}
     ech = FieldEchelon()
     for i in range(3):
@@ -114,7 +114,7 @@ def test_higher_degrees_against_explicit_row_reduction(n, d):
     the free words, fed u * r * v for every vertex relation r and every pair
     of words u, v that compose with it to degree d."""
     q = QuiverA(n)
-    words = q.free_basis(d)
+    words = free_basis(q, d)
     index = {w: i for i, w in enumerate(words)}
     relations = [
         (
@@ -125,8 +125,8 @@ def test_higher_degrees_against_explicit_row_reduction(n, d):
     ]
     ech = FieldEchelon()
     for k in range(d - 1):
-        for u in q.free_basis(k):
-            for v in q.free_basis(d - 2 - k):
+        for u in free_basis(q, k):
+            for v in free_basis(q, d - 2 - k):
                 for pos, neg in relations:
                     left = q.compose(u, pos)
                     if left is None:
@@ -136,10 +136,10 @@ def test_higher_degrees_against_explicit_row_reduction(n, d):
                         ech.insert({index[a]: Fraction(1), index[b]: Fraction(-1)})
     oracle = RelationIdealOracle(q)
     assert len(words) - ech.rank == oracle.dimension(d) == n * (d + 1)
-    assert ech.rank == oracle.ideal_dimension(d)
+    assert ech.rank == (n << d) - oracle.dimension(d)
     for w in words:
         m = oracle.class_minimum(w)
-        assert w == m or ech.contains({index[w]: Fraction(1), index[m]: Fraction(-1)})
+        assert w == m or contains(ech, {index[w]: Fraction(1), index[m]: Fraction(-1)})
 
 
 def test_oracle_builds_through_its_largest_degree():
@@ -160,7 +160,7 @@ def test_nf_monomials_form_oracle_basis(n):
     q = QuiverA(n)
     oracle = RelationIdealOracle(q)
     for d in range(9):
-        sub = oracle.basis(d)
+        sub = oracle_basis(oracle, d)
         assert sub.dimension == n * (d + 1)
         reps = set(sub.basis_words)
         assert reps == {m.word(q) for m in nf_basis(q, d)}
@@ -233,9 +233,9 @@ def test_degree_query():
     q = QuiverA(3)
     x = AlgebraElement.monomial(q, NFMonomial(0, 1, 0))
     y = AlgebraElement.monomial(q, NFMonomial(0, 1, 1))
-    assert x.degree() == 1
-    assert (x + y).degree() is None
-    assert AlgebraElement.zero(q).degree() is None
+    assert {m.degree for m in x.terms} == {1}
+    assert {m.degree for m in (x + y).terms} == {1, 2}
+    assert not AlgebraElement.zero(q).terms
 
 
 def test_hilbert_report_n3():
@@ -252,7 +252,7 @@ def test_hilbert_report_n3():
 def test_hilbert_matrix_degree_one_is_adjacency():
     q = QuiverA(4)
     rep = hilbert(q, 2)
-    assert rep.matrices[1] == q.adjacency_matrix()
+    assert rep.matrices[1] == adjacency_matrix(q)
 
 
 def test_inverse_square_series_really_differs():
