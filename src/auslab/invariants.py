@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .linalg import rank
 from .preproj import AlgebraElement, NFMonomial
@@ -172,15 +171,14 @@ def invariant_basis(group: FiniteGroup, D: int) -> InvariantBasis:
     the terms of contributing orbits become field values, `root(m, k)`."""
     q, n, elements = group.quiver, group.quiver.n, group.elements
     check_basis_size(n, D)
-    fixing = len(group.vertex_fixing)
+    fixing = len(group.n_elements)
     walk = fixing * n * (D + 1) * (D + 2) // 2
     if walk > INVARIANT_WALK_LIMIT:
         raise MemoryError(
             f"invariants at n = {n} through degree {D} for a group of order {len(group)}, {fixing} of "
             f"its elements fixing every vertex, walk {walk} orbit steps, over the limit of {INVARIANT_WALK_LIMIT}"
         )
-    conductor = lcm(*(g.m for g in elements))
-    moves = [(g.rot, g.refl, conductor // g.m) for g in elements]
+    moves = [(g.rot, g.refl, group.conductor // g.m) for g in elements]
     vectors = []
     for d in range(D + 1):
         rows, seen = [], set()

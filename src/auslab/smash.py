@@ -15,19 +15,19 @@ Everything is graded by idempotent cuts: e_i (R#G) e_j splits each degree
 into n^2 blocks, and a spanning vector splits into its block pieces.  The
 coordinates of a block are pairs (g, l), l the nonstar count, with
 i + 2l - d = g(j) (mod n); for each g these l form an arithmetic
-progression, so positions are closed-form, with the identity components
-last.  The same positions index the character coordinates below: the
-group index g = t h_k labels phi_(t, psi_k), for the k-th element h_k of N
-and its k-th character psi_k.
+progression, so positions are closed-form, laid out in index order with
+the identity components first.  The same positions index the character
+coordinates below: the group index g = t h_k labels phi_(t, psi_k), for
+the k-th element h_k of N and its k-th character psi_k.
 
-Each block is kept in character coordinates.  N, the vertex-fixing elements
-of G, is a normal, abelian, diagonal subgroup with G/N <= D_n.  Each spec
-generator is a pure rotation, reflection or scalar, so every coset of N
-holds one scalar-free element, its representative (the build refuses a
-group without them).  For a representative t, a character psi of N and a
-nonstar count l, phi_(t, psi, l) = sum_(h in N) psi(h) (th, l); the
-characters are the closure of the arrow characters chi_a (h's scalar on the
-arrow a), and character values and scalars are roots of unity, stored as
+Each block is kept in character coordinates.  A group is built as
+G = T x| N (`FiniteGroup`): N, the vertex-fixing elements, is a normal,
+abelian, diagonal subgroup, and T, the scalar-free elements, holds one
+element of every coset of N, its representative.  For a representative
+t, a character psi of N and a nonstar count l,
+phi_(t, psi, l) = sum_(h in N) psi(h) (th, l); the characters are the
+closure of the arrow characters chi_a (h's scalar on the arrow a), and
+character values and scalars are roots of unity, stored as
 exponents of z = zeta_K, K = lcm(2, M) for the group's conductor M.  In
 these coordinates a left extension keeps phi and an orbit transfer, by a
 scalar-free element, is a relabelling.  The cut row e_i f_G e_j (m#1), for
@@ -75,7 +75,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import accumulate
+from math import gcd
 from typing import NamedTuple
 
 from .linalg import SignedPartition, rank
@@ -114,10 +115,9 @@ class SmashElement:
         return SmashElement(group)
 
     @staticmethod
-    def from_algebra(group: FiniteGroup, x: AlgebraElement, g: int | None = None) -> "SmashElement":
+    def from_algebra(group: FiniteGroup, x: AlgebraElement, g: int = 0) -> "SmashElement":
         """x # g for the element index g, defaulting to x # 1."""
-        gi = group.identity_index if g is None else g
-        return SmashElement(group, {(m, gi): c for m, c in x.terms.items()})
+        return SmashElement(group, {(m, g): c for m, c in x.terms.items()})
 
     @staticmethod
     def unit(group: FiniteGroup) -> "SmashElement":
@@ -161,7 +161,6 @@ class SmashElement:
             return self.scale(other)
         group = self.group
         n = group.quiver.n
-        table = group.table
         out: dict[tuple[NFMonomial, int], object] = {}
         for (m1, g1), c1 in self.terms.items():
             tgt = (m1.source + m1.nonstars - m1.stars) % n
@@ -171,7 +170,7 @@ class SmashElement:
                     continue
                 key = (
                     NFMonomial(m1.source, m1.nonstars + img.nonstars, m1.stars + img.stars),
-                    table[g1][g2],
+                    group.mul(g1, g2),
                 )
                 acc = out.get(key, 0) + c1 * c2 * mult
                 if acc:
@@ -225,19 +224,13 @@ def _progression(n: int, c: int, d: int) -> tuple[int, int]:
 class BlockCoords:
     """Coordinate scheme of e_i (R#G)_d e_j: pairs (g, l), l the nonstar
     count, with i + 2l - d = g(j) (mod n).  For each group index g these l
-    run from first[g] in steps of `step`, count[g] of them; the elements are
-    laid out in `order` (index order, identity last), so the identity
-    components form the tail that starts at tail_start."""
+    run from first[g] in steps of `step`, count[g] of them, laid out in
+    index order from start[g]."""
 
-    def __init__(self, order: tuple[int, ...], first: list[int], count: list[int], step: int):
-        self.order, self.first, self.count, self.step = order, first, count, step
-        self.start = [0] * len(first)
-        pos = 0
-        for gi in order:
-            self.start[gi] = pos
-            pos += count[gi]
-        self.size = pos
-        self.tail_start = pos - count[order[-1]]
+    def __init__(self, first: list[int], count: list[int], step: int):
+        self.first, self.count, self.step = first, count, step
+        self.start = list(accumulate(count, initial=0))
+        self.size = self.start.pop()
 
 
 @dataclass
@@ -266,11 +259,10 @@ class IdealTruncation:
         self._through = [-1, -1]
         self._full_from: list[int | None] = [None, None]
         self._chains = 1 if self.n % 2 else 2
-        ident = group.identity_index
-        self._order = tuple(gi for gi in range(len(group)) if gi != ident) + (ident,)
         self._step = self.n if self.n % 2 else self.n // 2
         self._refl = [g.refl for g in group.elements]
-        self._conj: dict[int, list[int]] = {}
+        self._size = len(group.n_elements)
+        self._reps = list(range(0, len(group), self._size))    # T[c], one per coset, is index c |N|
         self._labels: dict[int, list[int]] = {}
         self._cut_reps: dict[int, dict[int, list[int]]] = {}
         self._projections: dict[tuple[tuple[int, int], int, int], dict] = {}
@@ -307,35 +299,17 @@ class IdealTruncation:
     # -- character coordinates ----------------------------------------------
 
     def _character_setup(self) -> None:
-        """N, the vertex-fixing elements (identity first); its characters
-        (trivial first) as tuples of exponents of z = zeta_K over N, the
-        closure of the arrow characters; and for every group index g = t h_k,
-        t the scalar-free element of the coset tN: coset[g] = t and
-        kth[g] = k.  The index g also labels the character coordinate
-        phi_(t, psi_k), so with N trivial the labels are the group elements
-        themselves."""
+        """The characters of N (trivial first) as tuples of exponents of
+        z = zeta_K over N, the closure of the arrow characters.  The index
+        g = c |N| + k of T[c] h_k also labels the character coordinate
+        phi_(T[c], psi_k), so with N trivial the labels are the group
+        elements themselves."""
         group = self.group
-        elements, table, ident = group.elements, group.table, group.identity_index
-        self._values = root_powers(lcm(*(g.m for g in elements)))
+        normal = group.n_elements
+        self._values = root_powers(group.conductor)
         self._K = K = len(self._values)
-        self._normal = normal = group.vertex_fixing
-        # Two scalar-free elements of one coset differ by a scalar-free
-        # element of N, the identity, so none is missing when they number |G/N|.
-        self._reps = reps = [gi for gi, g in enumerate(elements) if g.m == 1]
-        if len(reps) * len(normal) != len(group):
-            raise ValueError(
-                "the ideal build needs a scalar-free element in every coset of the vertex-fixing elements, "
-                f"but {len(reps)} scalar-free times {len(normal)} vertex-fixing is not the order {len(group)}"
-            )
-        coset, kth = [0] * len(group), [0] * len(group)
-        for t in reps:
-            for k, h in enumerate(normal):
-                coset[table[t][h]], kth[table[t][h]] = t, k
-        self._coset, self._kth = coset, kth
         # One character per arrow: its exponents under the elements of N.
-        arrow_chars = set(zip(*(
-            [k * (K // elements[h].m) % K for k in elements[h].e + elements[h].e_star] for h in normal
-        )))
+        arrow_chars = set(zip(*([k * (K // h.m) % K for k in h.e + h.e_star] for h in normal)))
         chars = [(0,) * len(normal)]
         index = {chars[0]: 0}
         for psi in chars:
@@ -346,19 +320,9 @@ class IdealTruncation:
                     chars.append(x)
         assert len(chars) == len(normal), "the arrow characters separate the points of N"
         self._chars = chars
-        # A character is fixed by its values on generators of N: a greedy
-        # set of them (their positions in N), and each character's index
-        # keyed by those values.
-        gens, span = [], {ident}
-        for k, h in enumerate(normal):
-            if h not in span:
-                gens.append(k)
-                grown, x = set(span), h
-                while x not in span:
-                    grown.update(table[s][x] for s in span)
-                    x = table[x][h]
-                span = grown
-        gens = gens or [0]    # N trivial: the identity, so every monomial has a key
+        # A character is fixed by its values on the generators of N: each
+        # character's index keyed by those values.
+        gens = group.n_gens or [0]    # N trivial: the identity, so every monomial has a key
         self._char_gens = gens
         self._char_by_gens = {tuple(psi[k] for k in gens): c for c, psi in enumerate(chars)}
 
@@ -378,32 +342,23 @@ class IdealTruncation:
             n = self.n
             by_c = self._progressions.get(d) or self._progressions.setdefault(d, [_progression(n, c, d) for c in range(n)])
             fc = [by_c[(d + vm[j] - i) % n] for vm in self.group.vertex_maps]
-            hit = BlockCoords(self._order, [f for f, _ in fc], [c for _, c in fc], self._step)
+            hit = BlockCoords([f for f, _ in fc], [c for _, c in fc], self._step)
             self._coords[key] = hit
         return hit
 
-    def _conjugation(self, t: int) -> list[int]:
-        """h -> t h t^-1 on group indices."""
-        hit = self._conj.get(t)
-        if hit is None:
-            table, tinv = self.group.table, self.group.inverse[t]
-            hit = self._conj[t] = [table[k][tinv] for k in table[t]]
-        return hit
-
     def _label_map(self, t: int) -> list[int]:
-        """Labels, stored for the scalar-free t: conjugation by 1#t sends
-        phi_(label g) to phi_(labels[g]), with no root of unity.  For a coset
-        representative c, t c t^-1 is scalar-free, its own representative, so
-        phi_(c, psi) goes to phi_(t c t^-1, psi^t), psi^t(h) = psi(t^-1 h t)."""
-        conj = self._conjugation(t)
-        table, normal, chars = self.group.table, self._normal, self._chars
-        coset, kth, key = self._coset, self._kth, self._char_by_gens
-        # pull[j]: the position in N of t^-1 h_j t
-        at = {h: k for k, h in enumerate(normal)}
-        back = self._conjugation(self.group.inverse[t])
-        pull = [at[back[h]] for h in normal]
-        twist = [key[tuple(psi[pull[k]] for k in self._char_gens)] for psi in chars]
-        hit = self._labels[t] = [table[conj[coset[g]]][normal[twist[kth[g]]]] for g in range(len(table))]
+        """Labels, stored for the scalar-free t = T[c]: conjugation by 1#t
+        sends phi_(label g) to phi_(labels[g]), with no root of unity.  It
+        sends phi_(T[c'], psi) to phi_(t T[c'] t^-1, psi^t), where t T[c'] t^-1
+        is scalar-free and psi^t(h) = psi(t^-1 h t)."""
+        group, size = self.group, self._size
+        c = t // size
+        c_inv = group.t_inverse[c]
+        pull = group.conj[c_inv]        # pull[j]: the position in N of t^-1 h_j t
+        key = self._char_by_gens
+        twist = [key[tuple(psi[pull[k]] for k in self._char_gens)] for psi in self._chars]
+        cosets = [group.t_mul(group.t_mul(c, x), c_inv) * size for x in range(len(self._reps))]
+        hit = self._labels[t] = [base + k for base in cosets for k in twist]
         return hit
 
     def _push_map(self, pair: tuple[int, int], e: int, dst: BlockCoords, t: int, shift: int) -> list[int]:
@@ -415,8 +370,7 @@ class IdealTruncation:
         step = dst.step
         flip = self._refl[t]
         out: list[int] = []
-        for h in src.order:
-            cnt = src.count[h]
+        for h, cnt in enumerate(src.count):
             if not cnt:
                 continue
             g = labels[h]
@@ -445,8 +399,8 @@ class IdealTruncation:
         if block.full:
             return _progression(self.n, d + rep[1] - rep[0], d)[1]     # the l with i + 2l - d = j
         coords = self.block_coords(*rep, d)
-        count = coords.count[self.group.identity_index]
-        return count - block.kernel.image_rank([coords.start[h] for h in self._normal], count)
+        count = coords.count[0]
+        return count - block.kernel.image_rank(coords.start[: self._size], count)
 
     # -- construction -----------------------------------------------------------
 
@@ -521,8 +475,8 @@ class IdealTruncation:
         if by_j is None:
             by_j = self._cut_reps[i] = {}
             for t in self._reps:
-                by_j.setdefault(self.group.inverse_vertex_maps[t][i], []).append(t)
-        dst, refl, table, normal = self.block_coords(i, k, d), self._refl, self.group.table, self._normal
+                by_j.setdefault(self.group.vertex_maps[t].index(i), []).append(t)
+        dst, refl = self.block_coords(i, k, d), self._refl
         for j, ts in by_j.items():
             count = dst.count[ts[0]]
             if not count:
@@ -532,8 +486,8 @@ class IdealTruncation:
                 continue
             first = _progression(self.n, d + k - j, d)[0]
             ls = range(first, first + count * self._step, self._step)
-            chis = [normal[self._char_by_gens[x]] for x in zip(*(self._word_exponents(normal[k], j, d, ls) for k in self._char_gens))]
-            yield [[dst.start[table[t][h]] + (count - 1 - x if refl[t] else x) for x, h in enumerate(chis)] for t in ts]
+            chis = [self._char_by_gens[x] for x in zip(*(self._word_exponents(h, j, d, ls) for h in self._char_gens))]
+            yield [[dst.start[t + h] + (count - 1 - x if refl[t] else x) for x, h in enumerate(chis)] for t in ts]
 
     # -- measurements -------------------------------------------------------------
 
@@ -562,10 +516,10 @@ class IdealTruncation:
         d = x.degree()
         if d is None:
             raise MixedDegreeError("membership requires a homogeneous element")
-        n, inv_vm = self.n, self.group.inverse_vertex_maps
+        n, vertex_maps = self.n, self.group.vertex_maps
         pieces: dict[tuple[int, int], list[tuple[int, int, object]]] = {}
         for (m, gi), c in x.terms.items():
-            pieces.setdefault((m.source, inv_vm[gi][m.target(n)]), []).append((gi, m.nonstars, c))
+            pieces.setdefault((m.source, vertex_maps[gi].index(m.target(n))), []).append((gi, m.nonstars, c))
         for pair, terms in pieces.items():
             block = self._block(pair, d)
             if not block.full and not block.kernel.vanishes((c, self._projection(pair, d, g)[l]) for g, l, c in terms):
@@ -585,13 +539,14 @@ class IdealTruncation:
             rep = self.pair_rep[pair]
             kernel = self._block(pair, d).kernel
             src, dst = self.block_coords(*pair, d), self.block_coords(*rep, d)
-            u = self.group.inverse[self.pair_transfer[pair]]
-            g2, flip = self._conjugation(u)[g], self._refl[u]
-            c, k, table = self._coset[g2], self._kth[g2], self.group.table
-            starts = [(dst.start[table[c][h]], -psi[k]) for h, psi in zip(self._normal, self._chars)]
+            group, size = self.group, self._size
+            c = group.t_inverse[self.pair_transfer[pair] // size]      # u = T[c], u g u^-1 = base + k
+            base = group.t_mul(group.t_mul(c, g // size), group.t_inverse[c]) * size
+            k, flip = group.conj[c][g % size], self._refl[c * size]
+            starts = [(dst.start[base + h], -psi[k]) for h, psi in enumerate(self._chars)]
             hit = self._projections[key] = {}
             for l in range(src.first[g], src.first[g] + src.count[g] * src.step, src.step):
-                off = ((d - l if flip else l) - dst.first[g2]) // dst.step
+                off = ((d - l if flip else l) - dst.first[base + k]) // dst.step
                 hit[l] = kernel.reduce([(p + off, t) for p, t in starts])
         return hit
 
@@ -713,7 +668,7 @@ def _scalar_theorem_bound(group: FiniteGroup) -> tuple[int, str] | None:
     """
     n = group.quiver.n
     order = len(group)
-    if order == 1 or len(group.vertex_fixing) < order:
+    if order == 1 or len(group.n_elements) < order:
         return None
 
     def pure_length(m: int, exps: tuple) -> int | None:
@@ -761,12 +716,16 @@ def default_cutoff(n: int, group: FiniteGroup) -> int:
 # The ideal build fills tables over the n^2 vertex pairs once, each pair
 # costing about 30 cells.  At each degree d it lays out about n^2/|G/N|
 # orbit-rep blocks, N the vertex-fixing elements, each indexed by all of G,
-# and their |N| n(d+1) coordinates: |N| n(n + d + 1) cells.  So a build
-# through degree D counts 30n^2 + |N| n(D+1)(n + (D+2)/2) cells.  At this
-# limit the trivial group at n = 279 and degree 1 and D_16 through degree
-# 540 take about 1.0 s, and <rho, r, -1> at n = 100 through degree 77 and
-# the order-192 group of `invariants`' walk limit at n = 3 through degree
-# 156 about 1.4 s, on a 2-core x86-64 guest under Python 3.11.
+# and their |N| n(d+1) coordinates: |N| n(wn + d + 1) cells.  Even n builds
+# only the identity chain, and w = 1.  Odd n builds every block, and w = 4
+# is measured: counted with w = 2, D_51 at its default cutoff took about
+# twice as long as D_56 at the same count.  So a build through degree D
+# counts 30n^2 + |N| n(D+1)(wn + (D+2)/2) cells.  At this limit the trivial
+# group at degree 1 takes 0.3 s at n = 278 and 0.5 s at n = 255, D_16
+# through degree 540 0.55 s, D_45 and D_56 at the default cutoff 0.6 to
+# 0.9 s, the order-192 group of `invariants`' walk limit at n = 3 through
+# degree 148 0.7 s, and <rho, r, -1> at n = 100 through degree 77 0.9 s, on
+# a 2-core x86-64 guest under Python 3.11.
 IDEAL_CELL_LIMIT = 2_500_000
 
 
@@ -817,8 +776,9 @@ def auslander_verdict(n: int, group: FiniteGroup, D: int | None = None, label: s
 
     if D is None:
         D = default_cutoff(n, group)
-    fixing = len(group.vertex_fixing)
-    cells = 30 * n * n + fixing * n * (D + 1) * (2 * n + D + 2) // 2
+    fixing = len(group.n_elements)
+    layout = 4 if n % 2 else 1
+    cells = 30 * n * n + fixing * n * (D + 1) * (2 * layout * n + D + 2) // 2
     if cells > IDEAL_CELL_LIMIT:
         raise MemoryError(
             f"the ideal build at n = {n} through degree {D} counts {cells} cells for |N| = {fixing}, "

@@ -215,57 +215,78 @@ def apply(g: Automorphism, x: AlgebraElement) -> AlgebraElement:
 
 
 class FiniteGroup:
-    """The closure of automorphisms over one conductor, with its Cayley
-    table.
+    """A group G = T x| N of automorphisms over one conductor.
 
-    The closure runs breadth first from the identity.  It keeps, for every
-    element x found and every generator s, the index of x*s, and for every
-    new element the pair (x, s) that found it; each table row g then follows
-    by lookups, g*(x*s) = (g*x)*s, so the construction composes only
-    |G| * |generators| pairs.  Elements are stored in a canonical
-    deterministic order; all group arithmetic downstream is on element
-    indices.
+    T, the closure of the scalar-free generators, is a subgroup of D_n; N,
+    the closure of the T-conjugates of the vertex-fixing generators, is
+    diagonal, abelian and normal.  A generator that both moves vertices and
+    scales arrows is refused, so every element is t h for one t in T and one
+    h in N, and element c |N| + k is T[c] N[k]: the identity is index 0, N
+    the first |N| indices and T[c] index c |N|.  T is sorted by (reflection,
+    rotation) and N by `sort_key`, identity first in each.  All group
+    arithmetic downstream is on indices: T multiplies in closed form on
+    (rotation, reflection), and conj[c][k] is the position in N of
+    T[c] N[k] T[c]^-1.
     """
 
     def __init__(self, quiver: QuiverA, generators: Sequence[Automorphism], cap: int):
         self.quiver = quiver
-        found = [identity_automorphism(quiver)]
-        index = {found[0]: 0}
-        right: list[list[int]] = []            # right[x][s]: index of found[x] * generators[s]
-        parent: list[tuple[int, int]] = []     # (x, s) that found element k + 1
-        for x, g in enumerate(found):          # found grows while it is walked
-            row = []
-            for s, h in enumerate(generators):
-                p = g * h
-                k = index.get(p)
-                if k is None:
-                    if len(found) >= cap:
-                        raise CapExceededError(
-                            f"group closure exceeded cap {cap}: the group's order is over the limit of {cap} elements"
-                        )
-                    k = index[p] = len(found)
-                    found.append(p)
-                    parent.append((x, s))
-                row.append(k)
-            right.append(row)
-        order = sorted(range(len(found)), key=lambda k: found[k].sort_key())
-        at = [0] * len(found)
-        for i, k in enumerate(order):
-            at[k] = i
-        self.elements = [found[k] for k in order]
-        self.identity_index = at[0]
-        self.has_scalars = any(g.m != 1 for g in self.elements)
-        self.table = []
-        for g in order:
-            row = [g]
-            for x, s in parent:
-                row.append(right[row[x]][s])
-            self.table.append([at[row[h]] for h in order])
-        self.inverse = [row.index(self.identity_index) for row in self.table]
-        self.vertex_maps = [
-            tuple(g.vertex_image(v) for v in range(quiver.n)) for g in self.elements
-        ]
+        n = quiver.n
+        for g in generators:
+            if (g.rot or g.refl) and g.m != 1:
+                raise ValueError(
+                    f"generator {g} both moves vertices and scales arrows; a group is built "
+                    "from scalar-free generators and vertex-fixing ones"
+                )
+        moves = {(g.rot, g.refl) for g in generators if g.rot or g.refl}
+        pairs, seen = [(0, False)], {(0, False)}
+        for a in pairs:                        # pairs grows while it is walked
+            for b in moves:
+                p = _dihedral_product(n, a, b)
+                if p not in seen:
+                    _check_order(len(pairs) + 1, cap)
+                    seen.add(p)
+                    pairs.append(p)
+        pairs.sort(key=lambda p: (p[1], p[0]))
+        self._t_pairs, self._t_index = pairs, {p: c for c, p in enumerate(pairs)}
+        self.t_inverse = [self._t_index[(rot, True) if refl else (-rot % n, False)] for rot, refl in pairs]
+        # N, kept as an ordered set, grows by one coset N x^i for each power
+        # of a conjugate x outside it.
+        found, grew = dict.fromkeys([identity_automorphism(quiver)]), []
+        for h in (g for g in generators if not g.rot and not g.refl):
+            for x in (_conjugate(t, h) for t in pairs):
+                if x in found:
+                    continue
+                grew.append(x)
+                base, power = list(found), x
+                while power not in found:
+                    _check_order(len(pairs) * (len(found) + len(base)), cap)
+                    found.update(dict.fromkeys(y * power for y in base))
+                    power = power * x
+        normal = sorted(found, key=Automorphism.sort_key)
+        self._n_index = {h: k for k, h in enumerate(normal)}
+        self.n_elements = normal
+        self.n_gens = [self._n_index[x] for x in grew]
+        self.conj = [[self._n_index[_conjugate(t, h)] for h in normal] for t in pairs]
+        self.conductor = lcm(*(h.m for h in normal))
+        self.has_scalars = len(normal) > 1
+        # t h scales each arrow as h does, t being scalar-free.
+        self.elements = [Automorphism(quiver, rot, refl, h.m, h.e, h.e_star) for rot, refl in pairs for h in normal]
+        t_maps = [tuple(map(self.elements[c * len(normal)].vertex_image, range(n))) for c in range(len(pairs))]
+        self.vertex_maps = [vm for vm in t_maps for _ in normal]
         self._action_cache: dict = {}
+
+    def t_mul(self, a: int, b: int) -> int:
+        """The position in T of T[a] T[b]."""
+        return self._t_index[_dihedral_product(self.quiver.n, self._t_pairs[a], self._t_pairs[b])]
+
+    def mul(self, a: int, b: int) -> int:
+        """The index of the product of elements a and b, for the naive
+        engine: (t1 h1)(t2 h2) = (t1 t2)(t2^-1 h1 t2) h2."""
+        size = len(self.n_elements)
+        (c1, k1), (c2, k2) = divmod(a, size), divmod(b, size)
+        h = self.n_elements[self.conj[self.t_inverse[c2]][k1]] * self.n_elements[k2]
+        return self.t_mul(c1, c2) * size + self._n_index[h]
 
     def monomial_action(self, gi: int, m) -> tuple:
         """Cached (scalar, image) of a canonical monomial under element gi."""
@@ -276,27 +297,34 @@ class FiniteGroup:
             self._action_cache[key] = hit
         return hit
 
-    @cached_property
-    def vertex_fixing(self) -> list[int]:
-        """N, the indices of the elements fixing every vertex, identity first."""
-        ident = self.identity_index
-        return [ident] + [gi for gi, g in enumerate(self.elements) if gi != ident and not g.rot and not g.refl]
-
-    @cached_property
-    def inverse_vertex_maps(self) -> list[tuple[int, ...]]:
-        out = []
-        for vm in self.vertex_maps:
-            inv = [0] * len(vm)
-            for j, image in enumerate(vm):
-                inv[image] = j
-            out.append(tuple(inv))
-        return out
-
     def __len__(self):
         return len(self.elements)
 
     def element_key_set(self) -> frozenset:
         return frozenset(g.sort_key() for g in self.elements)
+
+
+def _dihedral_product(n: int, a: tuple[int, bool], b: tuple[int, bool]) -> tuple[int, bool]:
+    """(rot, refl) of a b for dihedral parts: rho^r r^s rho^r' r^s' = rho^(r -+ r') r^(s xor s')."""
+    return ((a[0] - b[0] if a[1] else a[0] + b[0]) % n, a[1] ^ b[1])
+
+
+def _conjugate(t: tuple[int, bool], h: Automorphism) -> Automorphism:
+    """t h t^-1 for the dihedral part t = (rot, refl) and a vertex-fixing h:
+    its scalar on an arrow is h's on the arrow's preimage under t.  The
+    rotation by r sends alpha_i to alpha_(i+r); the reflection i -> r - i
+    swaps alpha_i and alpha_(r-i-1)*."""
+    (rot, refl), n = t, h.quiver.n
+    if h.m == 1:
+        return h
+    at = [(rot - i - 1 if refl else i - rot) % n for i in range(n)]
+    e, e_star = (h.e_star, h.e) if refl else (h.e, h.e_star)
+    return Automorphism(h.quiver, 0, False, h.m, tuple(e[j] for j in at), tuple(e_star[j] for j in at))
+
+
+def _check_order(order: int, cap: int) -> None:
+    if order > cap:
+        raise CapExceededError(f"group closure exceeded cap {cap}: the group's order is over the limit of {cap} elements")
 
 
 def generate_group(generators: Sequence[Automorphism], cap: int = 512) -> FiniteGroup:

@@ -661,12 +661,25 @@ def test_ideal_build_size_is_checked_up_front(tmp_path, capsys):
     from auslab.smash import IDEAL_CELL_LIMIT
 
     def cells(n, fixing, degree):
-        return 30 * n * n + fixing * n * (degree + 1) * (2 * n + degree + 2) // 2
+        layout = 4 if n % 2 else 1      # odd n builds every block, even n one chain
+        return 30 * n * n + fixing * n * (degree + 1) * (2 * layout * n + degree + 2) // 2
 
-    # the trivial group fits through n = 279 at degree 1, D_16 through degree 540
-    assert cells(279, 1, 1) <= IDEAL_CELL_LIMIT < cells(280, 1, 1)
+    # the trivial group fits through n = 255 at degree 1 for odd n and through
+    # n = 278 for even n, D_16 through degree 540, and D_n at its default
+    # cutoff 4n + 4 through n = 45 for odd n and n = 56 for even n
+    assert cells(255, 1, 1) <= IDEAL_CELL_LIMIT < cells(257, 1, 1)
+    assert cells(278, 1, 1) <= IDEAL_CELL_LIMIT < cells(280, 1, 1)
     assert cells(16, 1, 540) <= IDEAL_CELL_LIMIT < cells(16, 1, 541)
-    for n, group, degree in (("800", "rot(0)", "1"), ("16", "rot(1),refl(0)", "1088"), ("280", "rot(0)", "1"), ("16", "rot(1),refl(0)", "541")):
+    assert cells(45, 1, 184) <= IDEAL_CELL_LIMIT < cells(47, 1, 192)
+    assert cells(56, 1, 228) <= IDEAL_CELL_LIMIT < cells(58, 1, 236)
+    for n, group, degree in (
+        ("800", "rot(0)", "1"),
+        ("16", "rot(1),refl(0)", "1088"),
+        ("257", "rot(0)", "1"),
+        ("280", "rot(0)", "1"),
+        ("16", "rot(1),refl(0)", "541"),
+        ("47", "rot(1),refl(0)", "192"),
+    ):
         started = time.monotonic()
         assert main(["auslander", "--n", n, "--group", group, "--degree", degree, "--out", str(tmp_path)]) == 1
         assert time.monotonic() - started < 1
@@ -675,6 +688,31 @@ def test_ideal_build_size_is_checked_up_front(tmp_path, capsys):
     assert main(["scan", "--n-list", "280", "--all-dihedral-subgroups", "--degree", "1", "--out", str(tmp_path)]) == 1
     assert "n = 280 through degree 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_order_4096_group_is_built_without_a_cayley_table(tmp_path):
+    # |T| = 16 and |N| = 256, so products are index arithmetic through T and
+    # its conjugation of N; a |G|^2 table of 16.8 million entries took 2 s
+    # and 130 MB.  A fresh interpreter reports the command's own time and
+    # peak RSS, read from VmHWM, which exec resets (ru_maxrss keeps the
+    # parent's peak across it).
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    argv = ["auslander", "--n", "8", "--group", "rot(1),refl(0),scalar(2;1,0,0,0,0,0,0,0;1,0,0,0,0,0,0,0)", "--degree", "4", "--out", str(tmp_path)]
+    code = (
+        "import json, sys, time\n"
+        "from auslab.cli import main\n"
+        "started = time.perf_counter()\n"
+        "code = main(json.loads(sys.argv[1]))\n"
+        "seconds = time.perf_counter() - started\n"
+        "peak = next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(code, seconds, int(peak) / 1024)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env, capture_output=True, text=True, check=True)
+    code, seconds, peak_mb = done.stdout.split()
+    assert code == "0" and float(seconds) < 1 and float(peak_mb) < 60, done.stdout
+    payload = json.loads((tmp_path / "auslander_n8.json").read_text())["payload"]
+    assert payload["group_order"] == 4096
 
 
 def test_ideal_build_runs_at_the_size_the_limit_allows(tmp_path):

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_smash import scalar_transfer_group
 from test_symmetry import group_specs
 
 from auslab.cli import build_group
@@ -315,10 +314,14 @@ def test_twisted_orbit_sums_are_the_reynolds_basis(case):
 
 
 def test_twisted_orbit_sums_drop_orbits_with_a_scaling_stabilizer():
-    group = scalar_transfer_group()
+    # order 64: zeta_4 on alpha_0 and its conjugates under rho^2 and rho r
+    # scale monomials their elements fix, so most orbits drop out
+    group, _ = build_group("rot(2),refl(1),scalar(4;1,0,0,0;3,0,0,0)", 4)
+    assert len(group) == 64 and len(group.n_elements) == 16
     basis = invariant_basis(group, 4)
     for d in range(5):
         assert basis.vectors[d] == _reynolds_basis(group, d)
+    assert basis.dims == [1, 1, 1, 1, 1]
     # -1 on every arrow fixes each monomial and scales the odd-degree ones
     # by -1, so in degree 1 the rotation orbit {alpha_0, alpha_1, alpha_2}
     # and its star counterpart drop out

@@ -310,10 +310,27 @@ def test_classify_auslander_matches_the_fixed_point_oracle(n):
 
 def test_vertex_fixing_is_the_identity_then_the_elements_fixing_every_vertex():
     group, _ = build_group("rot(1),refl(0),scalar(4;1,0,0,0;3,0,0,0)", 4)
-    fixing = group.vertex_fixing
-    assert fixing is group.vertex_fixing and fixing[0] == group.identity_index
-    assert sorted(fixing) == [gi for gi, vm in enumerate(group.vertex_maps) if vm == (0, 1, 2, 3)]
-    assert len(fixing) == len(group) // 8
+    fixing = [gi for gi, vm in enumerate(group.vertex_maps) if vm == (0, 1, 2, 3)]
+    assert fixing == list(range(len(group.n_elements))) and len(fixing) == len(group) // 8
+    assert group.elements[0] == identity_automorphism(group.quiver) and group.elements[: len(fixing)] == group.n_elements
+
+
+def _assert_split_layout(group):
+    """The oracle for the layout: T, the scalar-free elements sorted by
+    (refl, rot), and N, the elements fixing every vertex sorted by
+    `sort_key`, each read off the element list; then elements[c |N| + k] is
+    T[c] N[k], T[c]^-1 is the inverse and conj[c][k] the position of the
+    conjugate in N."""
+    ident = identity_automorphism(group.quiver)
+    t = sorted((g for g in group.elements if g.m == 1), key=lambda g: g.sort_key())
+    normal = sorted((g for g in group.elements if not g.rot and not g.refl), key=lambda g: g.sort_key())
+    assert t[0] == normal[0] == ident and len(t) * len(normal) == len(group)
+    assert group.n_elements == normal and group.elements == [a * h for a in t for h in normal]
+    assert group.conductor == math.lcm(*(g.m for g in group.elements))
+    for c, a in enumerate(t):
+        assert a * t[group.t_inverse[c]] == ident
+        assert [normal[k] for k in group.conj[c]] == [a * h * t[group.t_inverse[c]] for h in normal]
+
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_w_subgroup_is_generated_by_the_vertex_fixing_reflections(n):
@@ -365,12 +382,15 @@ def test_subgroup_cap_is_sized_from_n():
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_subgroup_tables_follow_dihedral_law(n):
-    # rho^a r^s * rho^b r^t = rho^(a -+ b) r^(s xor t), minus when s is set
+    # rho^a r^s * rho^b r^t = rho^(a -+ b) r^(s xor t), minus when s is set;
+    # N is trivial, so T is the whole group
     for _, group in enumerate_subgroups(n):
-        assert not group.has_scalars
-        for g, row in zip(group.elements, group.table):
-            for h, gh in zip(group.elements, row):
-                product = group.elements[gh]
+        assert not group.has_scalars and len(group.n_elements) == 1
+        _assert_split_layout(group)
+        for gi, g in enumerate(group.elements):
+            for hi, h in enumerate(group.elements):
+                product = group.elements[group.mul(gi, hi)]
+                assert product == g * h and group.t_mul(gi, hi) == group.mul(gi, hi)
                 assert product.rot == (g.rot + (-h.rot if g.refl else h.rot)) % n
                 assert product.refl == g.refl ^ h.refl
 
@@ -412,17 +432,16 @@ def test_closed_form_scalar_multiplier_matches_wordwise():
 
 
 def test_cayley_table_of_a_large_group_is_the_composition():
-    # order 2048, built from |G| * 3 compositions and lookups
+    # order 2048 = |T| |N| = 8 * 256: products are index arithmetic
     group, _ = build_group("rot(1),refl(0),scalar(4;1,0,0,0;3,0,0,0)", 4)
-    elements, table = group.elements, group.table
-    assert len(group) == 2048
+    elements = group.elements
+    assert len(group) == 2048 and len(group.n_elements) == 256
+    _assert_split_layout(group)
     index = {g: i for i, g in enumerate(elements)}
     rng = random.Random(2048)
     for _ in range(2000):
         a, b = rng.randrange(2048), rng.randrange(2048)
-        assert table[a][b] == index[elements[a] * elements[b]]
-    ident = identity_automorphism(group.quiver)
-    assert all(g * elements[inv] == ident for g, inv in zip(elements, group.inverse))
+        assert group.mul(a, b) == index[elements[a] * elements[b]]
 
 
 @st.composite
@@ -490,19 +509,18 @@ def test_cayley_table_matches_the_action(case, rng):
         group, _ = build_group(spec, n, cap=64)
     except CapExceededError:
         assume(False)
-    q = group.quiver
-    size, table, ident, inv = len(group), group.table, group.identity_index, group.inverse
-    # the table filled from the closure is the composition of the elements
+    q, size, mul = group.quiver, len(group), group.mul
+    _assert_split_layout(group)
+    # index arithmetic is the composition of the elements
     index = {g: i for i, g in enumerate(group.elements)}
-    for g, row in zip(group.elements, table):
-        assert [index[g * h] for h in group.elements] == row
+    for gi, g in enumerate(group.elements):
+        assert [index[g * h] for h in group.elements] == [mul(gi, hi) for hi in range(size)]
     for g in range(size):
-        assert table[ident][g] == table[g][ident] == g
-        assert table[g][inv[g]] == table[inv[g]][g] == ident
+        assert mul(0, g) == mul(g, 0) == g
     for _ in range(300):
         a, b, c = (rng.randrange(size) for _ in range(3))
-        assert table[table[a][b]][c] == table[a][table[b][c]]
-    # g(h(x)), scalars multiplied, is the action of the table's product
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    # g(h(x)), scalars multiplied, is the action of the element mul names
     monomials = [x for d in range(5) for x in nf_basis(q, d)]
     for _ in range(12):
         gi, hi = rng.randrange(size), rng.randrange(size)
@@ -510,7 +528,7 @@ def test_cayley_table_matches_the_action(case, rng):
         for x in monomials:
             c_h, y = h.monomial_image(x)
             c_g, z = g.monomial_image(y)
-            assert group.monomial_action(table[gi][hi], x) == (c_g * c_h, z)
+            assert group.monomial_action(mul(gi, hi), x) == (c_g * c_h, z)
     # the closed form on exponents agrees with the scalar values arrow by arrow
     for g in rng.sample(group.elements, min(size, 4)):
         for x in monomials[: 10 * n]:
