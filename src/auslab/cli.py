@@ -314,9 +314,8 @@ def cmd_invariants(args) -> int:
         "group_order": len(group),
         "dims": basis.dims,
     }
-    parity_preserved = args.n % 2 == 0 and all(
-        all((vm[v] - v) % 2 == 0 for v in range(args.n)) for vm in group.vertex_maps
-    )
+    # For even n, g(v) - v = rot (mod 2) whether g reflects or not.
+    parity_preserved = args.n % 2 == 0 and all(g.rot % 2 == 0 for g in group.elements)
     if parity_preserved:
         payload["matrix_dims"] = [basis.matrix_dims(d) for d in range(degree + 1)]
     failures = []

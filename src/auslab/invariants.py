@@ -147,7 +147,7 @@ class InvariantBasis:
         parity p + d."""
         if self.group.quiver.n % 2:
             raise ValueError("parity blocks need n even")
-        reach = [{vm[j] % 2 for vm in self.group.vertex_maps} for j in (0, 1)]
+        reach = [{g.vertex_image(j) % 2 for g in self.group.elements} for j in (0, 1)]
         out = [[0, 0], [0, 0]]
         for v in self.vectors[d]:
             for p in reach[next(iter(v.terms)).source % 2]:

@@ -276,7 +276,7 @@ class IdealTruncation:
         seen is the least of its orbit, its representative.  N fixes every
         vertex, so the scalar-free elements, one per coset, reach every
         image; the first to reach a pair, in index order, is its transfer."""
-        n, vertex_maps = self.n, self.group.vertex_maps
+        n, elements = self.n, self.group.elements
         self.pair_rep: dict[tuple[int, int], tuple[int, int]] = {}
         self.pair_transfer: dict[tuple[int, int], int] = {}
         self.orbit_sizes: dict[tuple[int, int], int] = {}
@@ -285,8 +285,8 @@ class IdealTruncation:
                 continue
             orbit = {}
             for t in self._reps:
-                vm = vertex_maps[t]
-                orbit.setdefault((vm[rep[0]], vm[rep[1]]), t)
+                image = elements[t].vertex_image
+                orbit.setdefault((image(rep[0]), image(rep[1])), t)
             for p, t in orbit.items():
                 self.pair_rep[p] = rep
                 self.pair_transfer[p] = t
@@ -341,7 +341,7 @@ class IdealTruncation:
         if hit is None:
             n = self.n
             by_c = self._progressions.get(d) or self._progressions.setdefault(d, [_progression(n, c, d) for c in range(n)])
-            fc = [by_c[(d + vm[j] - i) % n] for vm in self.group.vertex_maps]
+            fc = [by_c[(d + (g.rot - j if g.refl else g.rot + j) - i) % n] for g in self.group.elements]
             hit = BlockCoords([f for f, _ in fc], [c for _, c in fc], self._step)
             self._coords[key] = hit
         return hit
@@ -475,7 +475,7 @@ class IdealTruncation:
         if by_j is None:
             by_j = self._cut_reps[i] = {}
             for t in self._reps:
-                by_j.setdefault(self.group.vertex_maps[t].index(i), []).append(t)
+                by_j.setdefault(self.group.elements[t].vertex_preimage(i), []).append(t)
         dst, refl = self.block_coords(i, k, d), self._refl
         for j, ts in by_j.items():
             count = dst.count[ts[0]]
@@ -516,10 +516,10 @@ class IdealTruncation:
         d = x.degree()
         if d is None:
             raise MixedDegreeError("membership requires a homogeneous element")
-        n, vertex_maps = self.n, self.group.vertex_maps
+        n, elements = self.n, self.group.elements
         pieces: dict[tuple[int, int], list[tuple[int, int, object]]] = {}
         for (m, gi), c in x.terms.items():
-            pieces.setdefault((m.source, vertex_maps[gi].index(m.target(n))), []).append((gi, m.nonstars, c))
+            pieces.setdefault((m.source, elements[gi].vertex_preimage(m.target(n))), []).append((gi, m.nonstars, c))
         for pair, terms in pieces.items():
             block = self._block(pair, d)
             if not block.full and not block.kernel.vanishes((c, self._projection(pair, d, g)[l]) for g, l, c in terms):

@@ -64,15 +64,15 @@ class Automorphism:
         n = self.quiver.n
         return (self.rot - i) % n if self.refl else (self.rot + i) % n
 
+    def vertex_preimage(self, i: int) -> int:
+        return self.vertex_image(i) if self.refl else (i - self.rot) % self.quiver.n
+
     def monomial_image(self, x: NFMonomial) -> tuple[object, NFMonomial]:
         """Closed form on canonical monomials: rotations shift the source,
         reflections also swap the two arrow counts; the scalar multiplier is
         zeta_m to the sum of the exponents along the canonical word."""
-        n = self.quiver.n
-        if self.refl:
-            img = NFMonomial((self.rot - x.source) % n, x.stars, x.nonstars)
-        else:
-            img = NFMonomial((self.rot + x.source) % n, x.nonstars, x.stars)
+        source = self.vertex_image(x.source)
+        img = NFMonomial(source, x.stars, x.nonstars) if self.refl else NFMonomial(source, x.nonstars, x.stars)
         if self.m == 1:
             return Fraction(1), img
         return root(self.m, self.word_exponents(x.source, x.degree, (x.nonstars,))[0]), img
@@ -106,20 +106,15 @@ class Automorphism:
         if q != other.quiver:
             raise ValueError("automorphisms live over different quivers")
         n = q.n
-        rot = (self.rot + (-other.rot if self.refl else other.rot)) % n
-        refl = self.refl ^ other.refl
+        rot, refl = _dihedral_product(n, (self.rot, self.refl), (other.rot, other.refl))
         m = lcm(self.m, other.m)
         if m == 1:
             return Automorphism(q, rot, refl, 1, other.e, other.e_star)
         a, b = m // self.m, m // other.m
-        # h sends alpha_i to alpha_{r+i}, or when it reflects to alpha_{r-i-1}*
+        # h sends alpha_i to alpha_h(i), or when it reflects to alpha_h(i+1)*
         # (and the starred arrows to the other kind likewise).
-        if other.refl:
-            at = [(other.rot - i - 1) % n for i in range(n)]
-            outer, outer_star = self.e_star, self.e
-        else:
-            at = [(other.rot + i) % n for i in range(n)]
-            outer, outer_star = self.e, self.e_star
+        at = [other.vertex_image(i + 1 if other.refl else i) for i in range(n)]
+        outer, outer_star = (self.e_star, self.e) if other.refl else (self.e, self.e_star)
         e = tuple((b * k + a * outer[j]) % m for k, j in zip(other.e, at))
         e_star = tuple((b * k + a * outer_star[j]) % m for k, j in zip(other.e_star, at))
         if not any(e) and not any(e_star):
@@ -272,9 +267,14 @@ class FiniteGroup:
         self.has_scalars = len(normal) > 1
         # t h scales each arrow as h does, t being scalar-free.
         self.elements = [Automorphism(quiver, rot, refl, h.m, h.e, h.e_star) for rot, refl in pairs for h in normal]
-        t_maps = [tuple(map(self.elements[c * len(normal)].vertex_image, range(n))) for c in range(len(pairs))]
-        self.vertex_maps = [vm for vm in t_maps for _ in normal]
         self._action_cache: dict = {}
+
+    @cached_property
+    def vertex_maps(self) -> list[tuple[int, ...]]:
+        """Each element's vertex images as an n-tuple, built on first read.
+        No command reads it; its one reader is the saturation count of
+        perfbench/tracing.py:169."""
+        return [tuple(map(g.vertex_image, range(self.quiver.n))) for g in self.elements]
 
     def t_mul(self, a: int, b: int) -> int:
         """The position in T of T[a] T[b]."""

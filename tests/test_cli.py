@@ -20,7 +20,7 @@ from auslab.cli import (
     scan_csv_text,
 )
 from auslab.quiver import QuiverA
-from auslab.symmetry import CapExceededError, FiniteGroup, dihedral_group, rotation
+from auslab.symmetry import CapExceededError, FiniteGroup, build_subgroup, dihedral_group, rotation, subgroup_keys
 from reference import adjacency_matrix, xi, xi_star
 
 
@@ -490,6 +490,20 @@ def test_presentation_check_accepts_other_spellings(tmp_path, group, target):
     assert payload["presentation"]["bijective_through"] == 6
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_matrix_dims_are_reported_exactly_when_every_element_keeps_parity(tmp_path, n):
+    # the parity test reads rot off each element; the oracle moves every
+    # vertex by every element of every subgroup of D_n
+    for kind, d, j in subgroup_keys(n):
+        spec = f"rot({d % n})" + (f",refl({j})" if kind == "dihedral" else "")
+        group, _ = build_group(spec, n)
+        even = all((g.vertex_image(v) - v) % 2 == 0 for g in group.elements for v in range(n))
+        assert main(["invariants", "--n", str(n), "--group", spec, "--degree", "2", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / f"invariants_n{n}.json").read_text())["payload"]
+        assert ("matrix_dims" in payload) == even, spec
+        assert payload["group_order"] == len(build_subgroup(n, kind, d, j)[1])
+
+
 @pytest.mark.parametrize("check", [[], ["--check-presentation"]])
 def test_invariants_builds_one_group(monkeypatch, tmp_path, check):
     built = []
@@ -690,14 +704,28 @@ def test_ideal_build_size_is_checked_up_front(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_order_4096_group_is_built_without_a_cayley_table(tmp_path):
-    # |T| = 16 and |N| = 256, so products are index arithmetic through T and
-    # its conjugation of N; a |G|^2 table of 16.8 million entries took 2 s
-    # and 130 MB.  A fresh interpreter reports the command's own time and
-    # peak RSS, read from VmHWM, which exec resets (ru_maxrss keeps the
-    # parent's peak across it).
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        # |T| = 16 and |N| = 256, so products are index arithmetic through T
+        # and its conjugation of N; a |G|^2 table of 16.8 million entries
+        # took 2 s and 130 MB.
+        pytest.param(
+            ["auslander", "--n", "8", "--group", "rot(1),refl(0),scalar(2;1,0,0,0,0,0,0,0;1,0,0,0,0,0,0,0)", "--degree", "4"],
+            "auslander_n8.json",
+            id="auslander",
+        ),
+        # D_2048: vertex images are closed form on (rot, refl); a table of
+        # one 2048-tuple per element took 1.5 s and 314 MB.
+        pytest.param(["invariants", "--n", "2048", "--group", "rot(1),refl(0)", "--degree", "1"], "invariants_n2048.json", id="invariants"),
+    ],
+)
+def test_order_4096_group_is_built_without_a_cayley_table(tmp_path, argv, report):
+    # A fresh interpreter reports the command's own time and peak RSS, read
+    # from VmHWM, which exec resets (ru_maxrss keeps the parent's peak
+    # across it).
     src = os.path.join(os.path.dirname(__file__), "..", "src")
-    argv = ["auslander", "--n", "8", "--group", "rot(1),refl(0),scalar(2;1,0,0,0,0,0,0,0;1,0,0,0,0,0,0,0)", "--degree", "4", "--out", str(tmp_path)]
+    argv = argv + ["--out", str(tmp_path)]
     code = (
         "import json, sys, time\n"
         "from auslab.cli import main\n"
@@ -711,7 +739,7 @@ def test_order_4096_group_is_built_without_a_cayley_table(tmp_path):
     done = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env, capture_output=True, text=True, check=True)
     code, seconds, peak_mb = done.stdout.split()
     assert code == "0" and float(seconds) < 1 and float(peak_mb) < 60, done.stdout
-    payload = json.loads((tmp_path / "auslander_n8.json").read_text())["payload"]
+    payload = json.loads((tmp_path / report).read_text())["payload"]
     assert payload["group_order"] == 4096
 
 

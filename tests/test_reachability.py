@@ -31,6 +31,7 @@ ALLOWLIST = {
     "linalg.IntEchelon.insert": TRACED,
     "symmetry.enumerate_subgroups": TRACED,
     "symmetry.FiniteGroup.element_key_set": TRACED,
+    "symmetry.FiniteGroup.vertex_maps": TRACED,
     "smash.IdealTruncation.built_through": TRACED,
     "smash.SmashElement.zero": NAIVE,
     "smash.SmashElement.unit": NAIVE,

@@ -320,8 +320,12 @@ def _assert_split_layout(group):
     (refl, rot), and N, the elements fixing every vertex sorted by
     `sort_key`, each read off the element list; then elements[c |N| + k] is
     T[c] N[k], T[c]^-1 is the inverse and conj[c][k] the position of the
-    conjugate in N."""
+    conjugate in N.  Each element's vertex preimage inverts its image,
+    and the tracer's table `vertex_maps` agrees with the closed form."""
     ident = identity_automorphism(group.quiver)
+    for gi, g in enumerate(group.elements):
+        for v in range(group.quiver.n):
+            assert g.vertex_preimage(g.vertex_image(v)) == v and group.vertex_maps[gi][v] == g.vertex_image(v)
     t = sorted((g for g in group.elements if g.m == 1), key=lambda g: g.sort_key())
     normal = sorted((g for g in group.elements if not g.rot and not g.refl), key=lambda g: g.sort_key())
     assert t[0] == normal[0] == ident and len(t) * len(normal) == len(group)
