@@ -19,7 +19,9 @@ elimination `image_rank` cannot count.  The kernels:
 an injective relabelling, reports `live`, the dimension left outside the
 span, and the rank of a few sums of coordinates in the quotient
 (`image_rank`); a row's membership is a sum of coefficients times roots of
-unity per live root (`vanishes`).
+unity per live root (`vanishes`).  A partition whose coordinates fall into
+runs, each in one component at one gain, `collapse`s to one node per run,
+and `expand`s back.
 """
 
 from __future__ import annotations
@@ -233,6 +235,48 @@ class SignedPartition:
                     rb, gb = root[b], gain[b]
         for r in source.dead:
             self.kill(mapping[r])
+
+    def collapse(self, starts: list[int], counts: list[int]) -> "SignedPartition | None":
+        """The partition over runs, node x standing for the coordinates
+        starts[x] .. starts[x] + counts[x] - 1 laid out in order, when every
+        run lies in one component at one gain; None otherwise.  An empty run
+        is a live node no row touches."""
+        root, gain = self.root, self.gain
+        owner = [x for x, c in enumerate(counts) for _ in range(c)]
+        out = SignedPartition(len(counts), self.values)
+        node_root, node_gain, members = out.root, out.gain, out.members
+        for x, (s, c) in enumerate(zip(starts, counts)):
+            if not c:
+                continue
+            r, g = root[s], gain[s]
+            if c > 1 and (root[s:s + c].count(r) < c or gain[s:s + c].count(g) < c):
+                return None
+            # The root coordinate has gain 0, so its run does too.
+            rx = node_root[x] = owner[r]
+            node_gain[x] = g
+            if rx != x:
+                members.setdefault(rx, [rx]).append(x)
+        out.dead = {owner[r] for r in self.dead}
+        out.live = self.live + counts.count(0)
+        return out
+
+    def expand(self, starts: list[int], counts: list[int]) -> "SignedPartition":
+        """The partition over the coordinates of the runs, each coordinate
+        at its run's gain: the inverse of `collapse`."""
+        out = SignedPartition(sum(counts), self.values)
+        root, gain, node_root = out.root, out.gain, self.root
+        for x, (s, c) in enumerate(zip(starts, counts)):
+            if not c:
+                continue
+            root[s:s + c] = [starts[node_root[x]]] * c
+            gain[s:s + c] = [self.gain[x]] * c
+            if node_root[x] == x:
+                mem = [p for y in self.members.get(x, (x,)) for p in range(starts[y], starts[y] + counts[y])]
+                if len(mem) > 1:
+                    out.members[s] = mem
+        out.dead = {starts[r] for r in self.dead}
+        out.live = self.live - counts.count(0)
+        return out
 
     def reduce(self, terms) -> list[tuple[int, int]]:
         """z^s e_k for the (k, s) in `terms`, in the quotient: a list of

@@ -44,6 +44,22 @@ maps, adds its cut rows, and stops once the block is spanned.  With N
 trivial and no scalars (the subgroups of D_n), K = 2 and the coordinates
 are the pairs (g, l) themselves.
 
+With N trivial, the coordinates (g, l) of one label g form its run, and
+runs go to runs.  A left extension composed with a transfer t sends the
+run of h onto the l >= 1 part (nonstar) or the l <= d - 1 part (star) of
+the run of t h t^-1, in order or reversed, and a cut row kills one run or
+pairs two runs position by position.  The two parts of a run meet unless
+the run is {0, d}, and that needs d = step (n for odd n, n/2 for even n).
+So when both left sources hold every run in one component at one gain, so
+does the block unless d = step, and the block is kept as a partition over
+its |G| labels, one node per run (`_build_runs`): a source is absorbed
+through t's relabelling and a cut row is one join or kill, O(|G|) per
+block where the coordinates cost O(|G| d/n).  The coordinate build still
+runs for groups with scalars, at d = 0 and d = step, and after a block
+whose runs split; its result is collapsed to labels when every run lies
+in one component at one gain.  Membership, and the coordinate build at
+d = step, expand a label block to its coordinates on demand.
+
 For even n the build splits into two chains by the parity of j - i + d:
 block (i, j) at degree d draws only on blocks at d - 1 of its parity, and
 conjugation keeps it.  Identity coordinates need j - i + d even, so
@@ -55,7 +71,9 @@ Rank is read off the partition.  The identity coordinates are
 (1, l) = |N|^-1 sum_psi phi_(1, psi, l), so the identity intersection is
 their number minus the rank of their images in the quotient; that rank is
 a count unless two images meet a common root, and only then is it found by
-`linalg.rank`, the one field elimination left.  Membership writes
+`linalg.rank`, the one field elimination left; in a label block the
+identity run is one node, so that rank is 1 if the node is live and the
+run is not empty, and 0 otherwise.  Membership writes
 an element's coordinates in character coordinates and checks that its
 image in the quotient vanishes: a sum of coefficients times roots of unity
 per live root (`SignedPartition.vanishes`).
@@ -233,13 +251,27 @@ class BlockCoords:
         self.size = self.start.pop()
 
 
-@dataclass
 class _Block:
-    kernel: SignedPartition | None    # None once saturated
-    full: bool = False
+    """A block's span at one degree, a gain partition: over its coordinates,
+    or, for a group without scalars, over its labels (`runs`), node g
+    standing for g's run of coordinates (g, l), all at g's gain.  `kernel`,
+    the partition over coordinates, expands a label block on first read.
+    A saturated block holds neither."""
+
+    __slots__ = ("runs", "coords", "_kernel", "full")
+
+    def __init__(self, kernel: SignedPartition | None = None, runs: SignedPartition | None = None, coords: BlockCoords | None = None):
+        self._kernel, self.runs, self.coords = kernel, runs, coords
+        self.full = kernel is None and runs is None
+
+    @property
+    def kernel(self) -> SignedPartition | None:
+        if self._kernel is None and self.runs is not None:
+            self._kernel = self.runs.expand(self.coords.start, self.coords.count)
+        return self._kernel
 
 
-_SATURATED = _Block(None, True)
+_SATURATED = _Block()
 
 
 class IdealTruncation:
@@ -387,8 +419,11 @@ class IdealTruncation:
 
     def block_rank(self, pair: tuple[int, int], d: int) -> int:
         block = self._block(pair, d)
+        coords = self.block_coords(*self.pair_rep[pair], d)
         if block.full:
-            return self.block_coords(*self.pair_rep[pair], d).size
+            return coords.size
+        if block.runs is not None:
+            return coords.size - block.runs.live + coords.count.count(0)    # an empty run is a live node
         return block.kernel.rank
 
     def block_identity_intersection(self, pair: tuple[int, int], d: int) -> int:
@@ -400,6 +435,9 @@ class IdealTruncation:
             return _progression(self.n, d + rep[1] - rep[0], d)[1]     # the l with i + 2l - d = j
         coords = self.block_coords(*rep, d)
         count = coords.count[0]
+        if block.runs is not None:
+            # The identity run lies at one gain: its image is one root, or 0.
+            return count - (count > 0 and block.runs.root[0] not in block.runs.dead)
         return count - block.kernel.image_rank(coords.start[: self._size], count)
 
     # -- construction -----------------------------------------------------------
@@ -433,9 +471,13 @@ class IdealTruncation:
             # Every canonical monomial of positive degree factors off its
             # first arrow, so a block whose two left sources are saturated is.
             n, prev = self.n, self._layers[d - 1]
-            if prev[self.pair_rep[((i + 1) % n, j)]].full and prev[self.pair_rep[((i - 1) % n, j)]].full:
+            nonstar, star = prev[self.pair_rep[((i + 1) % n, j)]], prev[self.pair_rep[((i - 1) % n, j)]]
+            if nonstar.full and star.full:
                 return _SATURATED
-        kernel = SignedPartition(self.block_coords(i, j, d).size, self._values)
+            if not self.group.has_scalars and d != self._step and (nonstar.full or nonstar.runs is not None) and (star.full or star.runs is not None):
+                return self._build_runs(i, j, d)
+        coords = self.block_coords(i, j, d)
+        kernel = SignedPartition(coords.size, self._values)
         for source, mapping in self._sources(i, j, d) if d else ():
             kernel.absorb(mapping, source.kernel)
         for pa, *rest in self._cut_rows(i, j, d) if kernel.live else ():
@@ -448,7 +490,36 @@ class IdealTruncation:
                     kernel.kill(a)
             if not kernel.live:
                 break
-        return _Block(kernel) if kernel.live else _SATURATED
+        if not kernel.live:
+            return _SATURATED
+        return _Block(kernel, None if self.group.has_scalars else kernel.collapse(coords.start, coords.count), coords)
+
+    def _build_runs(self, i: int, j: int, d: int) -> _Block:
+        """Block (i, j) at degree d over its labels, for a group without
+        scalars whose left sources are kept over theirs (the runs of the
+        module docstring): a source is absorbed through its transfer's
+        relabelling, and a cut row is one kill, or one join of the two
+        labels whose runs it pairs."""
+        n, prev, dst = self.n, self._layers[d - 1], self.block_coords(i, j, d)
+        empty = dst.count.count(0)          # live nodes that stand for no coordinate
+        runs = SignedPartition(len(dst.count), self._values)
+        for pair in (((i + 1) % n, j), ((i - 1) % n, j)):
+            rep, t = self.pair_rep[pair], self.pair_transfer[pair]
+            labels = self._labels.get(t) or self._label_map(t)
+            source = prev[rep]
+            if source.full:
+                runs.absorb([labels[h] for h, c in enumerate(self.block_coords(*rep, d - 1).count) if c], None)
+            else:
+                runs.absorb(labels, source.runs)
+        for ts in self._reps_reaching(i).values():
+            if runs.live == empty:
+                break
+            if dst.count[ts[0]]:
+                if len(ts) == 2:
+                    runs.join(ts[0], ts[1], self._K // 2)
+                else:
+                    runs.kill(ts[0])
+        return _Block(runs=runs, coords=dst) if runs.live > empty else _SATURATED
 
     def _sources(self, i: int, j: int, d: int):
         """(source representative's block at d - 1, index map into block
@@ -471,13 +542,8 @@ class IdealTruncation:
         run of positions per t, indexed by the monomials in increasing l: t
         sends them onto t's own coordinates of the block, reversed when t
         reflects."""
-        by_j = self._cut_reps.get(i)
-        if by_j is None:
-            by_j = self._cut_reps[i] = {}
-            for t in self._reps:
-                by_j.setdefault(self.group.elements[t].vertex_preimage(i), []).append(t)
         dst, refl = self.block_coords(i, k, d), self._refl
-        for j, ts in by_j.items():
+        for j, ts in self._reps_reaching(i).items():
             count = dst.count[ts[0]]
             if not count:
                 continue
@@ -488,6 +554,15 @@ class IdealTruncation:
             ls = range(first, first + count * self._step, self._step)
             chis = [self._char_by_gens[x] for x in zip(*(self._word_exponents(h, j, d, ls) for h in self._char_gens))]
             yield [[dst.start[t + h] + (count - 1 - x if refl[t] else x) for x, h in enumerate(chis)] for t in ts]
+
+    def _reps_reaching(self, i: int) -> dict[int, list[int]]:
+        """j -> the coset representatives t with t(j) = i, in index order."""
+        by_j = self._cut_reps.get(i)
+        if by_j is None:
+            by_j = self._cut_reps[i] = {}
+            for t in self._reps:
+                by_j.setdefault(self.group.elements[t].vertex_preimage(i), []).append(t)
+        return by_j
 
     # -- measurements -------------------------------------------------------------
 
@@ -720,12 +795,15 @@ def default_cutoff(n: int, group: FiniteGroup) -> int:
 # only the identity chain, and w = 1.  Odd n builds every block, and w = 4
 # is measured: counted with w = 2, D_51 at its default cutoff took about
 # twice as long as D_56 at the same count.  So a build through degree D
-# counts 30n^2 + |N| n(D+1)(wn + (D+2)/2) cells.  At this limit the trivial
-# group at degree 1 takes 0.3 s at n = 278 and 0.5 s at n = 255, D_16
-# through degree 540 0.55 s, D_45 and D_56 at the default cutoff 0.6 to
-# 0.9 s, the order-192 group of `invariants`' walk limit at n = 3 through
-# degree 148 0.7 s, and <rho, r, -1> at n = 100 through degree 77 0.9 s, on
-# a 2-core x86-64 guest under Python 3.11.
+# counts 30n^2 + |N| n(D+1)(wn + (D+2)/2) cells.  At this limit, as whole
+# `auslander` runs in-process on a 2-core x86-64 guest under Python 3.11,
+# the trivial group at degree 1 takes 0.45 s at n = 278 and 0.7 s at
+# n = 255, the order-192 group of `invariants`' walk limit at n = 3 through
+# degree 148 1.1 s, and <rho, r, -1> at n = 100 through degree 77 1.25 s.
+# A group without scalars keeps its blocks past degree n over their labels,
+# so the count overstates its build: D_16 through degree 540 takes 0.11 s,
+# and D_45 and D_56 at the default cutoff 0.35 s and 0.24 s, where the
+# coordinate build took 0.95 s, 1.2 s and 0.8 s on the same guest.
 IDEAL_CELL_LIMIT = 2_500_000
 
 

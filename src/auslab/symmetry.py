@@ -262,9 +262,10 @@ class FiniteGroup:
         self._n_index = {h: k for k, h in enumerate(normal)}
         self.n_elements = normal
         self.n_gens = [self._n_index[x] for x in grew]
-        self.conj = [[self._n_index[_conjugate(t, h)] for h in normal] for t in pairs]
-        self.conductor = lcm(*(h.m for h in normal))
         self.has_scalars = len(normal) > 1
+        # With N trivial every conjugate is the identity, and none is hashed.
+        self.conj = [[self._n_index[_conjugate(t, h)] for h in normal] for t in pairs] if self.has_scalars else [[0]] * len(pairs)
+        self.conductor = lcm(*(h.m for h in normal))
         # t h scales each arrow as h does, t being scalar-free.
         self.elements = [Automorphism(quiver, rot, refl, h.m, h.e, h.e_star) for rot, refl in pairs for h in normal]
         self._action_cache: dict = {}

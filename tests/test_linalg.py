@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 import pytest
@@ -149,6 +150,34 @@ def test_signed_partition_absorbs_an_image(rows, first, mapping):
     whole = SignedPartition(12)
     whole.absorb(mapping[:10], None)
     assert whole.rank == 10 and lead_count_at_least(whole, 0) == 10
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=signed_rows, counts=st.lists(st.integers(0, 3), min_size=10, max_size=10))
+def test_runs_collapse_and_expand(rows, counts):
+    # node x stands for a run of counts[x] consecutive coordinates: rows on
+    # the runs' first coordinates, with each run joined at gain 0, collapse
+    # to the same rows over the nodes, and the nodes' partition expands back
+    # to that span; a run over two components, or at two gains, does not
+    # collapse
+    starts = list(accumulate(counts, initial=0))[:-1]
+    rows = [row for row in rows if all(counts[x] for x in row)]
+    nodes, coords = SignedPartition(10), SignedPartition(sum(counts))
+    for s, c in zip(starts, counts):
+        for p in range(s + 1, s + c):
+            insert(coords, {s: 1, p: -1})
+    for row in rows:
+        insert(nodes, row)
+        insert(coords, {starts[x]: c for x, c in row.items()})
+    collapsed, expanded = coords.collapse(starts, counts), nodes.expand(starts, counts)
+    assert collapsed.live == nodes.live and expanded.rank == coords.rank
+    assert all(contains(collapsed, row) for row in span_rows(nodes)) and all(contains(nodes, row) for row in span_rows(collapsed))
+    assert all(contains(expanded, row) for row in span_rows(coords)) and all(contains(coords, row) for row in span_rows(expanded))
+    for x in (x for x, c in enumerate(counts) if c > 1):
+        dead, twisted = SignedPartition(sum(counts)), SignedPartition(sum(counts))
+        dead.kill(starts[x])
+        twisted.join(starts[x], starts[x] + 1, 1)
+        assert dead.collapse(starts, counts) is None and twisted.collapse(starts, counts) is None
 
 
 @st.composite

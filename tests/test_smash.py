@@ -1078,3 +1078,52 @@ def test_block_coords_read_the_progressions_once_per_degree(monkeypatch, spec, n
                 every = [progression(n, d + vm[j] - i, d) for vm in group.vertex_maps]
                 assert (coords.first, coords.count) == ([f for f, _ in every], [c for _, c in every])
         assert len(calls) == n
+
+
+# ---------------------------------------------------------------------------
+# The label build against the coordinate build
+# ---------------------------------------------------------------------------
+
+
+def _ideal_measurements(group, D, every_block):
+    """The identity series through degree D, and with `every_block` the
+    ideal dimension and every block rank of both chains and the membership
+    of the `verify --suite smash` certificates, each beside a non-member, at
+    degrees n, n + 1 and 2n + 1; with the number of blocks kept over labels."""
+    trunc = build_ideal(group, D)
+    out = [trunc.identity_component_dim(d) for d in range(D + 1)]
+    if every_block:
+        q, n = group.quiver, group.quiver.n
+        out += [trunc.ideal_dimension(d) for d in range(D + 1)]
+        out += [trunc.block_rank(rep, d) for d in range(D + 1) for rep in trunc.orbit_reps]
+        out.append(trunc.contains(SmashElement.group_sum(group)))
+        for d in (n, n + 1, 2 * n + 1):
+            p = AlgebraElement.monomial(q, NFMonomial(0, d, 0))
+            qq = AlgebraElement.monomial(q, NFMonomial(0, 0, d))
+            out += [trunc.contains(SmashElement.from_algebra(group, p - qq)), trunc.contains(SmashElement.from_algebra(group, p))]
+    return out, sum(block.runs is not None for layer in trunc._layers for block in layer.values())
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_label_build_matches_the_coordinate_build(monkeypatch, n):
+    # a group without scalars keeps its blocks over their labels, one node
+    # per label's run of coordinates; with `collapse` refusing every block,
+    # every degree runs the coordinate build, and the identity series (and
+    # for n <= 6 every block rank and membership) is the same.  The gate is
+    # N trivial, not K = 2: the groups with scalars of order 2 keep every
+    # block on its coordinates
+    groups = [build_subgroup(n, *key)[1] for key in subgroup_keys(n)]
+    if n == 4:
+        groups += [_smash_group((4, spec)) for spec in ("rot(2),refl(0),scalar(2;1,1,1,1;0,0,0,0)", "rot(1),refl(0),scalar(2;1,0,0,0;1,0,0,0)")]
+    labelled = 0
+    for group in groups:
+        D = default_cutoff(n, group) + n
+        got, kept = _ideal_measurements(group, D, n <= 6)
+        with monkeypatch.context() as patched:
+            patched.setattr(SignedPartition, "collapse", lambda self, starts, counts: None)
+            want, refused = _ideal_measurements(group, D, n <= 6)
+        assert got == want and refused == 0, (n, group.elements)
+        if group.has_scalars:
+            assert IdealTruncation(group)._K == 2 and kept == 0
+        labelled += kept
+    assert labelled > 0
