@@ -19,9 +19,9 @@ elimination `image_rank` cannot count.  The kernels:
 an injective relabelling, reports `live`, the dimension left outside the
 span, and the rank of a few sums of coordinates in the quotient
 (`image_rank`); a row's membership is a sum of coefficients times roots of
-unity per live root (`vanishes`).  A partition whose coordinates fall into
-runs, each in one component at one gain, `collapse`s to one node per run,
-and `expand`s back.
+unity per live root (`vanishes`).  A partition's nodes need not be single
+coordinates: for a group without scalars the smash ideal keeps one node per
+run of coordinates, and the same operations serve.
 """
 
 from __future__ import annotations
@@ -236,48 +236,6 @@ class SignedPartition:
         for r in source.dead:
             self.kill(mapping[r])
 
-    def collapse(self, starts: list[int], counts: list[int]) -> "SignedPartition | None":
-        """The partition over runs, node x standing for the coordinates
-        starts[x] .. starts[x] + counts[x] - 1 laid out in order, when every
-        run lies in one component at one gain; None otherwise.  An empty run
-        is a live node no row touches."""
-        root, gain = self.root, self.gain
-        owner = [x for x, c in enumerate(counts) for _ in range(c)]
-        out = SignedPartition(len(counts), self.values)
-        node_root, node_gain, members = out.root, out.gain, out.members
-        for x, (s, c) in enumerate(zip(starts, counts)):
-            if not c:
-                continue
-            r, g = root[s], gain[s]
-            if c > 1 and (root[s:s + c].count(r) < c or gain[s:s + c].count(g) < c):
-                return None
-            # The root coordinate has gain 0, so its run does too.
-            rx = node_root[x] = owner[r]
-            node_gain[x] = g
-            if rx != x:
-                members.setdefault(rx, [rx]).append(x)
-        out.dead = {owner[r] for r in self.dead}
-        out.live = self.live + counts.count(0)
-        return out
-
-    def expand(self, starts: list[int], counts: list[int]) -> "SignedPartition":
-        """The partition over the coordinates of the runs, each coordinate
-        at its run's gain: the inverse of `collapse`."""
-        out = SignedPartition(sum(counts), self.values)
-        root, gain, node_root = out.root, out.gain, self.root
-        for x, (s, c) in enumerate(zip(starts, counts)):
-            if not c:
-                continue
-            root[s:s + c] = [starts[node_root[x]]] * c
-            gain[s:s + c] = [self.gain[x]] * c
-            if node_root[x] == x:
-                mem = [p for y in self.members.get(x, (x,)) for p in range(starts[y], starts[y] + counts[y])]
-                if len(mem) > 1:
-                    out.members[s] = mem
-        out.dead = {starts[r] for r in self.dead}
-        out.live = self.live - counts.count(0)
-        return out
-
     def reduce(self, terms) -> list[tuple[int, int]]:
         """z^s e_k for the (k, s) in `terms`, in the quotient: a list of
         (live root, exponent) pairs, the dead components dropped."""
@@ -303,10 +261,7 @@ class SignedPartition:
         sum_(s in starts) e_(s + x), x = 0..count-1.  When every image meets
         one root, or no root is met by two images, the rank is a count;
         otherwise it is their `rank`."""
-        root, dead, values = self.root, self.dead, self.values
-        if len(starts) == 1:
-            s = starts[0]
-            return len(set(root[s:s + count]) - dead)
+        values = self.values
         images = []
         for x in range(count):
             acc: dict[int, object] = {}

@@ -40,25 +40,29 @@ vertices as a subgroup of D_n, where a vertex stabilizer has order at most
 2, so every cut row is a unit or a binomial.  The span of each block is
 therefore a gain graph, kept as a `SignedPartition` with gains mod K:
 degree d absorbs the two left-source partitions through composed index
-maps, adds its cut rows, and stops once the block is spanned.  With N
-trivial and no scalars (the subgroups of D_n), K = 2 and the coordinates
-are the pairs (g, l) themselves.
+maps, adds its cut rows, and stops once the block is spanned.
 
-With N trivial, the coordinates (g, l) of one label g form its run, and
-runs go to runs.  A left extension composed with a transfer t sends the
+With N trivial (the subgroups of D_n), K = 2, the coordinates are the
+pairs (g, l) themselves, those of one label g form its run, and runs go
+to runs.  A left extension composed with a transfer t sends the
 run of h onto the l >= 1 part (nonstar) or the l <= d - 1 part (star) of
 the run of t h t^-1, in order or reversed, and a cut row kills one run or
-pairs two runs position by position.  The two parts of a run meet unless
-the run is {0, d}, and that needs d = step (n for odd n, n/2 for even n).
-So when both left sources hold every run in one component at one gain, so
-does the block unless d = step, and the block is kept as a partition over
-its |G| labels, one node per run (`_build_runs`): a source is absorbed
-through t's relabelling and a cut row is one join or kill, O(|G|) per
-block where the coordinates cost O(|G| d/n).  The coordinate build still
-runs for groups with scalars, at d = 0 and d = step, and after a block
-whose runs split; its result is collapsed to labels when every run lies
-in one component at one gain.  Membership, and the coordinate build at
-d = step, expand a label block to its coordinates on demand.
+pairs two runs position by position.  So every run lies in one component
+at one gain.  By induction on d each part does, and the two parts share a
+coordinate unless the run is {0, d}; at d < step (step = n for odd n, n/2
+for even n) a run has at most one coordinate, so that needs d = step.
+There the ideal joins the two: let z = sum_i [(i, step, 0) - (i, 0, step)]
+in R_step.  Rotations fix z and reflections send it to -z, so
+(z#1) f_G +- f_G (z#1) puts 2 sum_(g rotation) z#g and
+2 sum_(g reflection) z#g in I.  Cut by e_i on the left and e_j#1 on the
+right: in G at most one rotation and at most one reflection send j to
+i + step, so ((i, step, 0) - (i, 0, step))#g lies in I_step for every g
+and i, and that is the row e_(g, step) - e_(g, 0).  A group without
+scalars therefore keeps every block as a partition over its |G| labels,
+one node per run (`_build_runs`): a source is absorbed through t's
+relabelling and a cut row is one join or kill, O(|G|) per block where the
+coordinates cost O(|G| d/n).  Groups with scalars use the coordinate
+build.
 
 For even n the build splits into two chains by the parity of j - i + d:
 block (i, j) at degree d draws only on blocks at d - 1 of its parity, and
@@ -74,9 +78,10 @@ a count unless two images meet a common root, and only then is it found by
 `linalg.rank`, the one field elimination left; in a label block the
 identity run is one node, so that rank is 1 if the node is live and the
 run is not empty, and 0 otherwise.  Membership writes
-an element's coordinates in character coordinates and checks that its
-image in the quotient vanishes: a sum of coefficients times roots of unity
-per live root (`SignedPartition.vanishes`).
+an element's coordinates in character coordinates, or in a label block as
+their labels' nodes, and checks that its image in the quotient vanishes: a
+sum of coefficients times roots of unity per live root
+(`SignedPartition.vanishes`).
 
 Three shortcuts keep the exact arithmetic desk-sized.  First, conjugation
 by 1#g maps block (i, j) bijectively onto block (g i, g j) preserving
@@ -252,23 +257,16 @@ class BlockCoords:
 
 
 class _Block:
-    """A block's span at one degree, a gain partition: over its coordinates,
-    or, for a group without scalars, over its labels (`runs`), node g
-    standing for g's run of coordinates (g, l), all at g's gain.  `kernel`,
-    the partition over coordinates, expands a label block on first read.
-    A saturated block holds neither."""
+    """A block's span at one degree, one gain partition: for a group with
+    scalars `kernel`, over its coordinates; for a group without, `runs`,
+    over its labels, node g standing for g's run of coordinates (g, l), all
+    at g's gain.  A saturated block holds neither."""
 
-    __slots__ = ("runs", "coords", "_kernel", "full")
+    __slots__ = ("kernel", "runs", "full")
 
-    def __init__(self, kernel: SignedPartition | None = None, runs: SignedPartition | None = None, coords: BlockCoords | None = None):
-        self._kernel, self.runs, self.coords = kernel, runs, coords
+    def __init__(self, kernel: SignedPartition | None = None, runs: SignedPartition | None = None):
+        self.kernel, self.runs = kernel, runs
         self.full = kernel is None and runs is None
-
-    @property
-    def kernel(self) -> SignedPartition | None:
-        if self._kernel is None and self.runs is not None:
-            self._kernel = self.runs.expand(self.coords.start, self.coords.count)
-        return self._kernel
 
 
 _SATURATED = _Block()
@@ -471,11 +469,10 @@ class IdealTruncation:
             # Every canonical monomial of positive degree factors off its
             # first arrow, so a block whose two left sources are saturated is.
             n, prev = self.n, self._layers[d - 1]
-            nonstar, star = prev[self.pair_rep[((i + 1) % n, j)]], prev[self.pair_rep[((i - 1) % n, j)]]
-            if nonstar.full and star.full:
+            if prev[self.pair_rep[((i + 1) % n, j)]].full and prev[self.pair_rep[((i - 1) % n, j)]].full:
                 return _SATURATED
-            if not self.group.has_scalars and d != self._step and (nonstar.full or nonstar.runs is not None) and (star.full or star.runs is not None):
-                return self._build_runs(i, j, d)
+        if not self.group.has_scalars:
+            return self._build_runs(i, j, d)
         coords = self.block_coords(i, j, d)
         kernel = SignedPartition(coords.size, self._values)
         for source, mapping in self._sources(i, j, d) if d else ():
@@ -490,23 +487,20 @@ class IdealTruncation:
                     kernel.kill(a)
             if not kernel.live:
                 break
-        if not kernel.live:
-            return _SATURATED
-        return _Block(kernel, None if self.group.has_scalars else kernel.collapse(coords.start, coords.count), coords)
+        return _Block(kernel=kernel) if kernel.live else _SATURATED
 
     def _build_runs(self, i: int, j: int, d: int) -> _Block:
         """Block (i, j) at degree d over its labels, for a group without
-        scalars whose left sources are kept over theirs (the runs of the
-        module docstring): a source is absorbed through its transfer's
-        relabelling, and a cut row is one kill, or one join of the two
-        labels whose runs it pairs."""
-        n, prev, dst = self.n, self._layers[d - 1], self.block_coords(i, j, d)
+        scalars (the runs of the module docstring): each left source is
+        absorbed through its transfer's relabelling, and a cut row is one
+        kill, or one join of the two labels whose runs it pairs."""
+        n, dst = self.n, self.block_coords(i, j, d)
         empty = dst.count.count(0)          # live nodes that stand for no coordinate
         runs = SignedPartition(len(dst.count), self._values)
-        for pair in (((i + 1) % n, j), ((i - 1) % n, j)):
+        for pair in (((i + 1) % n, j), ((i - 1) % n, j)) if d else ():
             rep, t = self.pair_rep[pair], self.pair_transfer[pair]
             labels = self._labels.get(t) or self._label_map(t)
-            source = prev[rep]
+            source = self._layers[d - 1][rep]
             if source.full:
                 runs.absorb([labels[h] for h, c in enumerate(self.block_coords(*rep, d - 1).count) if c], None)
             else:
@@ -519,7 +513,7 @@ class IdealTruncation:
                     runs.join(ts[0], ts[1], self._K // 2)
                 else:
                     runs.kill(ts[0])
-        return _Block(runs=runs, coords=dst) if runs.live > empty else _SATURATED
+        return _Block(runs=runs) if runs.live > empty else _SATURATED
 
     def _sources(self, i: int, j: int, d: int):
         """(source representative's block at d - 1, index map into block
@@ -539,16 +533,13 @@ class IdealTruncation:
         sum over the coset representatives t with t(j) = i of
         phi_(t, chi_m, l'), for the monomials m = (j, l, d - l) ending at k;
         t is scalar-free, so no factor z^(s_t(m)) arises.  Per vertex j, one
-        run of positions per t, indexed by the monomials in increasing l: t
-        sends them onto t's own coordinates of the block, reversed when t
-        reflects."""
+        list of positions per t, indexed by the monomials in increasing l: t
+        sends them onto its own coordinates of the block, at the label of
+        chi_m, reversed when t reflects.  The coordinate build's rows."""
         dst, refl = self.block_coords(i, k, d), self._refl
         for j, ts in self._reps_reaching(i).items():
             count = dst.count[ts[0]]
             if not count:
-                continue
-            if not self.group.has_scalars:
-                yield [range(dst.start[t] + count - 1, dst.start[t] - 1, -1) if refl[t] else range(dst.start[t], dst.start[t] + count) for t in ts]
                 continue
             first = _progression(self.n, d + k - j, d)[0]
             ls = range(first, first + count * self._step, self._step)
@@ -597,7 +588,8 @@ class IdealTruncation:
             pieces.setdefault((m.source, elements[gi].vertex_preimage(m.target(n))), []).append((gi, m.nonstars, c))
         for pair, terms in pieces.items():
             block = self._block(pair, d)
-            if not block.full and not block.kernel.vanishes((c, self._projection(pair, d, g)[l]) for g, l, c in terms):
+            part = block.kernel if block.runs is None else block.runs
+            if not block.full and not part.vanishes((c, self._projection(pair, d, g)[l]) for g, l, c in terms):
                 return False
         return True
 
@@ -607,22 +599,27 @@ class IdealTruncation:
         exponent of z) pairs for `SignedPartition.vanishes`: conjugation by
         1#u, u the scalar-free inverse transfer, sends it to (u g u^-1, l'),
         and (c h_k, l') = |N|^-1 sum_psi psi(h_k)^-1 phi_(c, psi, l'), whose
-        common factor |N|^-1 is dropped.  Built once per (pair, degree, g)."""
+        common factor |N|^-1 is dropped.  In a label block (N trivial) that
+        is the node u g u^-1 for every l.  Built once per (pair, degree, g)."""
         key = (pair, d, g)
         hit = self._projections.get(key)
         if hit is None:
-            rep = self.pair_rep[pair]
-            kernel = self._block(pair, d).kernel
+            rep, block = self.pair_rep[pair], self._block(pair, d)
             src, dst = self.block_coords(*pair, d), self.block_coords(*rep, d)
             group, size = self.group, self._size
             c = group.t_inverse[self.pair_transfer[pair] // size]      # u = T[c], u g u^-1 = base + k
             base = group.t_mul(group.t_mul(c, g // size), group.t_inverse[c]) * size
-            k, flip = group.conj[c][g % size], self._refl[c * size]
-            starts = [(dst.start[base + h], -psi[k]) for h, psi in enumerate(self._chars)]
-            hit = self._projections[key] = {}
-            for l in range(src.first[g], src.first[g] + src.count[g] * src.step, src.step):
-                off = ((d - l if flip else l) - dst.first[base + k]) // dst.step
-                hit[l] = kernel.reduce([(p + off, t) for p, t in starts])
+            ls = range(src.first[g], src.first[g] + src.count[g] * src.step, src.step)
+            if block.runs is not None:
+                hit = dict.fromkeys(ls, block.runs.reduce([(base, 0)]))
+            else:
+                k, flip = group.conj[c][g % size], self._refl[c * size]
+                starts = [(dst.start[base + h], -psi[k]) for h, psi in enumerate(self._chars)]
+                hit = {}
+                for l in ls:
+                    off = ((d - l if flip else l) - dst.first[base + k]) // dst.step
+                    hit[l] = block.kernel.reduce([(p + off, t) for p, t in starts])
+            self._projections[key] = hit
         return hit
 
 
@@ -800,7 +797,7 @@ def default_cutoff(n: int, group: FiniteGroup) -> int:
 # the trivial group at degree 1 takes 0.45 s at n = 278 and 0.7 s at
 # n = 255, the order-192 group of `invariants`' walk limit at n = 3 through
 # degree 148 1.1 s, and <rho, r, -1> at n = 100 through degree 77 1.25 s.
-# A group without scalars keeps its blocks past degree n over their labels,
+# A group without scalars keeps its blocks at every degree over their labels,
 # so the count overstates its build: D_16 through degree 540 takes 0.11 s,
 # and D_45 and D_56 at the default cutoff 0.35 s and 0.24 s, where the
 # coordinate build took 0.95 s, 1.2 s and 0.8 s on the same guest.

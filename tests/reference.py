@@ -168,3 +168,23 @@ def span_rows(part: SignedPartition):
             yield {k: values[0], r: -values[s]}
     for r in sorted(part.dead):
         yield {r: values[0]}
+
+
+def expand(runs: SignedPartition, starts: list[int], counts: list[int]) -> SignedPartition:
+    """Oracle that reads a label block as a coordinate partition: node x of
+    `runs` stands for the coordinates starts[x] .. starts[x] + counts[x] - 1,
+    each at x's gain; an empty run is a live node no row touches."""
+    out = SignedPartition(sum(counts), runs.values)
+    root, gain, node_root = out.root, out.gain, runs.root
+    for x, (s, c) in enumerate(zip(starts, counts)):
+        if not c:
+            continue
+        root[s:s + c] = [starts[node_root[x]]] * c
+        gain[s:s + c] = [runs.gain[x]] * c
+        if node_root[x] == x:
+            mem = [p for y in runs.members.get(x, (x,)) for p in range(starts[y], starts[y] + counts[y])]
+            if len(mem) > 1:
+                out.members[s] = mem
+    out.dead = {starts[r] for r in runs.dead}
+    out.live = runs.live - counts.count(0)
+    return out

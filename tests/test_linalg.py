@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from auslab.linalg import FieldEchelon, IntEchelon, SignedPartition, rank
 from auslab.preproj import NFMonomial
 from auslab.scalars import get_context, root_powers
-from reference import contains, insert, lead_count_at_least, span_rows
+from reference import contains, expand, insert, lead_count_at_least, span_rows
 
 
 def test_int_echelon_rank_and_membership():
@@ -154,12 +154,11 @@ def test_signed_partition_absorbs_an_image(rows, first, mapping):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(rows=signed_rows, counts=st.lists(st.integers(0, 3), min_size=10, max_size=10))
-def test_runs_collapse_and_expand(rows, counts):
-    # node x stands for a run of counts[x] consecutive coordinates: rows on
-    # the runs' first coordinates, with each run joined at gain 0, collapse
-    # to the same rows over the nodes, and the nodes' partition expands back
-    # to that span; a run over two components, or at two gains, does not
-    # collapse
+def test_expanded_runs_are_the_span_they_stand_for(rows, counts):
+    # node x stands for a run of counts[x] consecutive coordinates: the
+    # reference expansion of a partition over the nodes is the span of the
+    # same rows on the runs' first coordinates with each run joined at gain
+    # 0, and each of its components lists exactly its coordinates
     starts = list(accumulate(counts, initial=0))[:-1]
     rows = [row for row in rows if all(counts[x] for x in row)]
     nodes, coords = SignedPartition(10), SignedPartition(sum(counts))
@@ -169,15 +168,12 @@ def test_runs_collapse_and_expand(rows, counts):
     for row in rows:
         insert(nodes, row)
         insert(coords, {starts[x]: c for x, c in row.items()})
-    collapsed, expanded = coords.collapse(starts, counts), nodes.expand(starts, counts)
-    assert collapsed.live == nodes.live and expanded.rank == coords.rank
-    assert all(contains(collapsed, row) for row in span_rows(nodes)) and all(contains(nodes, row) for row in span_rows(collapsed))
+    expanded = expand(nodes, starts, counts)
+    assert expanded.rank == coords.rank and expanded.live == coords.live
     assert all(contains(expanded, row) for row in span_rows(coords)) and all(contains(coords, row) for row in span_rows(expanded))
-    for x in (x for x, c in enumerate(counts) if c > 1):
-        dead, twisted = SignedPartition(sum(counts)), SignedPartition(sum(counts))
-        dead.kill(starts[x])
-        twisted.join(starts[x], starts[x] + 1, 1)
-        assert dead.collapse(starts, counts) is None and twisted.collapse(starts, counts) is None
+    components = {r: [k for k, rk in enumerate(expanded.root) if rk == r] for r in set(expanded.root)}
+    assert {r: sorted(mem) for r, mem in expanded.members.items()} == {r: mem for r, mem in components.items() if len(mem) > 1}
+    assert all(expanded.gain[r] == 0 for r in components)
 
 
 @st.composite

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from reference import contains, eval_auslander_map, insert, span_rows
+from reference import contains, eval_auslander_map, expand, insert, span_rows
 from test_symmetry import group_specs
 
 from auslab.cli import build_group
@@ -713,16 +713,28 @@ def test_membership_through_relabelling_transfers(n, spec):
     assert refused > 0
 
 
+def _coordinate_kernel(trunc, rep, d):
+    """The span of rep's block at degree d over its coordinates: its kernel,
+    or a label block read through the reference expansion."""
+    block = trunc._block(rep, d)
+    if block.runs is None:
+        return block.kernel
+    coords = trunc.block_coords(*rep, d)
+    return expand(block.runs, coords.start, coords.count)
+
+
 def _pushed_rows(trunc, i, j, d):
-    """The rows the build pushes into block (i, j) at degree d: the two
-    left sources, whose coordinate k goes to e_mapping[k], then the cut rows
-    e_i f_G e_j' (m#1), each a sum of e_p over the representatives t."""
+    """The rows the coordinate build pushes into block (i, j) at degree d:
+    the two left sources, whose coordinate k goes to e_mapping[k], then the
+    cut rows e_i f_G e_j' (m#1), each a sum of e_p over the representatives
+    t."""
     one = trunc._values[0]
+    reps = {id(block): rep for rep, block in trunc._layers[d - 1].items()}     # a source block's rep, for `_coordinate_kernel`
     for source, mapping in trunc._sources(i, j, d):
         rows = (
             ({k: 1} for k in range(len(mapping)))
             if source.full
-            else span_rows(source.kernel)
+            else span_rows(_coordinate_kernel(trunc, reps[id(source)], d - 1))
         )
         for row in rows:
             yield {mapping[k]: c for k, c in row.items()}
@@ -790,7 +802,7 @@ def test_partition_membership_matches_int_echelon(n):
                 ech = oracle.layers[d][rep]
                 if ech is None:
                     continue
-                part = trunc._layers[d][rep].kernel
+                part = _coordinate_kernel(trunc, rep, d)
                 size = len(part.root)
                 for row in _pushed_rows(trunc, *rep, d):
                     assert contains(part, row) and contains(ech, row)
@@ -916,9 +928,10 @@ def test_partition_invariants(spec):
             assert 0 <= trunc.block_identity_intersection(rep, d) <= trunc.block_coords(*rep, d).count[0]
             if block.full or d == 0:
                 continue
-            assert block.kernel.rank < size and len(block.kernel.root) == size
+            kernel = _coordinate_kernel(trunc, rep, d)
+            assert kernel.rank < size and len(kernel.root) == size
             for row in _pushed_rows(trunc, *rep, d):
-                assert contains(block.kernel, row)
+                assert contains(kernel, row)
 
 
 @settings(
@@ -951,8 +964,9 @@ def test_gain_partitions_match_the_row_engine(case, D):
             assert 0 <= trunc.block_rank(rep, d) <= trunc.block_coords(*rep, d).size
             if block.full or d == 0:
                 continue
+            kernel = _coordinate_kernel(trunc, rep, d)
             for row in _pushed_rows(trunc, *rep, d):
-                assert contains(block.kernel, row)
+                assert contains(kernel, row)
 
 
 def _predicted_dims(n, group, D):
@@ -1104,13 +1118,36 @@ def _ideal_measurements(group, D, every_block):
     return out, sum(block.runs is not None for layer in trunc._layers for block in layer.values())
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_run_ends_meet_at_degree_step(monkeypatch, n):
+    # the lemma behind the label build at d = step, where a run can be the
+    # two coordinates {0, step}: ((i, step, 0) - (i, 0, step))#g lies in the
+    # ideal for every vertex i and element g.  It is checked on the
+    # coordinate build, forced by `has_scalars`, so the label build is not
+    # its own witness; and (i, step, 0)#g alone is not always a member
+    step = n if n % 2 else n // 2
+    outside = 0
+    for key in subgroup_keys(n):
+        _, group = build_subgroup(n, *key)
+        monkeypatch.setattr(group, "has_scalars", True)
+        q, trunc = group.quiver, build_ideal(group, step)
+        for i in range(n):
+            top = AlgebraElement.monomial(q, NFMonomial(i, step, 0))
+            z = top - AlgebraElement.monomial(q, NFMonomial(i, 0, step))
+            for g in range(len(group)):
+                assert trunc.contains(SmashElement.from_algebra(group, z, g)), (key, i, g)
+                outside += not trunc.contains(SmashElement.from_algebra(group, top, g))
+        assert all(block.runs is None for layer in trunc._layers for block in layer.values())
+    assert outside > 0
+
+
 @pytest.mark.parametrize("n", range(3, 17))
 def test_label_build_matches_the_coordinate_build(monkeypatch, n):
     # a group without scalars keeps its blocks over their labels, one node
-    # per label's run of coordinates; with `collapse` refusing every block,
-    # every degree runs the coordinate build, and the identity series (and
-    # for n <= 6 every block rank and membership) is the same.  The gate is
-    # N trivial, not K = 2: the groups with scalars of order 2 keep every
+    # per label's run of coordinates; with `has_scalars` forced on, every
+    # degree runs the coordinate build, and the identity series (and for
+    # n <= 6 every block rank and membership) is the same.  The gate is N
+    # trivial, not K = 2: the groups with scalars of order 2 keep every
     # block on its coordinates
     groups = [build_subgroup(n, *key)[1] for key in subgroup_keys(n)]
     if n == 4:
@@ -1120,7 +1157,7 @@ def test_label_build_matches_the_coordinate_build(monkeypatch, n):
         D = default_cutoff(n, group) + n
         got, kept = _ideal_measurements(group, D, n <= 6)
         with monkeypatch.context() as patched:
-            patched.setattr(SignedPartition, "collapse", lambda self, starts, counts: None)
+            patched.setattr(group, "has_scalars", True)
             want, refused = _ideal_measurements(group, D, n <= 6)
         assert got == want and refused == 0, (n, group.elements)
         if group.has_scalars:
