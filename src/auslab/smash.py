@@ -83,7 +83,7 @@ their labels' nodes, and checks that its image in the quotient vanishes: a
 sum of coefficients times roots of unity per live root
 (`SignedPartition.vanishes`).
 
-Three shortcuts keep the exact arithmetic desk-sized.  First, conjugation
+Four shortcuts keep the exact arithmetic desk-sized.  First, conjugation
 by 1#g maps block (i, j) bijectively onto block (g i, g j) preserving
 identity components, so only one block per diagonal orbit is built and the
 rest are coordinate transfers.  Second, a block whose two left-extension
@@ -91,7 +91,22 @@ sources are entirely contained in the ideal is itself entirely contained
 (every canonical monomial factors off its first arrow), so saturated
 regions propagate without arithmetic.  Third, once every block of a chain
 is saturated at some degree, so is every later degree of that chain, which
-is then not built at all.
+is then not built at all.  Fourth, for a group without scalars, a chain
+whose layer repeats keeps repeating.  In label coordinates `_build_runs`
+at degree d + 1 reads the chain's layer d, the degree-free relabellings
+and `_reps_reaching`, and which labels have a non-empty run: at d + 1 in
+the block built, at d in a saturated source.  Label g's run in block
+(i, j, d) has `_progression(n, d + g(j) - i, d)[1]` coordinates, at least
+one once d >= step - 1 unless n is even and d + g(j) - i is odd; so from
+d = step - 1 on those masks, like the blocks of each chain, depend only on
+d mod 2.  Hence if every representative block of a chain at degree d
+spans what it spanned at d - 4 >= step - 1, every later layer of the
+chain is a copy of the one four degrees earlier, and is not built.  Equal
+roots, gains and dead roots imply equal spans, which is the test.  For
+every subgroup of D_n, n <= 30, that never saturates (those holding every
+vertex-fixing reflection) the identity chain repeats first at
+d = step + 3; that is measured, not proved, so the cell limit still
+bounds a build that never repeats.
 """
 
 from __future__ import annotations
@@ -272,6 +287,15 @@ class _Block:
 _SATURATED = _Block()
 
 
+def _same_span(a: _Block, b: _Block) -> bool:
+    """Whether two label blocks of one size span the same, by a test that
+    suffices: both saturated, or equal roots, gains and dead roots."""
+    if a.full or b.full:
+        return a.full and b.full
+    x, y = a.runs, b.runs
+    return x.root == y.root and x.gain == y.gain and x.dead == y.dead
+
+
 class IdealTruncation:
     """Degreewise spans of the two-sided ideal (f_G) in R#G, one gain
     partition per orbit-representative block, in character coordinates,
@@ -284,10 +308,12 @@ class IdealTruncation:
         self._coords: dict[tuple[int, int, int], BlockCoords] = {}
         self._progressions: dict[int, list[tuple[int, int]]] = {}    # per degree, _progression(n, c, d) for c mod n
         self._layers: list[dict[tuple[int, int], _Block]] = []
-        # Per chain, 0 the identity chain: the degree built through, and the
-        # least degree whose blocks are all saturated.
+        # Per chain, 0 the identity chain: the degree built through, the least
+        # degree whose blocks are all saturated, and the least degree whose
+        # blocks all repeat those four degrees earlier.
         self._through = [-1, -1]
         self._full_from: list[int | None] = [None, None]
+        self._repeat_from: list[int | None] = [None, None]
         self._chains = 1 if self.n % 2 else 2
         self._step = self.n if self.n % 2 else self.n // 2
         self._refl = [g.refl for g in group.elements]
@@ -429,14 +455,13 @@ class IdealTruncation:
         (1, l) = |N|^-1 sum_psi phi_(1, psi, l): their number minus the rank
         of their images in the quotient."""
         block, rep = self._block(pair, d), self.pair_rep[pair]
+        count = _progression(self.n, d + rep[1] - rep[0], d)[1]     # the l with i + 2l - d = j
         if block.full:
-            return _progression(self.n, d + rep[1] - rep[0], d)[1]     # the l with i + 2l - d = j
-        coords = self.block_coords(*rep, d)
-        count = coords.count[0]
+            return count
         if block.runs is not None:
             # The identity run lies at one gain: its image is one root, or 0.
             return count - (count > 0 and block.runs.root[0] not in block.runs.dead)
-        return count - block.kernel.image_rank(coords.start[: self._size], count)
+        return count - block.kernel.image_rank(self.block_coords(*rep, d).start[: self._size], count)
 
     # -- construction -----------------------------------------------------------
 
@@ -457,11 +482,18 @@ class IdealTruncation:
             if self._full_from[c] is not None:
                 # Saturation propagates: every later degree is saturated too.
                 layer.update(dict.fromkeys(reps, _SATURATED))
+            elif self._repeat_from[c] is not None:
+                # So does a repeat, with period 4.
+                layer.update({rep: self._layers[d - 4][rep] for rep in reps})
             else:
                 for rep in reps:
                     layer[rep] = self._build_block(*rep, d)
                 if all(layer[rep].full for rep in reps):
                     self._full_from[c] = d
+                elif not self.group.has_scalars and d - 4 >= self._step - 1 and all(
+                    _same_span(layer[rep], self._layers[d - 4][rep]) for rep in reps
+                ):
+                    self._repeat_from[c] = d
             self._through[c] = d
 
     def _build_block(self, i: int, j: int, d: int) -> _Block:
@@ -798,9 +830,12 @@ def default_cutoff(n: int, group: FiniteGroup) -> int:
 # n = 255, the order-192 group of `invariants`' walk limit at n = 3 through
 # degree 148 1.1 s, and <rho, r, -1> at n = 100 through degree 77 1.25 s.
 # A group without scalars keeps its blocks at every degree over their labels,
-# so the count overstates its build: D_16 through degree 540 takes 0.11 s,
-# and D_45 and D_56 at the default cutoff 0.35 s and 0.24 s, where the
-# coordinate build took 0.95 s, 1.2 s and 0.8 s on the same guest.
+# and a chain that never saturates stops building at its first repeated
+# layer, so the count overstates its build: D_16 through degree 540 takes
+# 0.011 s, and D_45 and D_56 at the default cutoff 0.10 s and 0.04 s, where
+# the coordinate build took 0.95 s, 1.2 s and 0.8 s on the same guest.  The
+# repeat is measured, not proved, to start by step + 3, so the limit still
+# bounds a build that never repeats.
 IDEAL_CELL_LIMIT = 2_500_000
 
 

@@ -358,6 +358,34 @@ def test_rings_payload_pinned(tmp_path, argv, report, digest):
     assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, report, digest",
+    [
+        (
+            ["auslander", "--n", "16", "--group", "rot(1),refl(0)", "--degree", "68"],
+            "auslander_n16.json",
+            "4a240d28aa704b9b2bb5caf55d6e06cc944e530d1d74705ca8cc6df2bfd921f1",
+        ),
+        (
+            ["auslander", "--n", "15", "--group", "rot(1),refl(0)", "--degree", "200"],
+            "auslander_n15.json",
+            "fd53c300a27b66bbcf368e191f4297b87ca17533582a9c9d1d6b360e8ad4dd94",
+        ),
+        (
+            ["scan", "--n-list", "12", "--all-dihedral-subgroups"],
+            "scan.json",
+            "230caec62e6749078994f46049da614681be9116603ae0676f6004517f73dd57",
+        ),
+    ],
+)
+def test_dihedral_payload_pinned(tmp_path, argv, report, digest):
+    # sha256 of each payload while every degree of the ideal was built up to
+    # the cutoff, before a chain stopped at its first repeated layer
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / report).read_text())["payload"]
+    assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == digest
+
+
 def test_mixed_conductors_embed_into_the_lcm(tmp_path):
     group = "scalar(3;1,1,1;2,2,2),scalar(4;1,1,1;3,3,3)"
     assert main(["auslander", "--n", "3", "--group", group, "--degree", "6", "--out", str(tmp_path)]) == 0

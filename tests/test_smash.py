@@ -1164,3 +1164,104 @@ def test_label_build_matches_the_coordinate_build(monkeypatch, n):
             assert IdealTruncation(group)._K == 2 and kept == 0
         labelled += kept
     assert labelled > 0
+
+
+# ---------------------------------------------------------------------------
+# The repeat of a scalar-free chain
+# ---------------------------------------------------------------------------
+
+
+def _block_answers(group, D):
+    """The identity series through degree D, and the rank and identity
+    intersection of every orbit-representative block of both chains."""
+    trunc = build_ideal(group, D)
+    dims = [trunc.identity_component_dim(d) for d in range(D + 1)]
+    blocks = [(trunc.block_rank(rep, d), trunc.block_identity_intersection(rep, d)) for d in range(D + 1) for rep in trunc.orbit_reps]
+    return dims, blocks, trunc._repeat_from
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_repeated_layers_change_no_answer(monkeypatch, n):
+    # the fourth shortcut: every subgroup of D_n, built past its repeat, gives
+    # the identity series, block ranks and identity intersections of a build
+    # whose repeat test never succeeds, so that every degree is built
+    import auslab.smash as smash
+
+    step = n if n % 2 else n // 2
+    D = 4 * n + 4 + 2 * step
+    repeated = 0
+    for key in subgroup_keys(n):
+        _, group = build_subgroup(n, *key)
+        got = _block_answers(group, D)
+        with monkeypatch.context() as patched:
+            patched.setattr(smash, "_same_span", lambda a, b: False)
+            want = _block_answers(group, D)
+        assert want[2] == [None, None]
+        assert got[:2] == want[:2], (n, key)
+        repeated += got[2][0] is not None
+    assert repeated > 0
+
+
+def test_every_non_saturating_dihedral_subgroup_repeats_at_step_plus_3():
+    # the repeat is measured, not proved, to start at step + 3: the groups
+    # holding every vertex-fixing reflection never saturate and repeat there,
+    # and the others saturate by the cutoff 4n + 4 without repeating
+    count = 0
+    for n in range(3, 21):
+        step = n if n % 2 else n // 2
+        for key in subgroup_keys(n):
+            _, group = build_subgroup(n, *key)
+            trunc = build_ideal(group, 4 * n + 4)
+            if classify_auslander(n, group) == "not_iso":
+                assert trunc._full_from[0] is None and trunc._repeat_from[0] == step + 3, (n, key)
+                count += 1
+            else:
+                assert trunc._full_from[0] is not None and trunc._repeat_from[0] is None, (n, key)
+    assert count == 27
+
+
+def test_a_repeated_chain_keeps_its_blocks():
+    # D_16 through degree 2000 holds no block object that its build through
+    # step + 3 does not, and its series is still n^2 / 2; the other chain,
+    # built on demand, repeats from step + 4
+    group = dihedral_group(QuiverA(16))
+    step = 8
+
+    def distinct_blocks(trunc):
+        return len({id(block) for layer in trunc._layers for block in layer.values()})
+
+    trunc = build_ideal(group, 2000)
+    assert trunc._repeat_from == [step + 3, None]
+    assert distinct_blocks(trunc) <= distinct_blocks(build_ideal(group, step + 3))
+    assert trunc.identity_component_dim(2000) == 16 * 8
+    both, short = IdealTruncation(group), IdealTruncation(group)
+    both.ideal_dimension(2000)
+    short.ideal_dimension(step + 4)
+    assert both._repeat_from == [step + 3, step + 4]
+    assert distinct_blocks(both) <= distinct_blocks(short)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_membership_at_repeated_degrees(n):
+    # at degrees step + 4 .. step + 9, every layer of the identity chain a
+    # copy of the one four degrees earlier: p f_G (q # h) lies in the ideal,
+    # and no canonical monomial of R_d # 1 does, as each is alone on a live
+    # identity run
+    group = dihedral_group(QuiverA(n))
+    q = group.quiver
+    step = n if n % 2 else n // 2
+    rng = random.Random(n)
+    trunc = build_ideal(group, step + 9)
+    assert trunc._repeat_from[0] == step + 3
+    f_g = SmashElement.group_sum(group)
+    for d in range(step + 4, step + 10):
+        for _ in range(6):
+            a = rng.randint(0, d)
+            pm = rng.choice(nf_basis(q, a))
+            qm = rng.choice([m for m in nf_basis(q, d - a) if m.source == pm.target(n)])
+            p = SmashElement.from_algebra(group, AlgebraElement.monomial(q, pm))
+            right = SmashElement.from_algebra(group, AlgebraElement.monomial(q, qm), rng.randrange(len(group)))
+            x = p * f_g * right
+            assert not x.is_zero() and trunc.contains(x), (d, pm, qm)
+        for m in nf_basis(q, d):
+            assert not trunc.contains(SmashElement.from_algebra(group, AlgebraElement.monomial(q, m))), (d, m)
