@@ -33,13 +33,14 @@ from .invariants import (
     verify_presentation_two_vertex,
     verify_shift_summand,
 )
-from .preproj import AlgebraElement, NFMonomial, RelationIdealOracle, hilbert, nf_basis
+from .preproj import AlgebraElement, NFMonomial, RelationIdealOracle, check_matrix_entries, hilbert, nf_basis
 from .quiver import QuiverA
 from .smash import (
     NAIVE_ROW_LIMIT,
     IdealTruncation,
     SmashElement,
     auslander_verdict,
+    check_ideal_cells,
     naive_ideal_dimension,
     naive_row_count,
 )
@@ -353,6 +354,7 @@ def _ok_through(checks) -> int:
 def cmd_auslander(args) -> int:
     started = time.monotonic()
     degree = _default_degree(args.degree, None, least=1)
+    check_ideal_cells(args.n, 1 if degree is None else degree)     # before the O(n) group build
     group, spec = build_group(args.group, args.n)
     report = auslander_verdict(args.n, group, degree, label=spec.canonical())
     emit(
@@ -406,6 +408,7 @@ def run_scan(n_list: list[int], degree: int | None, jobs: int = 1) -> dict:
     grid = []
     for n in n_list:
         cutoff = degree if degree is not None else 4 * n + 4
+        check_ideal_cells(n, cutoff)        # before the O(n) subgroup walk
         grid += [(n, kind, d, j, cutoff) for kind, d, j in subgroup_keys(n)]
     workers = min(jobs, os.cpu_count() or 1, len(grid))
     if workers > 1:
@@ -469,6 +472,7 @@ def cmd_scan(args) -> int:
 def suite_structure(n: int, degree: int) -> list[tuple[str, bool, str]]:
     """Closed-form engine against the relation-ideal oracle."""
     q = QuiverA(n)
+    check_matrix_entries(n, min(degree, 10))       # the `hilbert` below, before the O(n) degree 0
     oracle = RelationIdealOracle(q)
     oracle.extend(degree)                 # refused up front over its label limit
     results = []

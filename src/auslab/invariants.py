@@ -259,11 +259,11 @@ def _degree_shift_product(q: QuiverA, l: int, k: int, parity: int | None) -> Alg
     return out + orbit_sum(q, max(l, k + 1), min(l, k + 1), parity).scale(weight)
 
 
-# `check_orbit_sum_relations` forms (D//2 + 1)((D+1)//2) products of orbit
-# sums, twice as many for even n, each n^2 term matches plus coefficient
-# arithmetic worth about 110n more: n(n + 110) steps.  At this limit (n = 3
-# through degree 170, n = 4 through 103, n = 200 through 8) the check takes
-# 0.8 to 1.1 s on a 2-core x86-64 guest under Python 3.11.
+# `check_orbit_sum_relations` forms (D//2 + 1)((D+1)//2) + 3 products of
+# orbit sums and of s1 and s2, twice as many for even n, each n^2 term
+# matches plus coefficient arithmetic worth about 110n more: n(n + 110) steps.
+# At this limit (n = 3 through degree 170, n = 4 through 103, n = 200 through
+# 8, n = 859 or 592 at degree 0) the check takes 0.6 to 1.1 s on a 2-core x86-64 guest under Python 3.11.
 RELATION_STEP_LIMIT = 2_500_000
 
 
@@ -272,7 +272,7 @@ def check_orbit_sum_relations(n: int, D: int) -> RelationReport:
     exact closed-form products: degree-shift products, diagonal powers, the
     commutation of s1 and s2, and (n even) their parity-graded refinements.
     Refused up front over RELATION_STEP_LIMIT."""
-    steps = (D // 2 + 1) * ((D + 1) // 2) * (2 - n % 2) * n * (n + 110)
+    steps = ((D // 2 + 1) * ((D + 1) // 2) + 3) * (2 - n % 2) * n * (n + 110)
     if steps > RELATION_STEP_LIMIT:
         raise MemoryError(
             f"orbit-sum relations at n = {n} through degree {D} count {steps} product steps, "

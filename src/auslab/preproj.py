@@ -370,14 +370,16 @@ class HilbertReport:
         return f"recurrence {rec}: {self.recurrence_holds}"
 
 
+def check_matrix_entries(n: int, D: int) -> None:
+    """Refuse a `hilbert` through degree D at n over MATRIX_ENTRY_LIMIT, before any work."""
+    entries = n * n * (D + 1)
+    if entries > MATRIX_ENTRY_LIMIT:
+        raise MemoryError(f"hilbert at n = {n} through degree {D} needs {entries} matrix entries, over the limit of {MATRIX_ENTRY_LIMIT}")
+
+
 def hilbert(q: QuiverA, D: int, oracle: RelationIdealOracle | None = None) -> HilbertReport:
     """Dimension series through degree D, measured on the oracle."""
-    entries = q.n * q.n * (D + 1)
-    if entries > MATRIX_ENTRY_LIMIT:
-        raise MemoryError(
-            f"hilbert at n = {q.n} through degree {D} needs {entries} matrix entries, "
-            f"over the limit of {MATRIX_ENTRY_LIMIT}"
-        )
+    check_matrix_entries(q.n, D)
     oracle = oracle or RelationIdealOracle(q)
     oracle.extend(D)
     totals = [oracle.dimension(d) for d in range(D + 1)]

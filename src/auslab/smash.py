@@ -83,30 +83,28 @@ their labels' nodes, and checks that its image in the quotient vanishes: a
 sum of coefficients times roots of unity per live root
 (`SignedPartition.vanishes`).
 
-Four shortcuts keep the exact arithmetic desk-sized.  First, conjugation
+Three shortcuts keep the exact arithmetic desk-sized.  First, conjugation
 by 1#g maps block (i, j) bijectively onto block (g i, g j) preserving
 identity components, so only one block per diagonal orbit is built and the
 rest are coordinate transfers.  Second, a block whose two left-extension
 sources are entirely contained in the ideal is itself entirely contained
 (every canonical monomial factors off its first arrow), so saturated
-regions propagate without arithmetic.  Third, once every block of a chain
-is saturated at some degree, so is every later degree of that chain, which
-is then not built at all.  Fourth, for a group without scalars, a chain
-whose layer repeats keeps repeating.  In label coordinates `_build_runs`
-at degree d + 1 reads the chain's layer d, the degree-free relabellings
-and `_reps_reaching`, and which labels have a non-empty run: at d + 1 in
-the block built, at d in a saturated source.  Label g's run in block
+regions propagate without arithmetic.  Third, one repeat rule ends every
+chain: if every representative block of a chain at degree d >= 2 spans
+what it spanned at d - 2, compared in a canonical form, and either every
+block is saturated or d > step, every later layer of the chain is a copy
+of the one two degrees earlier, and is not built.  Saturated layers repeat
+by the second shortcut, and a coordinate block never counts as a repeat.
+A label block at d + 1 reads the chain's layer d, the degree-free
+relabellings and `_reps_reaching`, and which labels have a non-empty run
+(at d + 1, and at d in a saturated source).  Label g's run in block
 (i, j, d) has `_progression(n, d + g(j) - i, d)[1]` coordinates, at least
-one once d >= step - 1 unless n is even and d + g(j) - i is odd; so from
-d = step - 1 on those masks, like the blocks of each chain, depend only on
-d mod 2.  Hence if every representative block of a chain at degree d
-spans what it spanned at d - 4 >= step - 1, every later layer of the
-chain is a copy of the one four degrees earlier, and is not built.  Equal
-roots, gains and dead roots imply equal spans, which is the test.  For
-every subgroup of D_n, n <= 30, that never saturates (those holding every
-vertex-fixing reflection) the identity chain repeats first at
-d = step + 3; that is measured, not proved, so the cell limit still
-bounds a build that never repeats.
+one once d >= step - 1 unless n is even and d + g(j) - i is odd, so from
+d = step - 1 on those masks depend only on d mod 2, and layer d + 1 spans
+what layer d - 1 spans.  Every subgroup of D_n, n <= 30, that never
+saturates (those holding every vertex-fixing reflection) repeats from
+d = step + 2; that is measured, not proved, so the cell limit still bounds
+a build that never repeats.
 """
 
 from __future__ import annotations
@@ -287,13 +285,18 @@ class _Block:
 _SATURATED = _Block()
 
 
+def _span(part: SignedPartition) -> list[tuple[int, int] | None]:
+    """A partition's span in canonical form: per node, None if its component
+    is dead, otherwise the component's least node and the gain relative to it."""
+    least = {r: x for x, r in reversed(list(enumerate(part.root)))}     # the last write is the least
+    return [None if r in part.dead else (least[r], (s - part.gain[least[r]]) % part.K) for r, s in zip(part.root, part.gain)]
+
+
 def _same_span(a: _Block, b: _Block) -> bool:
-    """Whether two label blocks of one size span the same, by a test that
-    suffices: both saturated, or equal roots, gains and dead roots."""
-    if a.full or b.full:
-        return a.full and b.full
-    x, y = a.runs, b.runs
-    return x.root == y.root and x.gain == y.gain and x.dead == y.dead
+    """Whether two blocks of one chain span the same: both saturated, or two
+    label blocks of one canonical form.  A coordinate block never equals
+    another, so a group with scalars repeats only once saturated."""
+    return a.full and b.full or a.runs is not None and b.runs is not None and _span(a.runs) == _span(b.runs)
 
 
 class IdealTruncation:
@@ -303,16 +306,12 @@ class IdealTruncation:
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        self.quiver: QuiverA = group.quiver
-        self.n = self.quiver.n
+        self.n = group.quiver.n
         self._coords: dict[tuple[int, int, int], BlockCoords] = {}
         self._progressions: dict[int, list[tuple[int, int]]] = {}    # per degree, _progression(n, c, d) for c mod n
         self._layers: list[dict[tuple[int, int], _Block]] = []
-        # Per chain, 0 the identity chain: the degree built through, the least
-        # degree whose blocks are all saturated, and the least degree whose
-        # blocks all repeat those four degrees earlier.
+        # Per chain, 0 the identity chain: the degree built through, and the first degree copied.
         self._through = [-1, -1]
-        self._full_from: list[int | None] = [None, None]
         self._repeat_from: list[int | None] = [None, None]
         self._chains = 1 if self.n % 2 else 2
         self._step = self.n if self.n % 2 else self.n // 2
@@ -479,21 +478,15 @@ class IdealTruncation:
             if d == len(self._layers):
                 self._layers.append({})
             layer, reps = self._layers[d], self._by_parity[(c + d) % self._chains]
-            if self._full_from[c] is not None:
-                # Saturation propagates: every later degree is saturated too.
-                layer.update(dict.fromkeys(reps, _SATURATED))
-            elif self._repeat_from[c] is not None:
-                # So does a repeat, with period 4.
-                layer.update({rep: self._layers[d - 4][rep] for rep in reps})
+            if self._repeat_from[c] is not None:
+                layer.update({rep: self._layers[d - 2][rep] for rep in reps})
             else:
                 for rep in reps:
                     layer[rep] = self._build_block(*rep, d)
-                if all(layer[rep].full for rep in reps):
-                    self._full_from[c] = d
-                elif not self.group.has_scalars and d - 4 >= self._step - 1 and all(
-                    _same_span(layer[rep], self._layers[d - 4][rep]) for rep in reps
+                if d >= 2 and (d > self._step or all(layer[rep].full for rep in reps)) and all(
+                    _same_span(layer[rep], self._layers[d - 2][rep]) for rep in reps
                 ):
-                    self._repeat_from[c] = d
+                    self._repeat_from[c] = d + 1
             self._through[c] = d
 
     def _build_block(self, i: int, j: int, d: int) -> _Block:
@@ -527,6 +520,8 @@ class IdealTruncation:
         absorbed through its transfer's relabelling, and a cut row is one
         kill, or one join of the two labels whose runs it pairs."""
         n, dst = self.n, self.block_coords(i, j, d)
+        if not dst.size:
+            return _SATURATED
         empty = dst.count.count(0)          # live nodes that stand for no coordinate
         runs = SignedPartition(len(dst.count), self._values)
         for pair in (((i + 1) % n, j), ((i - 1) % n, j)) if d else ():
@@ -592,18 +587,15 @@ class IdealTruncation:
     def ideal_dimension(self, d: int) -> int:
         return sum(self.orbit_sizes[rep] * self.block_rank(rep, d) for rep in self.orbit_reps)
 
-    def identity_intersection_dim(self, d: int) -> int:
-        """Only the identity chain holds identity coordinates."""
-        self.extend(d)
-        if self._full_from[0] is not None and d >= self._full_from[0]:
-            return self.n * (d + 1)
-        return sum(
-            self.orbit_sizes[rep] * self.block_identity_intersection(rep, d)
-            for rep in self._by_parity[d % self._chains]
-        )
-
     def identity_component_dim(self, d: int) -> int:
-        return self.n * (d + 1) - self.identity_intersection_dim(d)
+        """dim of the image of R_d in (R#G)/(f_G): the identity coordinates
+        outside the span, in the identity chain's blocks that are not saturated."""
+        self.extend(d)
+        return sum(
+            self.orbit_sizes[rep] * (_progression(self.n, d + rep[1] - rep[0], d)[1] - self.block_identity_intersection(rep, d))
+            for rep in self._by_parity[d % self._chains]
+            if not self._layers[d][rep].full
+        )
 
     # -- membership ------------------------------------------------------------------
 
@@ -655,16 +647,13 @@ class IdealTruncation:
         return hit
 
 
-def build_ideal(group: FiniteGroup, D: int) -> IdealTruncation:
-    trunc = IdealTruncation(group)
-    trunc.extend(D)
-    return trunc
-
-
 def identity_component_dims(group: FiniteGroup, D: int) -> list[int]:
-    """dim of the image of R_d in (R#G)/(f_G) for d = 0..D."""
-    trunc = build_ideal(group, D)
-    return [trunc.identity_component_dim(d) for d in range(D + 1)]
+    """dim of the image of R_d in (R#G)/(f_G) for d = 0..D.  Once the
+    identity chain repeats, so does the series, and nothing more is built."""
+    trunc, dims = IdealTruncation(group), []
+    for d in range(D + 1):
+        dims.append(dims[d - 2] if d >= (trunc._repeat_from[0] or d + 1) else trunc.identity_component_dim(d))
+    return dims
 
 
 # `naive_ideal_dimension` eliminates one row p f_G (q # h) per monomial p of
@@ -826,17 +815,28 @@ def default_cutoff(n: int, group: FiniteGroup) -> int:
 # twice as long as D_56 at the same count.  So a build through degree D
 # counts 30n^2 + |N| n(D+1)(wn + (D+2)/2) cells.  At this limit, as whole
 # `auslander` runs in-process on a 2-core x86-64 guest under Python 3.11,
-# the trivial group at degree 1 takes 0.45 s at n = 278 and 0.7 s at
+# the trivial group at degree 1 takes 0.5 s at n = 278 and 0.8 s at
 # n = 255, the order-192 group of `invariants`' walk limit at n = 3 through
 # degree 148 1.1 s, and <rho, r, -1> at n = 100 through degree 77 1.25 s.
-# A group without scalars keeps its blocks at every degree over their labels,
-# and a chain that never saturates stops building at its first repeated
-# layer, so the count overstates its build: D_16 through degree 540 takes
-# 0.011 s, and D_45 and D_56 at the default cutoff 0.10 s and 0.04 s, where
-# the coordinate build took 0.95 s, 1.2 s and 0.8 s on the same guest.  The
-# repeat is measured, not proved, to start by step + 3, so the limit still
-# bounds a build that never repeats.
+# A group without scalars builds over labels, and a chain that never
+# saturates stops at its first repeated layer, so the count overstates its
+# build: D_16 through degree 540 takes 0.01 s, and D_45 and D_56 at the
+# default cutoff 0.08-0.09 s and 0.05 s (the coordinate build: 0.95 s, 1.2 s
+# and 0.8 s).  The repeat is measured, not proved, to start by step + 2, so
+# the limit still bounds a build that never repeats.
 IDEAL_CELL_LIMIT = 2_500_000
+
+
+def check_ideal_cells(n: int, D: int, fixing: int = 1) -> None:
+    """Refuse an ideal build over IDEAL_CELL_LIMIT cells; at |N| = 1, its least, before any group is built."""
+    QuiverA(n)  # rejects n < 3
+    layout = 4 if n % 2 else 1
+    cells = 30 * n * n + fixing * n * (D + 1) * (2 * layout * n + D + 2) // 2
+    if cells > IDEAL_CELL_LIMIT:
+        raise MemoryError(
+            f"the ideal build at n = {n} through degree {D} counts {cells} cells at |N| = {fixing}, "
+            f"N the vertex-fixing elements, over the limit of {IDEAL_CELL_LIMIT}"
+        )
 
 
 @dataclass
@@ -886,14 +886,7 @@ def auslander_verdict(n: int, group: FiniteGroup, D: int | None = None, label: s
 
     if D is None:
         D = default_cutoff(n, group)
-    fixing = len(group.n_elements)
-    layout = 4 if n % 2 else 1
-    cells = 30 * n * n + fixing * n * (D + 1) * (2 * layout * n + D + 2) // 2
-    if cells > IDEAL_CELL_LIMIT:
-        raise MemoryError(
-            f"the ideal build at n = {n} through degree {D} counts {cells} cells for |N| = {fixing}, "
-            f"N the vertex-fixing elements, over the limit of {IDEAL_CELL_LIMIT}"
-        )
+    check_ideal_cells(n, D, len(group.n_elements))
     dims = identity_component_dims(group, D)
     classifier = None if group.has_scalars else classify_auslander(n, group)
     bound, bound_reason = theorem_bound(n, group, classifier)

@@ -1,6 +1,6 @@
 """Reference implementations the tests hold the program to, each naming
-what it is the oracle for, and adapters that read a kernel's span for the
-tests that compare kernels."""
+what it is the oracle for, adapters that read a kernel's span for the
+tests that compare kernels, and the ideal build that many tests share."""
 
 from fractions import Fraction
 from typing import NamedTuple
@@ -9,6 +9,7 @@ from auslab.linalg import SignedPartition
 from auslab.preproj import NFMonomial
 from auslab.quiver import ArrowRef, Word
 from auslab.scalars import root
+from auslab.smash import IdealTruncation
 from auslab.symmetry import apply
 
 
@@ -188,3 +189,11 @@ def expand(runs: SignedPartition, starts: list[int], counts: list[int]) -> Signe
     out.dead = {starts[r] for r in runs.dead}
     out.live = runs.live - counts.count(0)
     return out
+
+
+def build_ideal(group, D: int) -> IdealTruncation:
+    """The smash ideal of `group` with its identity chain built through
+    degree D, every layer of it in place for the tests that read them."""
+    trunc = IdealTruncation(group)
+    trunc.extend(D)
+    return trunc

@@ -28,7 +28,7 @@ from auslab.invariants import (
 )
 from auslab.preproj import AlgebraElement, NFMonomial, RelationIdealOracle, hilbert, nf_basis
 from auslab.quiver import QuiverA
-from auslab.smash import SmashElement, auslander_verdict, build_ideal
+from auslab.smash import SmashElement, auslander_verdict
 from auslab.symmetry import (
     dihedral_group,
     enumerate_subgroups,
@@ -36,7 +36,7 @@ from auslab.symmetry import (
     scalar_powers,
     w_subgroup,
 )
-from reference import adjacency_matrix, mat_mul, oracle_basis
+from reference import adjacency_matrix, build_ideal, mat_mul, oracle_basis
 
 SCAN_NS = [3, 4, 5, 6]
 

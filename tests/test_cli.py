@@ -732,6 +732,43 @@ def test_ideal_build_size_is_checked_up_front(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def _run_capped(argv, cap_mb=512, seconds=30):
+    """The CLI on argv in a fresh interpreter whose address space is capped
+    at cap_mb, so an input refused only after O(n) work fails the test
+    rather than exhausting the host: (exit code, stderr, seconds)."""
+    import resource
+
+    cap = cap_mb << 20
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "auslab.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=seconds,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    return done.returncode, done.stderr, time.monotonic() - started
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["auslander", "--n", "100000000", "--group", "refl(0)"], "the ideal build at n = 100000000 through degree 1 "),
+        (["scan", "--n-list", "10000000", "--all-dihedral-subgroups"], "the ideal build at n = 10000000 through degree 40000004 "),
+        (["verify", "--suite", "structure", "--n", "20000000", "--degree", "0"], "hilbert at n = 20000000 through degree 0 "),
+    ],
+)
+def test_inputs_too_large_are_refused_before_any_work_in_n(tmp_path, argv, message):
+    # each is refused on n alone, before the group, the subgroup list or the
+    # oracle's degree 0 is built: at a tenth of these n that work took
+    # seconds and hundreds of megabytes, and here it would pass the cap
+    code, err, seconds = _run_capped(argv + ["--out", str(tmp_path)])
+    assert code == 1 and message in err and "over the limit of" in err, err
+    assert seconds < 5 and not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv, report",
     [
@@ -823,6 +860,7 @@ def _verify(tmp_path, suite, n, degree):
         ("relations", 3, 171, "RELATION_STEP_LIMIT"),
         ("relations", 4, 104, "RELATION_STEP_LIMIT"),     # even n counts twice the products
         ("relations", 4, 300, "RELATION_STEP_LIMIT"),
+        ("relations", 2000, 0, "RELATION_STEP_LIMIT"),     # s1 s2, s2 s1 and s1 s1 run at every degree
     ],
 )
 def test_verify_suites_are_refused_up_front(tmp_path, capsys, suite, n, degree, limit):

@@ -1,11 +1,12 @@
 import random
+import unittest.mock
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from reference import contains, eval_auslander_map, expand, insert, span_rows
+from reference import build_ideal, contains, eval_auslander_map, expand, insert, span_rows
 from test_symmetry import group_specs
 
 from auslab.cli import build_group
@@ -18,7 +19,6 @@ from auslab.smash import (
     SmashElement,
     WindowTooLargeError,
     auslander_verdict,
-    build_ideal,
     default_cutoff,
     first_zero_degree,
     growth_classify,
@@ -1040,7 +1040,7 @@ def test_identity_chain_alone_gives_the_series(case):
 @example((4, "rot(2),refl(0)"))
 @example((3, "rot(1),scalar(2;1,1,1;1,1,1)"))
 def test_identity_component_vanishes_exactly_when_its_chain_saturates(case):
-    # the lemma behind the third shortcut: at every degree up to the cutoff
+    # the lemma behind a saturated repeat: at every degree up to the cutoff
     # 4n + 4 the identity component is 0 exactly when every block of the
     # identity chain is saturated, and no nonzero entry follows the first 0
     n, spec = case
@@ -1182,7 +1182,7 @@ def _block_answers(group, D):
 
 @pytest.mark.parametrize("n", range(3, 17))
 def test_repeated_layers_change_no_answer(monkeypatch, n):
-    # the fourth shortcut: every subgroup of D_n, built past its repeat, gives
+    # the repeat rule: every subgroup of D_n, built past its repeat, gives
     # the identity series, block ranks and identity intersections of a build
     # whose repeat test never succeeds, so that every degree is built
     import auslab.smash as smash
@@ -1202,28 +1202,87 @@ def test_repeated_layers_change_no_answer(monkeypatch, n):
     assert repeated > 0
 
 
-def test_every_non_saturating_dihedral_subgroup_repeats_at_step_plus_3():
-    # the repeat is measured, not proved, to start at step + 3: the groups
+def _series_without_repeat(group, D):
+    """`identity_component_dims` of a build whose repeat test never
+    succeeds, so that every degree is built and none is read back."""
+    import auslab.smash as smash
+
+    with unittest.mock.patch.object(smash, "_same_span", lambda a, b: False):
+        return identity_component_dims(group, D)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_the_series_reads_back_past_the_repeat(n):
+    # from the identity chain's repeat on, `identity_component_dims` builds
+    # nothing and reads each entry two degrees back: every subgroup of D_n
+    # gives the series of a build of every degree
+    step = n if n % 2 else n // 2
+    D = 4 * n + 4 + 2 * step
+    for key in subgroup_keys(n):
+        _, group = build_subgroup(n, *key)
+        assert identity_component_dims(group, D) == _series_without_repeat(group, D), (n, key)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(group_specs())
+@example((4, "refl(0),scalar(2;1,1,1,1;1,1,1,1)"))
+@example((3, "rot(1),scalar(2;1,1,1;1,1,1)"))
+@example((5, "scalar(7;1,1,1,1,1;6,6,6,6,6)"))
+def test_the_series_of_a_group_with_scalars_reads_back_past_the_repeat(case):
+    # a group with scalars repeats only once saturated, and reads back zeros
+    n, spec = case
+    try:
+        group, _ = build_group(spec, n, cap=64)
+    except CapExceededError:
+        assume(False)
+    step = n if n % 2 else n // 2
+    D = 4 * n + 4 + 2 * step
+    assert identity_component_dims(group, D) == _series_without_repeat(group, D), spec
+
+
+def test_the_verdict_builds_nothing_past_the_repeat(monkeypatch):
+    # D_16 at degree 540 repeats from step + 2 = 10, so its verdict builds
+    # blocks through degree step + 1 = 9 only
+    import auslab.smash as smash
+
+    built, build_block = set(), smash.IdealTruncation._build_block
+    monkeypatch.setattr(smash.IdealTruncation, "_build_block", lambda self, i, j, d: built.add(d) or build_block(self, i, j, d))
+    report = auslander_verdict(16, dihedral_group(QuiverA(16)), 540)
+    assert len(report.dims) == 541 and report.verdict == "not_iso"
+    assert max(built) == 9
+
+
+def test_every_non_saturating_dihedral_subgroup_repeats_at_step_plus_2():
+    # the repeat is measured, not proved, to start at step + 2: the groups
     # holding every vertex-fixing reflection never saturate and repeat there,
-    # and the others saturate by the cutoff 4n + 4 without repeating
+    # and the others repeat saturated by the cutoff 4n + 4
     count = 0
     for n in range(3, 21):
         step = n if n % 2 else n // 2
         for key in subgroup_keys(n):
             _, group = build_subgroup(n, *key)
             trunc = build_ideal(group, 4 * n + 4)
+            repeat = trunc._repeat_from[0]
+            assert repeat is not None and repeat <= 4 * n + 4, (n, key)
+            saturated = all(trunc._layers[repeat - 1][rep].full for rep in trunc._by_parity[(repeat - 1) % trunc._chains])
             if classify_auslander(n, group) == "not_iso":
-                assert trunc._full_from[0] is None and trunc._repeat_from[0] == step + 3, (n, key)
+                assert repeat == step + 2 and not saturated, (n, key)
                 count += 1
             else:
-                assert trunc._full_from[0] is not None and trunc._repeat_from[0] is None, (n, key)
+                assert saturated, (n, key)
     assert count == 27
 
 
 def test_a_repeated_chain_keeps_its_blocks():
     # D_16 through degree 2000 holds no block object that its build through
-    # step + 3 does not, and its series is still n^2 / 2; the other chain,
-    # built on demand, repeats from step + 4
+    # step + 1 does not, and its series is still n^2 / 2; the other chain,
+    # built on demand, repeats from step + 2 as well
     group = dihedral_group(QuiverA(16))
     step = 8
 
@@ -1231,20 +1290,20 @@ def test_a_repeated_chain_keeps_its_blocks():
         return len({id(block) for layer in trunc._layers for block in layer.values()})
 
     trunc = build_ideal(group, 2000)
-    assert trunc._repeat_from == [step + 3, None]
-    assert distinct_blocks(trunc) <= distinct_blocks(build_ideal(group, step + 3))
+    assert trunc._repeat_from == [step + 2, None]
+    assert distinct_blocks(trunc) <= distinct_blocks(build_ideal(group, step + 1))
     assert trunc.identity_component_dim(2000) == 16 * 8
     both, short = IdealTruncation(group), IdealTruncation(group)
     both.ideal_dimension(2000)
-    short.ideal_dimension(step + 4)
-    assert both._repeat_from == [step + 3, step + 4]
+    short.ideal_dimension(step + 1)
+    assert both._repeat_from == [step + 2, step + 2]
     assert distinct_blocks(both) <= distinct_blocks(short)
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_membership_at_repeated_degrees(n):
-    # at degrees step + 4 .. step + 9, every layer of the identity chain a
-    # copy of the one four degrees earlier: p f_G (q # h) lies in the ideal,
+    # at degrees step + 2 .. step + 9, every layer of the identity chain a
+    # copy of the one two degrees earlier: p f_G (q # h) lies in the ideal,
     # and no canonical monomial of R_d # 1 does, as each is alone on a live
     # identity run
     group = dihedral_group(QuiverA(n))
@@ -1252,9 +1311,9 @@ def test_membership_at_repeated_degrees(n):
     step = n if n % 2 else n // 2
     rng = random.Random(n)
     trunc = build_ideal(group, step + 9)
-    assert trunc._repeat_from[0] == step + 3
+    assert trunc._repeat_from[0] == step + 2
     f_g = SmashElement.group_sum(group)
-    for d in range(step + 4, step + 10):
+    for d in range(step + 2, step + 10):
         for _ in range(6):
             a = rng.randint(0, d)
             pm = rng.choice(nf_basis(q, a))
