@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from math import gcd
 
 from . import __version__
 from .invariants import (
@@ -55,6 +56,7 @@ from .symmetry import (
     rotation,
     scalar_powers,
     subgroup_keys,
+    subgroup_label,
     w_subgroup,
 )
 
@@ -401,8 +403,24 @@ def _scan_job(job: tuple[int, str, int, int | None, int]) -> dict:
 
 def run_scan(n_list: list[int], degree: int | None, jobs: int = 1) -> dict:
     """Auslander verdicts for every subgroup of D_n over the grid; the
-    cutoff defaults to 4n+4 per n.  Each job builds only its own subgroup;
-    at most one worker per core and per job is started."""
+    cutoff defaults to 4n+4 per n.  One job runs per conjugacy class of
+    subgroups, on its first member in grid order, and every member gets a
+    copy of its row; at most one worker per core and per class is started.
+
+    Conjugate subgroups have the same row.  For sigma in D_n and
+    G' = sigma G sigma^-1, the map r#g -> sigma(r) # sigma g sigma^-1 is a
+    graded algebra isomorphism R#G -> R#G':
+    sigma(r1 g1(r2)) = sigma(r1) (sigma g1 sigma^-1)(sigma(r2)).  It sends
+    f_G to f_G', so (f_G) onto (f_G'), and R_d#1 onto R_d#1, so the two
+    identity series agree.  Conjugation permutes the vertex-fixing
+    reflections, so G holds them all exactly when G' does, and the order,
+    the classifier and everything read off the series agree too.
+
+    The classes: <rho^d> is normal.  Conjugation by rho^k sends
+    <rho^d, rho^j r> to <rho^d, rho^(j+2k) r>, and by r to
+    <rho^d, rho^(-j) r>; as j is taken mod d and d | n, j + 2k runs over j
+    mod gcd(2, d), which -j keeps.  So (kind, d, j) of `subgroup_keys(n)`
+    has the class key (n, kind, d, j mod gcd(2, d))."""
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
     grid = []
@@ -410,14 +428,26 @@ def run_scan(n_list: list[int], degree: int | None, jobs: int = 1) -> dict:
         cutoff = degree if degree is not None else 4 * n + 4
         check_ideal_cells(n, cutoff)        # before the O(n) subgroup walk
         grid += [(n, kind, d, j, cutoff) for kind, d, j in subgroup_keys(n)]
-    workers = min(jobs, os.cpu_count() or 1, len(grid))
+    keys = [(n, kind, d, j if j is None else j % gcd(2, d)) for n, kind, d, j, _ in grid]
+    classes: dict[tuple, tuple] = {}
+    for key, job in zip(keys, grid):
+        classes.setdefault(key, job)
+    workers = min(jobs, os.cpu_count() or 1, len(classes))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_job, grid))
+            found = dict(zip(classes, pool.map(_scan_job, classes.values())))
     else:
-        rows = [_scan_job(job) for job in grid]
+        found = {key: _scan_job(job) for key, job in classes.items()}
+    rows = [
+        dict(
+            found[key],
+            subgroup_descriptor=subgroup_label(kind, d, j),
+            identity_component_dims=list(found[key]["identity_component_dims"]),
+        )
+        for key, (_, kind, d, j, _) in zip(keys, grid)
+    ]
     rows.sort(key=lambda r: (r["n"], r["subgroup_descriptor"]))
     return {
         "n_list": n_list,

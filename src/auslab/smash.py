@@ -313,6 +313,7 @@ class IdealTruncation:
         # Per chain, 0 the identity chain: the degree built through, and the first degree copied.
         self._through = [-1, -1]
         self._repeat_from: list[int | None] = [None, None]
+        self._saturated = [False, False]    # per chain: whether a built layer is all saturated, and so every later one
         self._chains = 1 if self.n % 2 else 2
         self._step = self.n if self.n % 2 else self.n // 2
         self._refl = [g.refl for g in group.elements]
@@ -481,9 +482,12 @@ class IdealTruncation:
             if self._repeat_from[c] is not None:
                 layer.update({rep: self._layers[d - 2][rep] for rep in reps})
             else:
+                # After a saturated layer every block is saturated (the second shortcut).
+                full = self._saturated[c]
                 for rep in reps:
-                    layer[rep] = self._build_block(*rep, d)
-                if d >= 2 and (d > self._step or all(layer[rep].full for rep in reps)) and all(
+                    layer[rep] = _SATURATED if full else self._build_block(*rep, d)
+                full = self._saturated[c] = full or all(layer[rep].full for rep in reps)
+                if d >= 2 and (d > self._step or full) and all(
                     _same_span(layer[rep], self._layers[d - 2][rep]) for rep in reps
                 ):
                     self._repeat_from[c] = d + 1

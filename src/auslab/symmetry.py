@@ -379,8 +379,12 @@ def build_subgroup(n: int, kind: str, d: int, j: int | None) -> tuple[str, Finit
         gens = [reflection(q, j)] if d == n else [rotation(q, d), reflection(q, j)]
     else:
         raise ValueError(f"unknown subgroup kind {kind!r}")
-    label = f"cyclic({d})" if kind == "cyclic" else f"dihedral({d},{j})"
-    return label, generate_group(gens, cap=2 * n)    # a subgroup of D_n has at most 2n elements
+    return subgroup_label(kind, d, j), generate_group(gens, cap=2 * n)    # a subgroup of D_n has at most 2n elements
+
+
+def subgroup_label(kind: str, d: int, j: int | None) -> str:
+    """The label of the subgroup named by (kind, d, j) of `subgroup_keys`."""
+    return f"cyclic({d})" if kind == "cyclic" else f"dihedral({d},{j})"
 
 
 def enumerate_subgroups(n: int) -> list[tuple[str, FiniteGroup]]:

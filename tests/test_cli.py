@@ -11,6 +11,7 @@ import pytest
 
 from auslab.cli import (
     GroupSpecError,
+    _scan_job,
     build_group,
     canonical_payload_bytes,
     main,
@@ -158,7 +159,7 @@ def test_scan_payload_pinned(scan_run):
     assert digest == "ed01c8b5c31fabf4be5f9039595a24f9802a788704abe89e4bf26787d3a07e9f"
 
 
-def test_scan_builds_each_subgroup_once(monkeypatch):
+def test_scan_builds_each_conjugacy_class_once(monkeypatch):
     import auslab.symmetry
 
     calls = []
@@ -170,7 +171,8 @@ def test_scan_builds_each_subgroup_once(monkeypatch):
 
     monkeypatch.setattr(auslab.symmetry, "generate_group", counting)
     payload = run_scan([12], None)
-    assert len(payload["rows"]) == len(calls) == 6 + 28  # tau(12) + sigma(12)
+    assert len(payload["rows"]) == 6 + 28  # tau(12) + sigma(12)
+    assert len(calls) == 6 + 10  # tau(12) + the sum of gcd(2, d) over d | 12
 
 
 def test_scan_inconclusive_is_not_disagreement(tmp_path):
@@ -232,11 +234,11 @@ def test_scan_pool_clamped_to_cores_and_grid(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    inline = run_scan([3], 4)  # six subgroups
+    inline = run_scan([3], 4)  # six subgroups in four conjugacy classes
     for cores, jobs in ((4, 1000), (64, 3), (64, 1000), (1, 1000), (None, 8)):
         monkeypatch.setattr("auslab.cli.os.cpu_count", lambda cores=cores: cores)
         assert run_scan([3], 4, jobs=jobs) == inline
-    assert started == [4, 3, 6]
+    assert started == [4, 3, 4]     # D_3 has four conjugacy classes of subgroups
 
 
 def test_env_default_degree(tmp_path, monkeypatch):
@@ -578,7 +580,7 @@ def test_hilbert_runs_at_the_sizes_the_limits_allow(tmp_path):
         assert payload["totals"] == [n * (d + 1) for d in range(degree + 1)]
 
 
-def test_scan_classifies_each_subgroup_once(monkeypatch):
+def test_scan_classifies_each_conjugacy_class_once(monkeypatch):
     import auslab.symmetry
 
     calls = []
@@ -590,7 +592,44 @@ def test_scan_classifies_each_subgroup_once(monkeypatch):
 
     monkeypatch.setattr(auslab.symmetry, "classify_auslander", counting)
     payload = run_scan([12], None)
-    assert len(payload["rows"]) == len(calls) == 34
+    assert len(payload["rows"]) == 34
+    assert len(calls) == 16
+
+
+def test_scan_rows_are_each_subgroups_own(monkeypatch):
+    # one job per conjugacy class, and every row a class shares is the row
+    # its own subgroup's job computes; no two rows share a list
+    jobs = []
+    monkeypatch.setattr("auslab.cli._scan_job", lambda job: jobs.append(job) or _scan_job(job))
+    rows = 0
+    for n in range(3, 21):
+        payload = run_scan([n], None)["rows"]
+        by_label = {row["subgroup_descriptor"]: row for row in payload}
+        for kind, d, j in subgroup_keys(n):
+            label = build_subgroup(n, kind, d, j)[0]
+            assert by_label.pop(label) == _scan_job((n, kind, d, j, 4 * n + 4)), (n, label)
+        assert not by_label
+        assert len({id(row["identity_component_dims"]) for row in payload}) == len(payload)
+        rows += len(payload)
+    assert (rows, len(jobs)) == (398, 152)
+    assert run_scan([3], 4)["rows"] == sorted(
+        (_scan_job((3, *key, 4)) for key in subgroup_keys(3)), key=lambda r: r["subgroup_descriptor"]
+    )
+    monkeypatch.undo()      # the pool's workers run the module's own _scan_job
+    assert run_scan([3, 4, 6], None, jobs=2) == run_scan([3, 4, 6], None)
+
+
+@pytest.mark.parametrize(
+    "n_max, digest",
+    [
+        (12, "02d26a1fffb596460c3fd73e02ed0625628aa8d145752c064bd446a4ecb285bf"),
+        (30, "902cc145f2e1467f25cdad7deaacf846a945068729a4f750646a4c0fa3483f26"),
+    ],
+)
+def test_scan_grid_payload_pinned(n_max, digest):
+    # sha256 of each payload while every subgroup ran its own job
+    payload = run_scan(list(range(3, n_max + 1)), None)
+    assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == digest
 
 
 def test_envelope_python_version_is_platforms():

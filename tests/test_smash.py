@@ -1258,6 +1258,22 @@ def test_the_verdict_builds_nothing_past_the_repeat(monkeypatch):
     assert max(built) == 9
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_a_layer_after_a_saturated_one_is_filled_unbuilt(monkeypatch, n):
+    # the trivial group saturates at degree 0, so no block of a later layer
+    # is built, and both chains still repeat two degrees after saturating
+    import auslab.smash as smash
+
+    built, build_block = set(), smash.IdealTruncation._build_block
+    monkeypatch.setattr(smash.IdealTruncation, "_build_block", lambda self, i, j, d: built.add(d) or build_block(self, i, j, d))
+    trunc = IdealTruncation(build_subgroup(n, "cyclic", n, None)[1])
+    trunc.ideal_dimension(6)
+    assert built == {0}
+    assert all(block.full for layer in trunc._layers for block in layer.values())
+    assert trunc._repeat_from == [3, 3 if n % 2 == 0 else None]
+    assert identity_component_dims(trunc.group, 6) == [0] * 7
+
+
 def test_every_non_saturating_dihedral_subgroup_repeats_at_step_plus_2():
     # the repeat is measured, not proved, to start at step + 2: the groups
     # holding every vertex-fixing reflection never saturate and repeat there,
