@@ -705,7 +705,7 @@ def main(argv=None) -> int:
     except GroupSpecError as exc:
         print(f"group spec error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, MemoryError, CapExceededError) as exc:
+    except (ValueError, KeyError, MemoryError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

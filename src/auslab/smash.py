@@ -319,38 +319,49 @@ class IdealTruncation:
         self._refl = [g.refl for g in group.elements]
         self._size = len(group.n_elements)
         self._reps = list(range(0, len(group), self._size))    # T[c], one per coset, is index c |N|
-        self._labels: dict[int, list[int]] = {}
         self._cut_reps: dict[int, dict[int, list[int]]] = {}
-        self._projections: dict[tuple[tuple[int, int], int, int], dict] = {}
         self._character_setup()
         self._orbit_setup()
 
     # -- diagonal orbit structure ------------------------------------------
 
     def _orbit_setup(self) -> None:
-        """Pairs are met in lexicographic order, so the first one not yet
-        seen is the least of its orbit, its representative.  N fixes every
-        vertex, so the scalar-free elements, one per coset, reach every
-        image; the first to reach a pair, in index order, is its transfer."""
-        n, elements = self.n, self.group.elements
-        self.pair_rep: dict[tuple[int, int], tuple[int, int]] = {}
-        self.pair_transfer: dict[tuple[int, int], int] = {}
+        """N fixes every vertex, so T's vertex orbits, the columns, fix every
+        pair's orbit.  _columns[j] is (j0, t): j0 the column's least vertex,
+        t the first element of T, in index order, with t(j0) = j.  A vertex
+        stabilizer of D_n has order at most 2, so j0 has one mirror s in T:
+        the element other than 1 fixing j0, or 1 if none does.  The orbit of
+        (i, j0) meets the column in (i, j0) and (s(i), j0) only, the lesser
+        its representative, of |T| / 2 pairs if s != 1 fixes i.  A block's
+        left sources lie in its column: 1 or the mirror relabels them."""
+        n, elements, order = self.n, self.group.elements, len(self._reps)
+        self._columns: list[tuple[int, int] | None] = [None] * n
+        self._mirror: dict[int, int] = {}
+        for j0 in range(n):
+            if self._columns[j0] is None:
+                for t in reversed(self._reps):      # the last write is the first in index order
+                    self._columns[elements[t].vertex_image(j0)] = (j0, t)
+                self._mirror[j0] = next((t for t in self._reps[1:] if elements[t].vertex_image(j0) == j0), 0)
         self.orbit_sizes: dict[tuple[int, int], int] = {}
-        for rep in ((i, j) for i in range(n) for j in range(n)):
-            if rep in self.pair_rep:
-                continue
-            orbit = {}
-            for t in self._reps:
-                image = elements[t].vertex_image
-                orbit.setdefault((image(rep[0]), image(rep[1])), t)
-            for p, t in orbit.items():
-                self.pair_rep[p] = rep
-                self.pair_transfer[p] = t
-            self.orbit_sizes[rep] = len(orbit)
+        for i in range(n):
+            for j0, s in self._mirror.items():
+                if (si := elements[s].vertex_image(i)) >= i:
+                    self.orbit_sizes[(i, j0)] = order // 2 if s and si == i else order
         self.orbit_reps: list[tuple[int, int]] = list(self.orbit_sizes)
+        self._source_labels = {t: self._label_map(t) for t in {0, *self._mirror.values()}}
         # Conjugation keeps the parity of j - i when n is even; the blocks of
         # chain c at degree d are those of _by_parity[(c + d) % _chains].
         self._by_parity = [[(i, j) for i, j in self.orbit_reps if (j - i) % self._chains == p] for p in range(self._chains)]
+
+    def _locate(self, pair: tuple[int, int]) -> tuple[tuple[int, int], int]:
+        """pair's representative and an element of T carrying it to pair:
+        t of pair's column, or t s for its mirror s != 1 (index 0 is 1)."""
+        j0, t = self._columns[pair[1]]
+        i, s = self.group.elements[t].vertex_preimage(pair[0]) if t else pair[0], self._mirror[j0]
+        if s and (si := self.group.elements[s].vertex_image(i)) < i:
+            size = self._size
+            return (si, j0), self.group.t_mul(t // size, s // size) * size
+        return (i, j0), t
 
     # -- character coordinates ----------------------------------------------
 
@@ -414,17 +425,14 @@ class IdealTruncation:
         key = self._char_by_gens
         twist = [key[tuple(psi[pull[k]] for k in self._char_gens)] for psi in self._chars]
         cosets = [group.t_mul(group.t_mul(c, x), c_inv) * size for x in range(len(self._reps))]
-        hit = self._labels[t] = [base + k for base in cosets for k in twist]
-        return hit
+        return [base + k for base in cosets for k in twist]
 
     def _push_map(self, pair: tuple[int, int], e: int, dst: BlockCoords, t: int, shift: int) -> list[int]:
         """Index map from block `pair` at degree e into block dst:
-        conjugation by t (l goes to e - l when t reflects), then a left
-        extension adding `shift` nonstars."""
+        conjugation by t, the identity or a mirror (l goes to e - l when t
+        reflects), then a left extension adding `shift` nonstars."""
         src = self.block_coords(*pair, e)
-        labels = self._labels.get(t) or self._label_map(t)
-        step = dst.step
-        flip = self._refl[t]
+        labels, step, flip = self._source_labels[t], dst.step, self._refl[t]
         out: list[int] = []
         for h, cnt in enumerate(src.count):
             if not cnt:
@@ -435,26 +443,24 @@ class IdealTruncation:
             out.extend(range(k, k - cnt, -1) if flip else range(k, k + cnt))
         return out
 
-    def _block(self, pair: tuple[int, int], d: int) -> _Block:
-        """pair's representative block at degree d, its chain built first."""
-        rep = self.pair_rep[pair]
+    def _block(self, rep: tuple[int, int], d: int) -> _Block:
+        """A representative's block at degree d, its chain built first."""
         self._build_chain((rep[1] - rep[0] + d) % self._chains, d)
         return self._layers[d][rep]
 
-    def block_rank(self, pair: tuple[int, int], d: int) -> int:
-        block = self._block(pair, d)
-        coords = self.block_coords(*self.pair_rep[pair], d)
+    def block_rank(self, rep: tuple[int, int], d: int) -> int:
+        block, coords = self._block(rep, d), self.block_coords(*rep, d)
         if block.full:
             return coords.size
         if block.runs is not None:
             return coords.size - block.runs.live + coords.count.count(0)    # an empty run is a live node
         return block.kernel.rank
 
-    def block_identity_intersection(self, pair: tuple[int, int], d: int) -> int:
-        """dim of the block's span meeting the identity coordinates
-        (1, l) = |N|^-1 sum_psi phi_(1, psi, l): their number minus the rank
-        of their images in the quotient."""
-        block, rep = self._block(pair, d), self.pair_rep[pair]
+    def block_identity_intersection(self, rep: tuple[int, int], d: int) -> int:
+        """dim of a representative's block's span meeting the identity
+        coordinates (1, l) = |N|^-1 sum_psi phi_(1, psi, l): their number
+        minus the rank of their images in the quotient."""
+        block = self._block(rep, d)
         count = _progression(self.n, d + rep[1] - rep[0], d)[1]     # the l with i + 2l - d = j
         if block.full:
             return count
@@ -494,17 +500,20 @@ class IdealTruncation:
             self._through[c] = d
 
     def _build_block(self, i: int, j: int, d: int) -> _Block:
+        sources = []        # the left sources' representatives and transfers
         if d:
+            # alpha_i (from (i+1, j)) adds a nonstar, alpha_{i-1}* (from (i-1, j)) a star.
+            n, prev = self.n, self._layers[d - 1]
+            sources = [self._locate(((i + 1) % n, j)), self._locate(((i - 1) % n, j))]
             # Every canonical monomial of positive degree factors off its
             # first arrow, so a block whose two left sources are saturated is.
-            n, prev = self.n, self._layers[d - 1]
-            if prev[self.pair_rep[((i + 1) % n, j)]].full and prev[self.pair_rep[((i - 1) % n, j)]].full:
+            if prev[sources[0][0]].full and prev[sources[1][0]].full:
                 return _SATURATED
         if not self.group.has_scalars:
-            return self._build_runs(i, j, d)
+            return self._build_runs(i, j, d, sources)
         coords = self.block_coords(i, j, d)
         kernel = SignedPartition(coords.size, self._values)
-        for source, mapping in self._sources(i, j, d) if d else ():
+        for source, mapping in self._sources(i, j, d, sources) if d else ():
             kernel.absorb(mapping, source.kernel)
         for pa, *rest in self._cut_rows(i, j, d) if kernel.live else ():
             if rest:
@@ -518,19 +527,18 @@ class IdealTruncation:
                 break
         return _Block(kernel=kernel) if kernel.live else _SATURATED
 
-    def _build_runs(self, i: int, j: int, d: int) -> _Block:
+    def _build_runs(self, i: int, j: int, d: int, sources: list) -> _Block:
         """Block (i, j) at degree d over its labels, for a group without
         scalars (the runs of the module docstring): each left source is
         absorbed through its transfer's relabelling, and a cut row is one
         kill, or one join of the two labels whose runs it pairs."""
-        n, dst = self.n, self.block_coords(i, j, d)
+        dst = self.block_coords(i, j, d)
         if not dst.size:
             return _SATURATED
         empty = dst.count.count(0)          # live nodes that stand for no coordinate
         runs = SignedPartition(len(dst.count), self._values)
-        for pair in (((i + 1) % n, j), ((i - 1) % n, j)) if d else ():
-            rep, t = self.pair_rep[pair], self.pair_transfer[pair]
-            labels = self._labels.get(t) or self._label_map(t)
+        for rep, t in sources:
+            labels = self._source_labels[t]
             source = self._layers[d - 1][rep]
             if source.full:
                 runs.absorb([labels[h] for h, c in enumerate(self.block_coords(*rep, d - 1).count) if c], None)
@@ -546,16 +554,13 @@ class IdealTruncation:
                     runs.kill(ts[0])
         return _Block(runs=runs) if runs.live > empty else _SATURATED
 
-    def _sources(self, i: int, j: int, d: int):
+    def _sources(self, i: int, j: int, d: int, sources: list):
         """(source representative's block at d - 1, index map into block
-        (i, j) at d) for the two left extensions landing in (i, j):
-        alpha_i (from (i+1, j)) adds a nonstar, alpha_{i-1}* (from
-        (i-1, j)) a star."""
-        n, prev = self.n, self._layers[d - 1]
-        dst = self.block_coords(i, j, d)
-        for pair, shift in ((((i + 1) % n, j), 1), (((i - 1) % n, j), 0)):
-            rep = self.pair_rep[pair]
-            mapping = self._push_map(rep, d - 1, dst, self.pair_transfer[pair], shift)
+        (i, j) at d) for the two left extensions landing in (i, j), located
+        in `sources`: the first adds a nonstar, the second a star."""
+        prev, dst = self._layers[d - 1], self.block_coords(i, j, d)
+        for (rep, t), shift in zip(sources, (1, 0)):
+            mapping = self._push_map(rep, d - 1, dst, t, shift)
             if mapping:
                 yield prev[rep], mapping
 
@@ -615,40 +620,31 @@ class IdealTruncation:
         for (m, gi), c in x.terms.items():
             pieces.setdefault((m.source, elements[gi].vertex_preimage(m.target(n))), []).append((gi, m.nonstars, c))
         for pair, terms in pieces.items():
-            block = self._block(pair, d)
+            rep, t = self._locate(pair)
+            block = self._block(rep, d)
             part = block.kernel if block.runs is None else block.runs
-            if not block.full and not part.vanishes((c, self._projection(pair, d, g)[l]) for g, l, c in terms):
+            if not block.full and not part.vanishes(self._images(rep, t, d, part, terms)):
                 return False
         return True
 
-    def _projection(self, pair: tuple[int, int], d: int, g: int) -> dict[int, list[tuple[int, int]]]:
-        """l -> the image of the coordinate (g, l) of block `pair` at degree d
-        in the quotient of the representative's block, as (live root,
-        exponent of z) pairs for `SignedPartition.vanishes`: conjugation by
-        1#u, u the scalar-free inverse transfer, sends it to (u g u^-1, l'),
-        and (c h_k, l') = |N|^-1 sum_psi psi(h_k)^-1 phi_(c, psi, l'), whose
-        common factor |N|^-1 is dropped.  In a label block (N trivial) that
-        is the node u g u^-1 for every l.  Built once per (pair, degree, g)."""
-        key = (pair, d, g)
-        hit = self._projections.get(key)
-        if hit is None:
-            rep, block = self.pair_rep[pair], self._block(pair, d)
-            src, dst = self.block_coords(*pair, d), self.block_coords(*rep, d)
-            group, size = self.group, self._size
-            c = group.t_inverse[self.pair_transfer[pair] // size]      # u = T[c], u g u^-1 = base + k
-            base = group.t_mul(group.t_mul(c, g // size), group.t_inverse[c]) * size
-            ls = range(src.first[g], src.first[g] + src.count[g] * src.step, src.step)
-            if block.runs is not None:
-                hit = dict.fromkeys(ls, block.runs.reduce([(base, 0)]))
+    def _images(self, rep: tuple[int, int], t: int, d: int, part: SignedPartition, terms):
+        """(c, image of (g, l)) for each term (g, l, c) of the block t carries
+        rep to, at degree d, the image in rep's quotient `part` as (live root,
+        exponent of z) pairs: conjugation by 1#u, u = t^-1, sends (g, l) to
+        (u g u^-1, l'), and (c h_k, l') = |N|^-1 sum_psi psi(h_k)^-1
+        phi_(c, psi, l'), the common factor |N|^-1 dropped.  In a label block
+        (N trivial) that is the node u g u^-1 for every l."""
+        group, size, flip = self.group, self._size, self._refl[t]
+        u = group.t_inverse[t // size]
+        dst = self.block_coords(*rep, d)
+        for g, l, c in terms:
+            base = group.t_mul(group.t_mul(u, g // size), group.t_inverse[u]) * size     # u g u^-1 = base + k
+            if group.has_scalars:
+                k = group.conj[u][g % size]
+                off = ((d - l if flip else l) - dst.first[base + k]) // dst.step
+                yield c, part.reduce([(dst.start[base + h] + off, -psi[k]) for h, psi in enumerate(self._chars)])
             else:
-                k, flip = group.conj[c][g % size], self._refl[c * size]
-                starts = [(dst.start[base + h], -psi[k]) for h, psi in enumerate(self._chars)]
-                hit = {}
-                for l in ls:
-                    off = ((d - l if flip else l) - dst.first[base + k]) // dst.step
-                    hit[l] = block.kernel.reduce([(p + off, t) for p, t in starts])
-            self._projections[key] = hit
-        return hit
+                yield c, part.reduce([(base, 0)])
 
 
 def identity_component_dims(group: FiniteGroup, D: int) -> list[int]:
@@ -810,8 +806,8 @@ def default_cutoff(n: int, group: FiniteGroup) -> int:
     return max(4 * n + 4, 24)
 
 
-# The ideal build fills tables over the n^2 vertex pairs once, each pair
-# costing about 30 cells.  At each degree d it lays out about n^2/|G/N|
+# The ideal build's set-up once filled tables of 30 cells per vertex pair;
+# the count keeps their 30n^2.  At each degree d it lays out about n^2/|G/N|
 # orbit-rep blocks, N the vertex-fixing elements, each indexed by all of G,
 # and their |N| n(d+1) coordinates: |N| n(wn + d + 1) cells.  Even n builds
 # only the identity chain, and w = 1.  Odd n builds every block, and w = 4
@@ -819,7 +815,7 @@ def default_cutoff(n: int, group: FiniteGroup) -> int:
 # twice as long as D_56 at the same count.  So a build through degree D
 # counts 30n^2 + |N| n(D+1)(wn + (D+2)/2) cells.  At this limit, as whole
 # `auslander` runs in-process on a 2-core x86-64 guest under Python 3.11,
-# the trivial group at degree 1 takes 0.5 s at n = 278 and 0.8 s at
+# the trivial group at degree 1 takes 0.27 s at n = 278 and 0.41 s at
 # n = 255, the order-192 group of `invariants`' walk limit at n = 3 through
 # degree 148 1.1 s, and <rho, r, -1> at n = 100 through degree 77 1.25 s.
 # A group without scalars builds over labels, and a chain that never

@@ -197,3 +197,29 @@ def build_ideal(group, D: int) -> IdealTruncation:
     trunc = IdealTruncation(group)
     trunc.extend(D)
     return trunc
+
+
+def cover_series(group, D: int) -> list[int]:
+    """Oracle for `identity_component_dims` of a group whose elements all fix
+    every vertex (T trivial, so G = N): dim_d counts the pairs (i, l),
+    0 <= l <= d, for which the characters chi(i, x, y) of N over the
+    rectangle x <= l, y <= d - l miss some character of N.  chi(i, x, y) is
+    N's character on the monomial (i, x, y), its exponents
+    `h.word_exponents(i, x + y, (x,))` over h in N scaled to the group's
+    conductor.  The rule is measured, not proved: it agreed with the ideal
+    build on every such group tried, at n = 3 and 4 and on random scalar
+    specs."""
+    n, normal, M = group.quiver.n, group.n_elements, group.conductor
+    assert len(normal) == len(group), "every element fixes every vertex"
+    dims = []
+    for d in range(D + 1):
+        dims.append(0)
+        for i in range(n):
+            for l in range(d + 1):
+                chars = {
+                    tuple(h.word_exponents(i, x + y, (x,))[0] * (M // h.m) % M for h in normal)
+                    for x in range(l + 1)
+                    for y in range(d - l + 1)
+                }
+                dims[d] += len(chars) < len(normal)
+    return dims

@@ -136,6 +136,39 @@ def test_cli_verify_suites(tmp_path):
     assert main(["verify", "--suite", "smash", "--n", "3", "--degree", "4", "--out", str(tmp_path)]) == 0
 
 
+EVERY_COMMAND = [
+    (["hilbert", "--n", "3", "--degree", "4"], "hilbert_n3.json"),
+    (["invariants", "--n", "3", "--group", "rot(1),refl(0)", "--degree", "4"], "invariants_n3.json"),
+    (["auslander", "--n", "3", "--group", "rot(1)", "--degree", "6"], "auslander_n3.json"),
+    (["scan", "--n-list", "3", "--all-dihedral-subgroups", "--degree", "4"], "scan.json"),
+    (["verify", "--suite", "smash", "--n", "3", "--degree", "3"], "verify_smash_n3.json"),
+]
+
+
+@pytest.mark.parametrize("argv, report", EVERY_COMMAND, ids=[argv[0] for argv, _ in EVERY_COMMAND])
+def test_every_command_prints_one_envelope_without_out(tmp_path, capsys, argv, report):
+    # without --out stdout is the envelope, whole: its payload hashes to
+    # meta.payload_sha256 and equals the payload --out writes
+    assert main(argv) == 0
+    envelope = json.loads(capsys.readouterr().out)
+    payload = envelope["payload"]
+    assert envelope["meta"]["payload_sha256"] == hashlib.sha256(canonical_payload_bytes(payload)).hexdigest()
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / report).read_text())["payload"] == payload
+
+
+@pytest.mark.parametrize("argv, report", EVERY_COMMAND, ids=[argv[0] for argv, _ in EVERY_COMMAND])
+def test_an_out_that_cannot_be_made_is_an_error_not_a_traceback(tmp_path, argv, report):
+    # --out naming a regular file, or a directory under one, ends in exit 1
+    # and a message naming the path
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "out"):
+        code, err, _ = _run_capped(argv + ["--out", str(out)])
+        assert code == 1 and err.startswith("error:") and str(out) in err and "Traceback" not in err, err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"] and not blocker.read_text()
+
+
 def test_scan_row_count_and_csv():
     payload = run_scan([3], 10)
     from auslab.symmetry import enumerate_subgroups

@@ -1,3 +1,4 @@
+import itertools
 import random
 import unittest.mock
 from fractions import Fraction
@@ -6,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from reference import build_ideal, contains, eval_auslander_map, expand, insert, span_rows
+from reference import build_ideal, contains, cover_series, eval_auslander_map, expand, insert, span_rows
 from test_symmetry import group_specs
 
 from auslab.cli import build_group
@@ -226,6 +227,35 @@ def test_identity_component_dims_examples():
     dims_d3 = identity_component_dims(dihedral_group(q), 16)
     assert dims_d3[:4] == [3, 6, 9, 9]
     assert max(dims_d3) == 9 and dims_d3[-1] > 0
+
+
+def test_every_small_scalar_group_follows_the_cover_count():
+    # the 97 groups scalar(m; e; s - e) at n = 3, m = 2 and 3, through
+    # degree 12: every element fixes every vertex
+    for m in (2, 3):
+        for e in itertools.product(range(m), repeat=3):
+            for s in range(m):
+                spec = f"scalar({m};{','.join(map(str, e))};{','.join(str((s - k) % m) for k in e)})"
+                group = _smash_group((3, spec))
+                assert identity_component_dims(group, 12) == cover_series(group, 12), spec
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+@given(group_specs())
+def test_scalar_only_spec_groups_follow_the_cover_count(case):
+    n, spec = case
+    assume("rot" not in spec and "refl" not in spec)
+    try:
+        group, _ = build_group(spec, n, cap=256)
+    except CapExceededError:
+        assume(False)
+    assert identity_component_dims(group, 10) == cover_series(group, 10)
 
 
 def test_ideal_rows_stay_in_ideal_under_multiplication():
@@ -455,14 +485,13 @@ class _RowEngine:
     def rows(self, pair, d):
         """Spanning rows of any block at degree d, in its own coordinates."""
         trunc, group = self.trunc, self.group
-        rep = trunc.pair_rep[pair]
+        rep, t = trunc._locate(pair)
         ech = self.layers[d][rep]
         coords, index = self.block(*pair, d)
         if ech is None:
             return [{k: self.one} for k in range(len(coords))]
         if pair == rep:
             return list(ech.pivots.values())
-        t = trunc.pair_transfer[pair]
         size = len(group.n_elements)
         tinv = group.t_inverse[t // size] * size
         remap = []
@@ -569,7 +598,8 @@ def _assert_transfers_are_scalar_free(group):
     # orbit transfers of the ideal build are relabellings
     trunc = IdealTruncation(group)
     assert len(trunc._reps) * len(group.n_elements) == len(group)
-    assert all(group.elements[t].m == 1 for t in trunc._reps + list(trunc.pair_transfer.values()))
+    n = group.quiver.n
+    assert all(group.elements[t].m == 1 for t in trunc._reps + [trunc._locate((i, j))[1] for i in range(n) for j in range(n)])
 
 
 @settings(
@@ -600,19 +630,25 @@ def test_every_dihedral_subgroup_builds_with_scalar_free_transfers():
 
 
 def _assert_orbits_are_those_of_all_of_g(group):
-    # walking the scalar-free elements finds what walking all of G finds:
-    # each representative is the least pair of its orbit, the orbit sizes
-    # sum to n^2, and each transfer is the first element of G, in index
-    # order, carrying the representative to the pair
+    # the columns find what walking all of G finds: each pair's
+    # representative is the least pair of its orbit in the column of the
+    # least vertex of j's orbit, its orbit size is the walked orbit's, the
+    # sizes sum to n^2, and the located element carries it to the pair;
+    # each representative's two left sources are located with the identity
+    # or with its column's mirror
     n, vertex_maps = group.quiver.n, group.vertex_maps
     trunc = IdealTruncation(group)
-    assert len(trunc.pair_rep) == n * n and sum(trunc.orbit_sizes.values()) == n * n
+    assert sum(trunc.orbit_sizes.values()) == n * n
     assert trunc.orbit_reps == sorted(trunc.orbit_sizes)
-    for pair, rep in trunc.pair_rep.items():
+    for pair in ((i, j) for i in range(n) for j in range(n)):
+        rep, t = trunc._locate(pair)
         orbit = {(vm[pair[0]], vm[pair[1]]) for vm in vertex_maps}
-        assert rep == min(orbit) and trunc.orbit_sizes[rep] == len(orbit)
-        reaching = [gi for gi, vm in enumerate(vertex_maps) if (vm[rep[0]], vm[rep[1]]) == pair]
-        assert trunc.pair_transfer[pair] == reaching[0]
+        j0 = min(vm[pair[1]] for vm in vertex_maps)
+        assert rep == min(p for p in orbit if p[1] == j0) and trunc.orbit_sizes[rep] == len(orbit)
+        assert (vertex_maps[t][rep[0]], vertex_maps[t][rep[1]]) == pair
+    for i, j in trunc.orbit_reps:
+        for source in (((i + 1) % n, j), ((i - 1) % n, j)):
+            assert trunc._locate(source)[1] in (0, trunc._mirror[j])
 
 
 def test_orbits_of_every_dihedral_subgroup_are_those_of_the_whole_group():
@@ -682,7 +718,8 @@ def test_membership_through_relabelling_transfers(n, spec):
     group = _smash_group((n, spec))
     q = group.quiver
     trunc = build_ideal(group, 5)
-    assert group.has_scalars and any(p != trunc.pair_rep[p] for p in trunc.pair_rep)
+    pairs = [(i, j) for i in range(q.n) for j in range(q.n)]
+    assert group.has_scalars and any(p != trunc._locate(p)[0] for p in pairs)
     f_g = SmashElement.group_sum(group)
     rng = random.Random(11)
     for _ in range(40):
@@ -698,14 +735,14 @@ def test_membership_through_relabelling_transfers(n, spec):
         d = rng.randint(1, 5)
         m1, g1 = rng.choice(nf_basis(q, d)), rng.randrange(len(group))
         pair = (m1.source, group.vertex_maps[g1].index(m1.target(q.n)))
-        t = trunc.pair_transfer[pair]
-        if pair == trunc.pair_rep[pair]:
+        rep, t = trunc._locate(pair)
+        if pair == rep:
             continue
         # a second term of block (i, j): m1 is one candidate
         m2, g2 = rng.choice([(m, g) for m in nf_basis(q, d) for g, vm in enumerate(group.vertex_maps) if m.source == pair[0] and vm[pair[1]] == m.target(q.n)])
         x = SmashElement(group, {(m1, g1): Fraction(rng.randint(1, 3)), (m2, g2): Fraction(rng.choice([-2, -1, 1]))})
         back = SmashElement.from_algebra(group, one, group.t_inverse[t // size] * size) * x * SmashElement.from_algebra(group, one, t)
-        assert back.degree() == d and {(m.source, group.vertex_maps[g].index(m.target(q.n))) for m, g in back.terms} == {trunc.pair_rep[pair]}
+        assert back.degree() == d and {(m.source, group.vertex_maps[g].index(m.target(q.n))) for m, g in back.terms} == {rep}
         member = trunc.contains(back)
         assert trunc.contains(x) == member
         refused += not member
@@ -730,7 +767,8 @@ def _pushed_rows(trunc, i, j, d):
     t."""
     one = trunc._values[0]
     reps = {id(block): rep for rep, block in trunc._layers[d - 1].items()}     # a source block's rep, for `_coordinate_kernel`
-    for source, mapping in trunc._sources(i, j, d):
+    sources = [trunc._locate(((i + 1) % trunc.n, j)), trunc._locate(((i - 1) % trunc.n, j))]     # as `_build_block` locates them
+    for source, mapping in trunc._sources(i, j, d, sources):
         rows = (
             ({k: 1} for k in range(len(mapping)))
             if source.full
