@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -240,7 +241,6 @@ def make_envelope(command: str, payload: dict, started: float) -> dict:
 def emit(envelope: dict, out_dir: str | None, filename: str) -> None:
     text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, filename), "w") as fh:
             fh.write(text)
     else:
@@ -644,6 +644,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Built once per process: a parser is a cycle of some 300 objects, which
+# every call of `main` in one process (the tests, the benchmark) would
+# otherwise leave to the cyclic garbage collector.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="auslab",
@@ -701,6 +705,8 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors; report 1 and keep 0 for --help.
         return 0 if exc.code in (0, None) else 1
     try:
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)        # a bad --out fails before any work
         return args.func(args)
     except GroupSpecError as exc:
         print(f"group spec error: {exc}", file=sys.stderr)

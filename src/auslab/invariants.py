@@ -7,7 +7,10 @@ as its basis: one per orbit whose stabilizer fixes its monomials with
 multiplier 1, the others averaging to zero.  For subgroups of D_n these are
 the plain orbit sums.  The orbits are walked on integers: a monomial is its
 (source, nonstar count) and a scalar its exponent over the group's
-conductor, and field values are made only for the terms that are kept.
+conductor.  A basis keeps only each contributing orbit's least key, which
+is all its dimensions read; the orbit sums, with their field values, are
+built by walking the kept orbits again, only for the free-module checks
+(`invariants --check-free-module`) and the tests' Reynolds comparisons.
 `reynolds` averaging stays for `verify` and as the tests' reference.
 
 For the full dihedral group the fixed ring is a commutative polynomial ring
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 
 from .linalg import rank
 from .preproj import AlgebraElement, NFMonomial
@@ -97,11 +102,12 @@ def orbit_of(m: NFMonomial, group: FiniteGroup) -> set[NFMonomial]:
 # ---------------------------------------------------------------------------
 
 
-# The basis of (R^G)_d holds each monomial of a contributing orbit once, at
-# most n(d+1) terms, so n(D+1)(D+2)/2 through degree D.  At this limit
-# (n = 3 through degree 445, n = 100 through degree 75) the trivial group,
-# one vector per monomial, takes about 0.8 s and 130 MB on a 2-core x86-64
-# guest under Python 3.11.
+# The orbit sums of (R^G)_d hold each monomial of a contributing orbit once,
+# at most n(d+1) terms, so n(D+1)(D+2)/2 through degree D, and a basis keeps
+# at most one key per term.  At this limit (n = 3 through degree 445, n = 100
+# through degree 75) the trivial group, one key per monomial, takes about
+# 0.25-0.4 s and 42 MB peak RSS, and building its orbit sums as well about
+# 2 s and 146 MB, on a 2-core x86-64 guest under Python 3.11.
 INVARIANT_TERM_LIMIT = 300_000
 
 # The orbit walk takes |G| steps per orbit and |G|(d+1) exponents per vertex
@@ -110,7 +116,8 @@ INVARIANT_TERM_LIMIT = 300_000
 # |G|/2|N| members and the walk does at most 4|N| n(D+1)(D+2)/2 steps.  At
 # this limit on |N| n(D+1)(D+2)/2 the groups with scalars tried (orders 7 to
 # 2048, n = 3 to 6) take 0.7 to 1.5 s on a 2-core x86-64 guest under Python
-# 3.11, where D_3 through degree 445 takes 0.8 s.
+# 3.11, where D_3 through degree 445 takes 0.23 s (1.1 s with its orbit sums
+# built).
 INVARIANT_WALK_LIMIT = 1_000_000
 
 
@@ -127,15 +134,23 @@ def check_basis_size(n: int, D: int, walks: int = 1) -> None:
 
 @dataclass
 class InvariantBasis:
-    """Row-reduced bases of (R^G)_d for d = 0..D."""
+    """Bases of (R^G)_d for d = 0..D, one twisted orbit sum per contributing
+    orbit, kept as the orbit's least key (source, nonstar count): the
+    monomial its walk starts from and the first term of its sum."""
 
     group: FiniteGroup
     degree: int
-    vectors: list[list[AlgebraElement]]
+    keys: list[list[tuple[int, int]]]
 
     @property
     def dims(self) -> list[int]:
-        return [len(v) for v in self.vectors]
+        return [len(k) for k in self.keys]
+
+    @cached_property
+    def vectors(self) -> list[list[AlgebraElement]]:
+        """The twisted orbit sums themselves, walked again from the kept keys
+        on first use: of the commands, only `--check-free-module` reads them."""
+        return [_orbit_walk(self.group, d, self.keys[d], build=True) for d in range(self.degree + 1)]
 
     def matrix_dims(self, d: int) -> list[list[int]]:
         """Parity-block dimensions (source parity, target parity) of the
@@ -149,27 +164,51 @@ class InvariantBasis:
             raise ValueError("parity blocks need n even")
         reach = [{g.vertex_image(j) % 2 for g in self.group.elements} for j in (0, 1)]
         out = [[0, 0], [0, 0]]
-        for v in self.vectors[d]:
-            for p in reach[next(iter(v.terms)).source % 2]:
+        for source, _ in self.keys[d]:
+            for p in reach[source % 2]:
                 out[p][(p + d) % 2] += 1
         return out
 
 
-def invariant_basis(group: FiniteGroup, D: int) -> InvariantBasis:
-    """One twisted orbit sum per orbit, in `nf_basis` order of its least
-    monomial m: each image monomial once, with the scalar by which the first
-    element sending m there scales it, so m has coefficient 1.  The scalars
-    agree, and the orbit contributes, exactly when the stabilizer of m fixes
-    it with multiplier 1; otherwise the orbit averages to zero.  Orbits are
-    disjoint, so these are the normalized echelon rows of the Reynolds
-    images.
-
-    The walk is on integers.  A monomial of degree d is its key (source,
-    nonstar count), and an element's scalar on it is its exponent k over
-    zeta_m (`Automorphism.word_exponents`, one call per element and source
-    vertex), compared as k M / m over zeta_M, M the group's conductor.  Only
-    the terms of contributing orbits become field values, `root(m, k)`."""
+def _orbit_walk(group: FiniteGroup, d: int, starts, build: bool) -> list:
+    """Walk the orbits of the degree-d monomials (j, l, d - l), each from its
+    first start (j, l) in `starts`.  Return the keys of the orbits that
+    contribute or, with `build`, their twisted orbit sums: each image once,
+    scaled by the first element sending (j, l) there.  A monomial is its key
+    (source, nonstar count), and an element's scalar on it its exponent k
+    over zeta_m (`Automorphism.word_exponents`, one call per element and
+    start vertex), compared as k M / m over zeta_M, M the group's conductor.
+    Only built terms become field values, `root(m, k)`."""
     q, n, elements = group.quiver, group.quiver.n, group.elements
+    moves = [(g.rot, g.refl, group.conductor // g.m) for g in elements]
+    ls, zero = range(d + 1), [0] * (d + 1)
+    out, seen, vertex = [], set(), None
+    for j, l in starts:
+        if (j, l) in seen:
+            continue
+        if j != vertex:
+            vertex, exps = j, [g.word_exponents(j, d, ls) if g.m != 1 else zero for g in elements]
+        terms, fixed = {}, True
+        for gi, (rot, refl, f) in enumerate(moves):
+            key = ((rot - j) % n, d - l) if refl else ((rot + j) % n, l)
+            s = exps[gi][l] * f
+            if terms.setdefault(key, (s, gi))[0] != s:
+                fixed = False
+        seen.update(terms)
+        if fixed:
+            out.append(AlgebraElement(q, {
+                NFMonomial(i, k, d - k): root(elements[gi].m, exps[gi][l]) for (i, k), (_, gi) in terms.items()
+            }) if build else (j, l))
+    return out
+
+
+def invariant_basis(group: FiniteGroup, D: int) -> InvariantBasis:
+    """The contributing orbits of each degree, in `nf_basis` order of their
+    least monomials m.  An orbit contributes exactly when the stabilizer of
+    m fixes m with multiplier 1; otherwise it averages to zero.  Orbits are
+    disjoint, so their twisted orbit sums, with m at coefficient 1, are the
+    normalized echelon rows of the Reynolds images."""
+    n = group.quiver.n
     check_basis_size(n, D)
     fixing = len(group.n_elements)
     walk = fixing * n * (D + 1) * (D + 2) // 2
@@ -178,31 +217,9 @@ def invariant_basis(group: FiniteGroup, D: int) -> InvariantBasis:
             f"invariants at n = {n} through degree {D} for a group of order {len(group)}, {fixing} of "
             f"its elements fixing every vertex, walk {walk} orbit steps, over the limit of {INVARIANT_WALK_LIMIT}"
         )
-    moves = [(g.rot, g.refl, group.conductor // g.m) for g in elements]
-    vectors = []
-    for d in range(D + 1):
-        rows, seen = [], set()
-        ls, zero = range(d + 1), [0] * (d + 1)
-        for j in range(n):
-            exps = None
-            for l in range(d, -1, -1):            # nf_basis order
-                if (j, l) in seen:
-                    continue
-                if exps is None:
-                    exps = [g.word_exponents(j, d, ls) if g.m != 1 else zero for g in elements]
-                terms, fixed = {}, True
-                for gi, (rot, refl, f) in enumerate(moves):
-                    key = ((rot - j) % n, d - l) if refl else ((rot + j) % n, l)
-                    s = exps[gi][l] * f
-                    if terms.setdefault(key, (s, gi))[0] != s:
-                        fixed = False
-                seen.update(terms)
-                if fixed:
-                    rows.append(AlgebraElement(q, {
-                        NFMonomial(i, k, d - k): root(elements[gi].m, exps[gi][l]) for (i, k), (_, gi) in terms.items()
-                    }))
-        vectors.append(rows)
-    return InvariantBasis(group, D, vectors)
+    return InvariantBasis(group, D, [                # starts in nf_basis order
+        _orbit_walk(group, d, product(range(n), range(d, -1, -1)), build=False) for d in range(D + 1)
+    ])
 
 
 def series_coefficients(denominator_degrees: list[int], D: int, numerator: int = 1) -> list[int]:
@@ -383,7 +400,7 @@ def verify_presentation_dihedral(n: int, D: int, basis: InvariantBasis | None = 
                 x = s1 * x
             images.append(x)
         r = rank(x.terms for x in images)
-        inv_dim = len(basis.vectors[d])
+        inv_dim = basis.dims[d]
         if not (r == len(images) == inv_dim == expected[d]):
             failures.append(
                 f"degree {d}: image rank {r}, free dim {len(images)}, "
@@ -443,7 +460,7 @@ def verify_presentation_two_vertex(n: int, D: int, basis: InvariantBasis | None 
                 images.append(x)
                 block_counts[p][parity] += 1
         r = rank(x.terms for x in images)
-        inv_dim = len(basis.vectors[d])
+        inv_dim = basis.dims[d]
         matrix = basis.matrix_dims(d)
         swap = swap_matrix_series_coefficient(d)
         if matrix != swap:

@@ -351,7 +351,7 @@ class IdealTruncation:
         self._source_labels = {t: self._label_map(t) for t in {0, *self._mirror.values()}}
         # Conjugation keeps the parity of j - i when n is even; the blocks of
         # chain c at degree d are those of _by_parity[(c + d) % _chains].
-        self._by_parity = [[(i, j) for i, j in self.orbit_reps if (j - i) % self._chains == p] for p in range(self._chains)]
+        self._by_parity = [[rep for rep in self.orbit_reps if (rep[1] - rep[0]) % self._chains == p] for p in range(self._chains)]
 
     def _locate(self, pair: tuple[int, int]) -> tuple[tuple[int, int], int]:
         """pair's representative and an element of T carrying it to pair:

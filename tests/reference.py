@@ -223,3 +223,26 @@ def cover_series(group, D: int) -> list[int]:
                 }
                 dims[d] += len(chars) < len(normal)
     return dims
+
+
+def burnside_dims(group, D: int) -> list[int]:
+    """Oracle for `invariant_basis(group, D).dims` of a scalar-free group,
+    whose every orbit sum is invariant, by Burnside's lemma: dim (R^G)_d is
+    |G|^-1 sum over g of #{(i, l) : g fixes the monomial (i, l, d - l)}.  g
+    fixes it when g(i) = i and, if g reflects (sending nonstar arrows to
+    star ones), also l = d - l."""
+    assert not group.has_scalars, "a scalar-free group"
+    n, order = group.quiver.n, len(group)
+    dims = []
+    for d in range(D + 1):
+        fixed = sum(
+            1
+            for g in group.elements
+            for i in range(n)
+            if g.vertex_image(i) == i
+            for l in range(d + 1)
+            if not g.refl or l == d - l
+        )
+        assert fixed % order == 0
+        dims.append(fixed // order)
+    return dims

@@ -689,6 +689,78 @@ def test_scalar_invariants_pinned(tmp_path, n, group, degree, digest):
     assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "n, group, degree, digest",
+    [
+        ("8", "rot(1),refl(0)", "32", "d305aae7422d73a4d47bffd8d160dc69f7ddbb48c6b7b2906ebb44a96e5fb6a6"),
+        ("5", "scalar(7;1,1,1,1,1;6,6,6,6,6)", "20", "6663b626b08dc00a91a92a4024abcf30795a2e31d749c03eb789a1be4df8238f"),
+        ("3", "rot(0)", "445", "b7db8bd116565b0f32465fdd0d45904beca541e3524c9862db14160c3c52ea0f"),
+    ],
+)
+def test_invariants_pinned(tmp_path, n, group, degree, digest):
+    # sha256 of each payload while every basis vector was built as an orbit sum
+    assert main(["invariants", "--n", n, "--group", group, "--degree", degree, "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / f"invariants_n{n}.json").read_text())["payload"]
+    assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "n, group, degree",
+    [
+        ("8", "rot(1),refl(0)", "32"),
+        ("8", "rot(2),refl(0)", "24"),          # matrix_dims
+        ("5", "scalar(7;1,1,1,1,1;6,6,6,6,6)", "20"),
+    ],
+)
+def test_invariants_build_no_field_value_or_orbit_sum(tmp_path, monkeypatch, n, group, degree):
+    # dims and matrix_dims read the orbit keys only: with every field value
+    # and algebra element refused, the payload is the same
+    argv = ["invariants", "--n", n, "--group", group, "--degree", degree, "--out", str(tmp_path)]
+    report = tmp_path / f"invariants_n{n}.json"
+    assert main(argv) == 0
+    want = json.loads(report.read_text())["payload"]
+    report.unlink()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr("auslab.invariants.root", refuse)
+    monkeypatch.setattr("auslab.preproj.AlgebraElement.__init__", refuse)
+    assert main(argv) == 0
+    assert json.loads(report.read_text())["payload"] == want
+
+
+def test_a_bad_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    # the scan never starts when --out names a regular file
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan ran")
+
+    monkeypatch.setattr("auslab.cli.run_scan", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["scan", "--n-list", "3,4,5", "--all-dihedral-subgroups", "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(blocker) in err
+
+
+def test_main_leaves_no_parser_for_the_cyclic_collector(tmp_path):
+    # the parser is built once per process, so repeated calls of main leave
+    # no argparse cycle behind
+    import gc
+
+    argv = ["hilbert", "--n", "3", "--degree", "2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        assert not [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
 def test_invariants_size_is_checked_up_front(tmp_path, capsys):
     from auslab.invariants import INVARIANT_TERM_LIMIT
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from reference import burnside_dims
 from test_symmetry import group_specs
 
 from auslab.cli import build_group
@@ -311,6 +312,18 @@ def test_twisted_orbit_sums_are_the_reynolds_basis(case):
     basis = invariant_basis(group, 4)
     for d in range(5):
         assert basis.vectors[d] == _reynolds_basis(group, d)
+    # built once, from the kept keys, each its sum's first term
+    assert basis.vectors is basis.vectors
+    assert basis.keys == [[next(iter(v.terms))[:2] for v in vecs] for vecs in basis.vectors]
+
+
+def test_invariant_dims_are_burnsides_count():
+    # every subgroup of D_n, n = 3..12: the orbit walk counts what
+    # Burnside's lemma counts
+    for n in range(3, 13):
+        for key in subgroup_keys(n):
+            _, group = build_subgroup(n, *key)
+            assert invariant_basis(group, 40).dims == burnside_dims(group, 40), (n, key)
 
 
 def test_twisted_orbit_sums_drop_orbits_with_a_scaling_stabilizer():

@@ -649,6 +649,10 @@ def _assert_orbits_are_those_of_all_of_g(group):
     for i, j in trunc.orbit_reps:
         for source in (((i + 1) % n, j), ((i - 1) % n, j)):
             assert trunc._locate(source)[1] in (0, trunc._mirror[j])
+    # _by_parity shares orbit_reps' tuples, each once
+    reps = {id(rep) for rep in trunc.orbit_reps}
+    shared = [id(rep) for part in trunc._by_parity for rep in part]
+    assert sorted(shared) == sorted(reps)
 
 
 def test_orbits_of_every_dihedral_subgroup_are_those_of_the_whole_group():
