@@ -5,13 +5,16 @@ Every group element sends a monomial to a root of unity times a monomial,
 so each graded piece of R^G has the twisted orbit sums of the monomial basis
 as its basis: one per orbit whose stabilizer fixes its monomials with
 multiplier 1, the others averaging to zero.  For subgroups of D_n these are
-the plain orbit sums.  The orbits are walked on integers: a monomial is its
-(source, nonstar count) and a scalar its exponent over the group's
-conductor.  A basis keeps only each contributing orbit's least key, which
-is all its dimensions read; the orbit sums, with their field values, are
-built by walking the kept orbits again, only for the free-module checks
-(`invariants --check-free-module`) and the tests' Reynolds comparisons.
-`reynolds` averaging stays for `verify` and as the tests' reference.
+the plain orbit sums.  Their number needs no orbit: N, the vertex-fixing
+elements, is normal and diagonal, and T, the scalar-free ones, scales no
+arrow, so an orbit contributes exactly when its monomials have trivial
+N-character, and dim (R^G)_d is Burnside's count of T's orbits on those
+monomials (`InvariantBasis`).  The orbit sums themselves, with their field
+values, are walked on integers, a monomial as its (source, nonstar count)
+and a scalar as its exponent over the group's conductor, only for the
+free-module checks (`invariants --check-free-module`) and the tests'
+Reynolds comparisons.  `reynolds` averaging stays for `verify` and as the
+tests' reference.
 
 For the full dihedral group the fixed ring is a commutative polynomial ring
 on one generator in degree 1 and one in degree 2; for the index-two
@@ -32,7 +35,7 @@ from .linalg import rank
 from .preproj import AlgebraElement, NFMonomial
 from .quiver import QuiverA
 from .scalars import root
-from .symmetry import FiniteGroup, apply
+from .symmetry import FiniteGroup, apply, dihedral_group, w_subgroup
 
 
 class ScalarGroupOrbitNotMonomialError(ValueError):
@@ -103,21 +106,25 @@ def orbit_of(m: NFMonomial, group: FiniteGroup) -> set[NFMonomial]:
 
 
 # The orbit sums of (R^G)_d hold each monomial of a contributing orbit once,
-# at most n(d+1) terms, so n(D+1)(D+2)/2 through degree D, and a basis keeps
-# at most one key per term.  At this limit (n = 3 through degree 445, n = 100
-# through degree 75) the trivial group, one key per monomial, takes about
-# 0.25-0.4 s and 42 MB peak RSS, and building its orbit sums as well about
-# 2 s and 146 MB, on a 2-core x86-64 guest under Python 3.11.
+# at most n(d+1) terms, so n(D+1)(D+2)/2 through degree D.  At this limit
+# (n = 3 through degree 445, n = 100 through degree 75) the trivial group
+# took about 0.25-0.4 s and 42 MB peak RSS while a basis kept one key per
+# orbit, on a 2-core x86-64 guest under Python 3.11; the count takes a few
+# milliseconds there.  The limit keeps those refusals: recounting it for the
+# count, which would let D_8 run past degree 272, changes which inputs are
+# refused.
 INVARIANT_TERM_LIMIT = 300_000
 
 # The orbit walk takes |G| steps per orbit and |G|(d+1) exponents per vertex
 # orbit and degree.  A vertex's stabilizer is at most N, the vertex-fixing
 # elements, and a coset of a reflection, so both kinds of orbit have at least
-# |G|/2|N| members and the walk does at most 4|N| n(D+1)(D+2)/2 steps.  At
-# this limit on |N| n(D+1)(D+2)/2 the groups with scalars tried (orders 7 to
-# 2048, n = 3 to 6) take 0.7 to 1.5 s on a 2-core x86-64 guest under Python
-# 3.11, where D_3 through degree 445 takes 0.23 s (1.1 s with its orbit sums
-# built).
+# |G|/2|N| members and the walk does at most 4|N| n(D+1)(D+2)/2 steps.  The
+# count reads the exponents of N's generators only, at most |N| n(D+1)(D+2)/2
+# of them, and the walk now runs for the free-module checks only, through
+# degree 12.  At this limit on |N| n(D+1)(D+2)/2 the groups with scalars
+# tried (orders 7 to 2048, n = 3 to 6) took 0.7 to 1.5 s to walk on a 2-core
+# x86-64 guest under Python 3.11; the limit keeps those refusals, like the
+# term limit.
 INVARIANT_WALK_LIMIT = 1_000_000
 
 
@@ -135,55 +142,55 @@ def check_basis_size(n: int, D: int, walks: int = 1) -> None:
 @dataclass
 class InvariantBasis:
     """Bases of (R^G)_d for d = 0..D, one twisted orbit sum per contributing
-    orbit, kept as the orbit's least key (source, nonstar count): the
-    monomial its walk starts from and the first term of its sum."""
+    orbit, counted without walking an orbit.  t h (t in T, h in N) moves a
+    monomial as t does and scales it as h does, so an orbit contributes
+    exactly when its monomials have trivial N-character (on all of an orbit
+    or none, N being normal), and dim (R^G)_d is Burnside's count of T's
+    orbits on those monomials: |T|^-1 times the sum over t of the ones t
+    fixes.  `fixed[d][p]` is that sum over the sources of parity p."""
 
     group: FiniteGroup
     degree: int
-    keys: list[list[tuple[int, int]]]
-
-    @property
-    def dims(self) -> list[int]:
-        return [len(k) for k in self.keys]
+    dims: list[int]
+    fixed: list[list[int]]
 
     @cached_property
     def vectors(self) -> list[list[AlgebraElement]]:
-        """The twisted orbit sums themselves, walked again from the kept keys
-        on first use: of the commands, only `--check-free-module` reads them."""
-        return [_orbit_walk(self.group, d, self.keys[d], build=True) for d in range(self.degree + 1)]
+        """The twisted orbit sums themselves, walked on first use: of the
+        commands, only `--check-free-module` reads them."""
+        return [_orbit_walk(self.group, d) for d in range(self.degree + 1)]
 
     def matrix_dims(self, d: int) -> list[list[int]]:
         """Parity-block dimensions (source parity, target parity) of the
         degree-d invariants, for even n; meaningful when the group preserves
-        parity.  The vectors are orbit sums with disjoint supports, so their
-        nonzero parts in one block are independent, and a block's dimension
-        is their number.  An orbit's sources are the images of any one of
-        them, and a monomial of degree d from a source of parity p ends at
-        parity p + d."""
+        parity.  The vectors are orbit sums with disjoint supports, so a
+        block's dimension counts the orbits with a source of parity p, whose
+        monomials end at parity p + d.  An element moves every vertex by its
+        rotation mod 2, so either T keeps parity, and the count over the
+        sources of parity p is that number, or every orbit has both."""
         if self.group.quiver.n % 2:
             raise ValueError("parity blocks need n even")
-        reach = [{g.vertex_image(j) % 2 for g in self.group.elements} for j in (0, 1)]
+        keeps, t_order = all(t.rot % 2 == 0 for t in self.group.elements), len(self.group) // len(self.group.n_elements)
         out = [[0, 0], [0, 0]]
-        for source, _ in self.keys[d]:
-            for p in reach[source % 2]:
-                out[p][(p + d) % 2] += 1
+        for p in (0, 1):
+            out[p][(p + d) % 2] = self.fixed[d][p] // t_order if keeps else self.dims[d]
         return out
 
 
-def _orbit_walk(group: FiniteGroup, d: int, starts, build: bool) -> list:
-    """Walk the orbits of the degree-d monomials (j, l, d - l), each from its
-    first start (j, l) in `starts`.  Return the keys of the orbits that
-    contribute or, with `build`, their twisted orbit sums: each image once,
-    scaled by the first element sending (j, l) there.  A monomial is its key
-    (source, nonstar count), and an element's scalar on it its exponent k
-    over zeta_m (`Automorphism.word_exponents`, one call per element and
-    start vertex), compared as k M / m over zeta_M, M the group's conductor.
-    Only built terms become field values, `root(m, k)`."""
+def _orbit_walk(group: FiniteGroup, d: int) -> list[AlgebraElement]:
+    """The twisted orbit sums of the contributing orbits of the degree-d
+    monomials (j, l, d - l), in `nf_basis` order of the monomial each orbit
+    is walked from: each image once, scaled by the first element sending
+    (j, l) there.  A monomial is its key (source, nonstar count), and an
+    element's scalar on it its exponent k over zeta_m
+    (`Automorphism.word_exponents`, one call per element and start vertex),
+    compared as k M / m over zeta_M, M the group's conductor.  Only terms of
+    contributing orbits become field values, `root(m, k)`."""
     q, n, elements = group.quiver, group.quiver.n, group.elements
     moves = [(g.rot, g.refl, group.conductor // g.m) for g in elements]
     ls, zero = range(d + 1), [0] * (d + 1)
     out, seen, vertex = [], set(), None
-    for j, l in starts:
+    for j, l in product(range(n), range(d, -1, -1)):
         if (j, l) in seen:
             continue
         if j != vertex:
@@ -198,16 +205,15 @@ def _orbit_walk(group: FiniteGroup, d: int, starts, build: bool) -> list:
         if fixed:
             out.append(AlgebraElement(q, {
                 NFMonomial(i, k, d - k): root(elements[gi].m, exps[gi][l]) for (i, k), (_, gi) in terms.items()
-            }) if build else (j, l))
+            }))
     return out
 
 
 def invariant_basis(group: FiniteGroup, D: int) -> InvariantBasis:
-    """The contributing orbits of each degree, in `nf_basis` order of their
-    least monomials m.  An orbit contributes exactly when the stabilizer of
-    m fixes m with multiplier 1; otherwise it averages to zero.  Orbits are
-    disjoint, so their twisted orbit sums, with m at coefficient 1, are the
-    normalized echelon rows of the Reynolds images."""
+    """Bases of the invariants through degree D.  Their vectors, in
+    `nf_basis` order of each contributing orbit's least monomial m, are the
+    twisted orbit sums with m at coefficient 1: orbits are disjoint, so
+    these are the normalized echelon rows of the Reynolds images."""
     n = group.quiver.n
     check_basis_size(n, D)
     fixing = len(group.n_elements)
@@ -217,9 +223,23 @@ def invariant_basis(group: FiniteGroup, D: int) -> InvariantBasis:
             f"invariants at n = {n} through degree {D} for a group of order {len(group)}, {fixing} of "
             f"its elements fixing every vertex, walk {walk} orbit steps, over the limit of {INVARIANT_WALK_LIMIT}"
         )
-    return InvariantBasis(group, D, [                # starts in nf_basis order
-        _orbit_walk(group, d, product(range(n), range(d, -1, -1)), build=False) for d in range(D + 1)
-    ])
+    # The N-character is trivial where N's generators all scale by 1.  A
+    # rotation other than 1 fixes no vertex; the reflection i -> r - i fixes
+    # the i with 2i = r (mod n), and (i, l, d - l) when also 2l = d.
+    gens = [group.n_elements[k] for k in group.n_gens]
+    reflections = {g.rot for g in group.elements if g.refl}
+    mirrored = [i for i in range(n) if 2 * i % n in reflections]
+    fixed = []
+    for d in range(D + 1):
+        ls = range(d + 1)
+        trivial = [[True] * (d + 1)] * n if not gens else [
+            [not any(e) for e in zip(*(h.word_exponents(i, d, ls) for h in gens))] for i in range(n)
+        ]
+        counts = [sum(map(sum, trivial[p::2])) for p in (0, 1)]
+        for i in mirrored if d % 2 == 0 else ():
+            counts[i % 2] += trivial[i][d // 2]
+        fixed.append(counts)
+    return InvariantBasis(group, D, [sum(f) * fixing // len(group) for f in fixed], fixed)
 
 
 def series_coefficients(denominator_degrees: list[int], D: int, numerator: int = 1) -> list[int]:
@@ -380,10 +400,7 @@ def verify_presentation_dihedral(n: int, D: int, basis: InvariantBasis | None = 
     polynomial ring: the monomials s1^a s2^b of each degree map onto a basis
     of the invariants, whose dimensions match 1/((1-t)(1-t^2))."""
     q = QuiverA(n)
-    if basis is None:
-        from .symmetry import dihedral_group
-
-        basis = invariant_basis(dihedral_group(q), D)
+    basis = basis or invariant_basis(dihedral_group(q), D)
     _, s1, s2 = s_elements(q)
     well_defined = s1 * s2 == s2 * s1
     expected = series_coefficients([1, 2], D)
@@ -431,10 +448,7 @@ def verify_presentation_two_vertex(n: int, D: int, basis: InvariantBasis | None 
     if n % 2:
         raise ValueError("the two-vertex presentation needs n even")
     q = QuiverA(n)
-    if basis is None:
-        from .symmetry import w_subgroup
-
-        basis = invariant_basis(w_subgroup(q), D)
+    basis = basis or invariant_basis(w_subgroup(q), D)
     s = {0: s_elements(q, 0), 1: s_elements(q, 1)}
 
     rel1 = s[0][2] * s[0][1] - s[0][1] * s[1][2]      # v1 u1 - u1 v2

@@ -713,8 +713,8 @@ def test_invariants_pinned(tmp_path, n, group, degree, digest):
     ],
 )
 def test_invariants_build_no_field_value_or_orbit_sum(tmp_path, monkeypatch, n, group, degree):
-    # dims and matrix_dims read the orbit keys only: with every field value
-    # and algebra element refused, the payload is the same
+    # dims and matrix_dims are counted: with every field value, algebra
+    # element and orbit walk refused, the payload is the same
     argv = ["invariants", "--n", n, "--group", group, "--degree", degree, "--out", str(tmp_path)]
     report = tmp_path / f"invariants_n{n}.json"
     assert main(argv) == 0
@@ -726,6 +726,7 @@ def test_invariants_build_no_field_value_or_orbit_sum(tmp_path, monkeypatch, n, 
 
     monkeypatch.setattr("auslab.invariants.root", refuse)
     monkeypatch.setattr("auslab.preproj.AlgebraElement.__init__", refuse)
+    monkeypatch.setattr("auslab.invariants._orbit_walk", refuse)
     assert main(argv) == 0
     assert json.loads(report.read_text())["payload"] == want
 

@@ -312,14 +312,40 @@ def test_twisted_orbit_sums_are_the_reynolds_basis(case):
     basis = invariant_basis(group, 4)
     for d in range(5):
         assert basis.vectors[d] == _reynolds_basis(group, d)
-    # built once, from the kept keys, each its sum's first term
+    # built once, one per orbit that Burnside's count counts
     assert basis.vectors is basis.vectors
-    assert basis.keys == [[next(iter(v.terms))[:2] for v in vecs] for vecs in basis.vectors]
+    assert basis.dims == [len(v) for v in basis.vectors]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(group_specs())
+@example((4, "refl(0),scalar(4;1,2,3,1;3,2,1,3)"))        # mixed, keeps parity
+@example((4, "rot(2),refl(0),scalar(2;1,0,0,0;1,0,0,0)"))
+def test_counted_dims_are_the_walked_orbit_sums(case):
+    # groups with scalars: Burnside's count over T of the monomials with
+    # trivial N-character gives as many basis vectors as the orbit walk
+    # builds, and, where parity is kept, the parity blocks an elimination
+    # finds
+    n, spec = case
+    try:
+        group, _ = build_group(spec, n, cap=64)
+    except CapExceededError:
+        assume(False)
+    basis = invariant_basis(group, 12)
+    assert basis.dims == [len(v) for v in basis.vectors]
+    # Burnside's sums are multiples of |T| before the division, by source
+    # parity too where T keeps it
+    t_order = len(group) // len(group.n_elements)
+    assert all(sum(f) % t_order == 0 for f in basis.fixed)
+    if n % 2 == 0 and all(g.rot % 2 == 0 for g in group.elements):
+        for d in range(13):
+            assert basis.fixed[d][0] % t_order == 0
+            assert basis.matrix_dims(d) == _echelon_matrix_dims(basis, d), d
 
 
 def test_invariant_dims_are_burnsides_count():
-    # every subgroup of D_n, n = 3..12: the orbit walk counts what
-    # Burnside's lemma counts
+    # every subgroup of D_n, n = 3..12: the count over T's fixed points is
+    # Burnside's over all of G, monomial by monomial
     for n in range(3, 13):
         for key in subgroup_keys(n):
             _, group = build_subgroup(n, *key)
