@@ -60,9 +60,9 @@ i + step, so ((i, step, 0) - (i, 0, step))#g lies in I_step for every g
 and i, and that is the row e_(g, step) - e_(g, 0).  A group without
 scalars therefore keeps every block as a partition over its |G| labels,
 one node per run (`_build_runs`): a source is absorbed through t's
-relabelling and a cut row is one join or kill, O(|G|) per block where the
-coordinates cost O(|G| d/n).  Groups with scalars use the coordinate
-build.
+relabelling and a cut row is one join or kill, O(|G|) per block.  Of its
+runs it reads only which are empty (below), so `BlockCoords` serves only
+the coordinate build, which groups with scalars use, and the queries.
 
 For even n the build splits into two chains by the parity of j - i + d:
 block (i, j) at degree d draws only on blocks at d - 1 of its parity, and
@@ -101,17 +101,19 @@ relabellings and `_reps_reaching`, and which labels have a non-empty run
 (i, j, d) has `_progression(n, d + g(j) - i, d)[1]` coordinates, at least
 one once d >= step - 1 unless n is even and d + g(j) - i is odd, so from
 d = step - 1 on those masks depend only on d mod 2, and layer d + 1 spans
-what layer d - 1 spans.  Every subgroup of D_n, n <= 30, that never
-saturates (those holding every vertex-fixing reflection) repeats from
-d = step + 2; that is measured, not proved, so the cell limit still bounds
-a build that never repeats.
+what layer d - 1 spans.  As g(j) = rot_g +- j, such a mask holds every
+label for odd n, and for even n those with d + rot_g + j - i even, so
+`_label_mask` keeps one per parity.  Every subgroup of D_n, n <= 30, that
+never saturates (those holding every vertex-fixing reflection) repeats
+from d = step + 2; that is measured, not proved, so the cell limit still
+bounds a build that never repeats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd
 from typing import NamedTuple
 
@@ -309,6 +311,7 @@ class IdealTruncation:
         self.n = group.quiver.n
         self._coords: dict[tuple[int, int, int], BlockCoords] = {}
         self._progressions: dict[int, list[tuple[int, int]]] = {}    # per degree, _progression(n, c, d) for c mod n
+        self._masks: list[list[bool] | None] = [None, None]            # per parity, the label masks from d = step - 1 on
         self._layers: list[dict[tuple[int, int], _Block]] = []
         # Per chain, 0 the identity chain: the degree built through, and the first degree copied.
         self._through = [-1, -1]
@@ -406,12 +409,29 @@ class IdealTruncation:
         key = (i, j, d)
         hit = self._coords.get(key)
         if hit is None:
-            n = self.n
-            by_c = self._progressions.get(d) or self._progressions.setdefault(d, [_progression(n, c, d) for c in range(n)])
-            fc = [by_c[(d + (g.rot - j if g.refl else g.rot + j) - i) % n] for g in self.group.elements]
+            fc = self._run_progressions(i, j, d)
             hit = BlockCoords([f for f, _ in fc], [c for _, c in fc], self._step)
             self._coords[key] = hit
         return hit
+
+    def _run_progressions(self, i: int, j: int, d: int) -> list[tuple[int, int]]:
+        """Per label g, (first, count) of its run in block (i, j, d), read
+        off the degree's progressions of d + g(j) - i."""
+        n = self.n
+        by_c = self._progressions.get(d) or self._progressions.setdefault(d, [_progression(n, c, d) for c in range(n)])
+        return [by_c[(d + (g.rot - j if g.refl else g.rot + j) - i) % n] for g in self.group.elements]
+
+    def _label_mask(self, i: int, j: int, d: int) -> list[bool]:
+        """Per label g, whether its run in block (i, j, d) is non-empty; from
+        d = step - 1 on, one mask per parity p of d + j - i (p = 0, and
+        every label, for odd n, where _chains is 1)."""
+        if d < self._step - 1:
+            return [c > 0 for _, c in self._run_progressions(i, j, d)]
+        p = (d + j - i) % self._chains
+        mask = self._masks[p]
+        if mask is None:
+            mask = self._masks[p] = [(g.rot + p) % self._chains == 0 for g in self.group.elements]
+        return mask
 
     def _label_map(self, t: int) -> list[int]:
         """Labels, stored for the scalar-free t = T[c]: conjugation by 1#t
@@ -530,24 +550,26 @@ class IdealTruncation:
     def _build_runs(self, i: int, j: int, d: int, sources: list) -> _Block:
         """Block (i, j) at degree d over its labels, for a group without
         scalars (the runs of the module docstring): each left source is
-        absorbed through its transfer's relabelling, and a cut row is one
-        kill, or one join of the two labels whose runs it pairs."""
-        dst = self.block_coords(i, j, d)
-        if not dst.size:
+        absorbed through its transfer's relabelling, a saturated one as a
+        kill of each label with a non-empty run, and a cut row is one kill,
+        or one join of the two labels whose runs it pairs.  Which runs are
+        empty is read off `_label_mask`."""
+        mask = self._label_mask(i, j, d)
+        empty = mask.count(False)           # live nodes that stand for no coordinate
+        if empty == len(mask):
             return _SATURATED
-        empty = dst.count.count(0)          # live nodes that stand for no coordinate
-        runs = SignedPartition(len(dst.count), self._values)
+        runs = SignedPartition(len(mask), self._values)
         for rep, t in sources:
             labels = self._source_labels[t]
             source = self._layers[d - 1][rep]
             if source.full:
-                runs.absorb([labels[h] for h, c in enumerate(self.block_coords(*rep, d - 1).count) if c], None)
+                runs.absorb(list(compress(labels, self._label_mask(*rep, d - 1))), None)
             else:
                 runs.absorb(labels, source.runs)
         for ts in self._reps_reaching(i).values():
             if runs.live == empty:
                 break
-            if dst.count[ts[0]]:
+            if mask[ts[0]]:
                 if len(ts) == 2:
                     runs.join(ts[0], ts[1], self._K // 2)
                 else:
@@ -815,15 +837,16 @@ def default_cutoff(n: int, group: FiniteGroup) -> int:
 # twice as long as D_56 at the same count.  So a build through degree D
 # counts 30n^2 + |N| n(D+1)(wn + (D+2)/2) cells.  At this limit, as whole
 # `auslander` runs in-process on a 2-core x86-64 guest under Python 3.11,
-# the trivial group at degree 1 takes 0.27 s at n = 278 and 0.41 s at
-# n = 255, the order-192 group of `invariants`' walk limit at n = 3 through
-# degree 148 1.1 s, and <rho, r, -1> at n = 100 through degree 77 1.25 s.
-# A group without scalars builds over labels, and a chain that never
-# saturates stops at its first repeated layer, so the count overstates its
-# build: D_16 through degree 540 takes 0.01 s, and D_45 and D_56 at the
-# default cutoff 0.08-0.09 s and 0.05 s (the coordinate build: 0.95 s, 1.2 s
-# and 0.8 s).  The repeat is measured, not proved, to start by step + 2, so
-# the limit still bounds a build that never repeats.
+# the order-192 group of `invariants`' walk limit at n = 3 through degree
+# 148 takes 1.1 s, and <rho, r, -1> at n = 100 through degree 77 1.25 s.
+# A group without scalars builds over labels and lays out no coordinates,
+# and a chain that never saturates stops at its first repeated layer, so
+# the count overstates its build: the trivial group at degree 1 takes
+# 0.10 s at n = 278 and 0.12-0.14 s at n = 255, D_16 through degree 540
+# 0.005-0.008 s, and D_45 and D_56 at the default cutoff 0.04-0.07 s and
+# 0.02 s (the coordinate build: 0.95 s, 1.2 s and 0.8 s).  The repeat is
+# measured, not proved, to start by step + 2, so the limit still bounds a
+# build that never repeats.
 IDEAL_CELL_LIMIT = 2_500_000
 
 

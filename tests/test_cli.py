@@ -421,6 +421,48 @@ def test_dihedral_payload_pinned(tmp_path, argv, report, digest):
     assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == digest
 
 
+class _BlockCoordsBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv, report, digest",
+    [
+        (
+            ["auslander", "--n", "16", "--group", "rot(1),refl(0)", "--degree", "68"],
+            "auslander_n16.json",
+            "4a240d28aa704b9b2bb5caf55d6e06cc944e530d1d74705ca8cc6df2bfd921f1",
+        ),
+        (
+            ["auslander", "--n", "15", "--group", "rot(1),refl(0)"],
+            "auslander_n15.json",
+            "fe241823662a4d606d7a0604de40073106ff0974aa7dfcb698a92408cf07f459",
+        ),
+        (
+            ["scan", "--n-list", "12", "--all-dihedral-subgroups"],
+            "scan.json",
+            "230caec62e6749078994f46049da614681be9116603ae0676f6004517f73dd57",
+        ),
+    ],
+)
+def test_a_scalar_free_verdict_builds_no_block_coords(monkeypatch, tmp_path, argv, report, digest):
+    # a label block reads which runs are empty off a parity mask, so only the
+    # coordinate build (a group with scalars) and the block queries lay out
+    # a BlockCoords; the payloads are the pinned ones
+    import auslab.smash as smash
+
+    def refuse(*args):
+        raise _BlockCoordsBuilt
+
+    monkeypatch.setattr(smash.BlockCoords, "__init__", refuse)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / report).read_text())["payload"]
+    assert hashlib.sha256(canonical_payload_bytes(payload)).hexdigest() == digest
+    group, _ = build_group("scalar(7;1,1,1,1,1;6,6,6,6,6)", 5)
+    with pytest.raises(_BlockCoordsBuilt):
+        smash.auslander_verdict(5, group)
+
+
 def test_mixed_conductors_embed_into_the_lcm(tmp_path):
     group = "scalar(3;1,1,1;2,2,2),scalar(4;1,1,1;3,3,3)"
     assert main(["auslander", "--n", "3", "--group", group, "--degree", "6", "--out", str(tmp_path)]) == 0

@@ -1033,6 +1033,22 @@ def test_identity_series_of_dihedral_subgroups_is_closed_form():
     assert count == 866
 
 
+@pytest.mark.parametrize("n", [57, 64, 101])
+def test_the_label_build_runs_past_the_cell_limit(monkeypatch, n):
+    # the limit refuses D_n at its default cutoff for these n; lifted, the
+    # label build still gives the closed-form series and the classifier's
+    # verdict
+    import auslab.smash as smash
+
+    group, D = dihedral_group(QuiverA(n)), 4 * n + 4
+    with pytest.raises(MemoryError):
+        smash.check_ideal_cells(n, D)
+    monkeypatch.setattr(smash, "IDEAL_CELL_LIMIT", 10**12)
+    assert identity_component_dims(group, D) == _predicted_dims(n, group, D)
+    report = auslander_verdict(n, group)
+    assert report.degree == D and report.verdict == report.classifier == classify_auslander(n, group) == "not_iso"
+
+
 @settings(
     max_examples=30,
     deadline=None,
@@ -1206,6 +1222,22 @@ def test_label_build_matches_the_coordinate_build(monkeypatch, n):
             assert IdealTruncation(group)._K == 2 and kept == 0
         labelled += kept
     assert labelled > 0
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_label_masks_are_the_non_empty_runs(n):
+    # below step - 1 a label block reads its mask off the degree's
+    # progressions, and from there on one mask per parity of d + j - i;
+    # either way it is which runs block_coords lays out non-empty, on both
+    # sides of step - 1 and at both parities
+    for key in subgroup_keys(n):
+        _, group = build_subgroup(n, *key)
+        trunc = IdealTruncation(group)
+        for d in range(3 * n + 1):
+            for i in range(n):
+                for j in range(n):
+                    want = [c > 0 for c in trunc.block_coords(i, j, d).count]
+                    assert trunc._label_mask(i, j, d) == want, (key, i, j, d)
 
 
 # ---------------------------------------------------------------------------
