@@ -27,8 +27,10 @@ from .invariants import (
     check_basis_size,
     check_orbit_sum_relations,
     invariant_basis,
+    keeps_parity,
     orbit_monomials,
     orbit_of,
+    orbit_sums,
     reynolds,
     verify_free_module,
     verify_presentation_dihedral,
@@ -317,9 +319,7 @@ def cmd_invariants(args) -> int:
         "group_order": len(group),
         "dims": basis.dims,
     }
-    # For even n, g(v) - v = rot (mod 2) whether g reflects or not.
-    parity_preserved = args.n % 2 == 0 and all(g.rot % 2 == 0 for g in group.elements)
-    if parity_preserved:
+    if keeps_parity(group):
         payload["matrix_dims"] = [basis.matrix_dims(d) for d in range(degree + 1)]
     failures = []
     if args.check_presentation:
@@ -335,10 +335,13 @@ def cmd_invariants(args) -> int:
         if not pres.ok:
             failures.append("presentation check failed")
     if args.check_free_module:
-        # the checks read orbit sums through degree 12 only
-        checked = invariant_basis(group, min(degree, 12))
-        free = verify_free_module(group, checked.degree, checked)
-        shift = verify_shift_summand(group, checked.degree, checked)
+        # the checks read the closed-form orbit sums through degree 12 only:
+        # D_n's, or W's over each source parity
+        q = group.quiver
+        parities = (None,) if len(group) == 2 * args.n else (0, 1)
+        vectors = [orbit_sums(q, d, parities) for d in range(min(degree, 12) + 1)]
+        free = verify_free_module(q, vectors)
+        shift = verify_shift_summand(q, vectors)
         payload["free_module_ok_through"] = _ok_through(free)
         payload["shift_summand_ok_through"] = _ok_through(shift)
         failures += [c.detail for c in free + shift if not c.ok]

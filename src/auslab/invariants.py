@@ -4,17 +4,15 @@ presentations of the two maximal fixed rings.
 Every group element sends a monomial to a root of unity times a monomial,
 so each graded piece of R^G has the twisted orbit sums of the monomial basis
 as its basis: one per orbit whose stabilizer fixes its monomials with
-multiplier 1, the others averaging to zero.  For subgroups of D_n these are
-the plain orbit sums.  Their number needs no orbit: N, the vertex-fixing
-elements, is normal and diagonal, and T, the scalar-free ones, scales no
-arrow, so an orbit contributes exactly when its monomials have trivial
-N-character, and dim (R^G)_d is Burnside's count of T's orbits on those
-monomials (`InvariantBasis`).  The orbit sums themselves, with their field
-values, are walked on integers, a monomial as its (source, nonstar count)
-and a scalar as its exponent over the group's conductor, only for the
-free-module checks (`invariants --check-free-module`) and the tests'
-Reynolds comparisons.  `reynolds` averaging stays for `verify` and as the
-tests' reference.
+multiplier 1, the others averaging to zero.  Their number needs no orbit:
+N, the vertex-fixing elements, is normal and diagonal, and T, the
+scalar-free ones, scales no arrow, so an orbit contributes exactly when its
+monomials have trivial N-character, and dim (R^G)_d is Burnside's count of
+T's orbits on those monomials (`InvariantBasis`).  The structure checks
+exist for the full dihedral group and the vertex-reflection subgroup only,
+whose invariants are the plain orbit sums `orbit_sum(q, l, k, parity)` in
+closed form, so they read those and no orbit is ever walked.  `reynolds`
+averaging stays for `verify` and as the tests' reference.
 
 For the full dihedral group the fixed ring is a commutative polynomial ring
 on one generator in degree 1 and one in degree 2; for the index-two
@@ -28,13 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
 
 from .linalg import rank
 from .preproj import AlgebraElement, NFMonomial
 from .quiver import QuiverA
-from .scalars import root
 from .symmetry import FiniteGroup, apply, dihedral_group, w_subgroup
 
 
@@ -62,9 +57,9 @@ def orbit_monomials(q: QuiverA, l: int, k: int, parity: int | None = None) -> li
 
 
 def orbit_sum(q: QuiverA, l: int, k: int, parity: int | None = None) -> AlgebraElement:
-    return AlgebraElement(
-        q, {m: Fraction(1) for m in orbit_monomials(q, l, k, parity)}
-    )
+    # every term shares one Fraction(1): `--check-free-module` reads 91 n
+    # terms of orbit sums, one Fraction each would be 48 bytes a term
+    return AlgebraElement(q, dict.fromkeys(orbit_monomials(q, l, k, parity), Fraction(1)))
 
 
 def s_elements(q: QuiverA, parity: int | None = None) -> tuple[AlgebraElement, AlgebraElement, AlgebraElement]:
@@ -75,6 +70,13 @@ def s_elements(q: QuiverA, parity: int | None = None) -> tuple[AlgebraElement, A
         orbit_sum(q, 1, 0, parity),
         orbit_sum(q, 2, 0, parity),
     )
+
+
+def orbit_sums(q: QuiverA, d: int, parities: tuple[int | None, ...] = (None,)) -> list[AlgebraElement]:
+    """The degree-d orbit sums O(d - k, k) over each source parity in
+    `parities`: a basis of the degree-d invariants of D_n, or, with parities
+    (0, 1) and n even, of the vertex-reflection subgroup W."""
+    return [orbit_sum(q, d - k, k, p) for p in parities for k in range(d // 2 + 1)]
 
 
 def reynolds(group: FiniteGroup, x: AlgebraElement) -> AlgebraElement:
@@ -105,27 +107,17 @@ def orbit_of(m: NFMonomial, group: FiniteGroup) -> set[NFMonomial]:
 # ---------------------------------------------------------------------------
 
 
-# The orbit sums of (R^G)_d hold each monomial of a contributing orbit once,
-# at most n(d+1) terms, so n(D+1)(D+2)/2 through degree D.  At this limit
-# (n = 3 through degree 445, n = 100 through degree 75) the trivial group
-# took about 0.25-0.4 s and 42 MB peak RSS while a basis kept one key per
-# orbit, on a 2-core x86-64 guest under Python 3.11; the count takes a few
-# milliseconds there.  The limit keeps those refusals: recounting it for the
-# count, which would let D_8 run past degree 272, changes which inputs are
-# refused.
+# Burnside's count reads, for each of N's generators, the exponents of the
+# monomials (i, l, d - l): n(d+1) per degree, n(D+1)(D+2)/2 through degree D,
+# the most terms a basis through degree D can hold.  Each generator at least
+# doubles N (`FiniteGroup.__init__`), so under the 4096-element cap of
+# `build_group` N has at most 12 generators.  At this limit (n = 3 through
+# degree 445, n = 11 through degree 232, n = 100 through degree 75) the worst
+# case, twelve independent involutions `scalar(2;...)` at n = 11 (order
+# 4096) through degree 232, took 0.9-1.5 s to count and 25 MB peak RSS on a
+# shared 2-core x86-64 guest under Python 3.11; scalar-free groups take a
+# few milliseconds.
 INVARIANT_TERM_LIMIT = 300_000
-
-# The orbit walk takes |G| steps per orbit and |G|(d+1) exponents per vertex
-# orbit and degree.  A vertex's stabilizer is at most N, the vertex-fixing
-# elements, and a coset of a reflection, so both kinds of orbit have at least
-# |G|/2|N| members and the walk does at most 4|N| n(D+1)(D+2)/2 steps.  The
-# count reads the exponents of N's generators only, at most |N| n(D+1)(D+2)/2
-# of them, and the walk now runs for the free-module checks only, through
-# degree 12.  At this limit on |N| n(D+1)(D+2)/2 the groups with scalars
-# tried (orders 7 to 2048, n = 3 to 6) took 0.7 to 1.5 s to walk on a 2-core
-# x86-64 guest under Python 3.11; the limit keeps those refusals, like the
-# term limit.
-INVARIANT_WALK_LIMIT = 1_000_000
 
 
 def check_basis_size(n: int, D: int, walks: int = 1) -> None:
@@ -139,90 +131,48 @@ def check_basis_size(n: int, D: int, walks: int = 1) -> None:
         )
 
 
+def keeps_parity(group: FiniteGroup) -> bool:
+    """Whether n is even and every element keeps the parity of every vertex:
+    g(v) - v = rot (mod 2) whether g reflects or not."""
+    return group.quiver.n % 2 == 0 and all(g.rot % 2 == 0 for g in group.elements)
+
+
 @dataclass
 class InvariantBasis:
-    """Bases of (R^G)_d for d = 0..D, one twisted orbit sum per contributing
-    orbit, counted without walking an orbit.  t h (t in T, h in N) moves a
-    monomial as t does and scales it as h does, so an orbit contributes
-    exactly when its monomials have trivial N-character (on all of an orbit
-    or none, N being normal), and dim (R^G)_d is Burnside's count of T's
-    orbits on those monomials: |T|^-1 times the sum over t of the ones t
-    fixes.  `fixed[d][p]` is that sum over the sources of parity p."""
+    """Dimensions of (R^G)_d for d = 0..D, one per contributing orbit,
+    counted without walking an orbit.  t h (t in T, h in N) moves a monomial
+    as t does and scales it as h does, so an orbit contributes exactly when
+    its monomials have trivial N-character (on all of an orbit or none, N
+    being normal), and dim (R^G)_d is Burnside's count of T's orbits on those
+    monomials: |T|^-1 times the sum over t of the ones t fixes.  `fixed[d][p]`
+    is that sum over the sources of parity p."""
 
     group: FiniteGroup
-    degree: int
     dims: list[int]
     fixed: list[list[int]]
 
-    @cached_property
-    def vectors(self) -> list[list[AlgebraElement]]:
-        """The twisted orbit sums themselves, walked on first use: of the
-        commands, only `--check-free-module` reads them."""
-        return [_orbit_walk(self.group, d) for d in range(self.degree + 1)]
-
     def matrix_dims(self, d: int) -> list[list[int]]:
         """Parity-block dimensions (source parity, target parity) of the
-        degree-d invariants, for even n; meaningful when the group preserves
-        parity.  The vectors are orbit sums with disjoint supports, so a
-        block's dimension counts the orbits with a source of parity p, whose
-        monomials end at parity p + d.  An element moves every vertex by its
-        rotation mod 2, so either T keeps parity, and the count over the
-        sources of parity p is that number, or every orbit has both."""
-        if self.group.quiver.n % 2:
-            raise ValueError("parity blocks need n even")
-        keeps, t_order = all(t.rot % 2 == 0 for t in self.group.elements), len(self.group) // len(self.group.n_elements)
+        degree-d invariants, for groups that keep parity (`keeps_parity`).
+        The invariants are orbit sums with disjoint supports, so a block's
+        dimension counts the orbits with a source of parity p, whose
+        monomials end at parity p + d: Burnside's count over the sources of
+        parity p."""
+        if not keeps_parity(self.group):
+            raise ValueError("parity blocks need n even and every element of even rotation")
+        t_order = len(self.group) // len(self.group.n_elements)
         out = [[0, 0], [0, 0]]
         for p in (0, 1):
-            out[p][(p + d) % 2] = self.fixed[d][p] // t_order if keeps else self.dims[d]
+            out[p][(p + d) % 2] = self.fixed[d][p] // t_order
         return out
 
 
-def _orbit_walk(group: FiniteGroup, d: int) -> list[AlgebraElement]:
-    """The twisted orbit sums of the contributing orbits of the degree-d
-    monomials (j, l, d - l), in `nf_basis` order of the monomial each orbit
-    is walked from: each image once, scaled by the first element sending
-    (j, l) there.  A monomial is its key (source, nonstar count), and an
-    element's scalar on it its exponent k over zeta_m
-    (`Automorphism.word_exponents`, one call per element and start vertex),
-    compared as k M / m over zeta_M, M the group's conductor.  Only terms of
-    contributing orbits become field values, `root(m, k)`."""
-    q, n, elements = group.quiver, group.quiver.n, group.elements
-    moves = [(g.rot, g.refl, group.conductor // g.m) for g in elements]
-    ls, zero = range(d + 1), [0] * (d + 1)
-    out, seen, vertex = [], set(), None
-    for j, l in product(range(n), range(d, -1, -1)):
-        if (j, l) in seen:
-            continue
-        if j != vertex:
-            vertex, exps = j, [g.word_exponents(j, d, ls) if g.m != 1 else zero for g in elements]
-        terms, fixed = {}, True
-        for gi, (rot, refl, f) in enumerate(moves):
-            key = ((rot - j) % n, d - l) if refl else ((rot + j) % n, l)
-            s = exps[gi][l] * f
-            if terms.setdefault(key, (s, gi))[0] != s:
-                fixed = False
-        seen.update(terms)
-        if fixed:
-            out.append(AlgebraElement(q, {
-                NFMonomial(i, k, d - k): root(elements[gi].m, exps[gi][l]) for (i, k), (_, gi) in terms.items()
-            }))
-    return out
-
-
 def invariant_basis(group: FiniteGroup, D: int) -> InvariantBasis:
-    """Bases of the invariants through degree D.  Their vectors, in
-    `nf_basis` order of each contributing orbit's least monomial m, are the
-    twisted orbit sums with m at coefficient 1: orbits are disjoint, so
-    these are the normalized echelon rows of the Reynolds images."""
+    """The dimensions of the invariants through degree D, by Burnside's
+    count over T."""
     n = group.quiver.n
     check_basis_size(n, D)
     fixing = len(group.n_elements)
-    walk = fixing * n * (D + 1) * (D + 2) // 2
-    if walk > INVARIANT_WALK_LIMIT:
-        raise MemoryError(
-            f"invariants at n = {n} through degree {D} for a group of order {len(group)}, {fixing} of "
-            f"its elements fixing every vertex, walk {walk} orbit steps, over the limit of {INVARIANT_WALK_LIMIT}"
-        )
     # The N-character is trivial where N's generators all scale by 1.  A
     # rotation other than 1 fixes no vertex; the reflection i -> r - i fixes
     # the i with 2i = r (mod n), and (i, l, d - l) when also 2l = d.
@@ -239,7 +189,7 @@ def invariant_basis(group: FiniteGroup, D: int) -> InvariantBasis:
         for i in mirrored if d % 2 == 0 else ():
             counts[i % 2] += trivial[i][d // 2]
         fixed.append(counts)
-    return InvariantBasis(group, D, [sum(f) * fixing // len(group) for f in fixed], fixed)
+    return InvariantBasis(group, [sum(f) * fixing // len(group) for f in fixed], fixed)
 
 
 def series_coefficients(denominator_degrees: list[int], D: int, numerator: int = 1) -> list[int]:
@@ -509,18 +459,16 @@ class ModuleCheck:
     detail: str = ""
 
 
-def verify_free_module(group: FiniteGroup, D: int, basis: InvariantBasis | None = None) -> list[ModuleCheck]:
-    """Degreewise check that {e_0..e_{n-1}, alpha_0..alpha_{n-1}} is a basis
-    of R over R^G: the vectors e_i * (R^G)_d and alpha_i * (R^G)_{d-1}
-    jointly have full rank n(d+1) and their individual ranks add up to it
-    (so the sum is direct)."""
-    q = group.quiver
+def verify_free_module(q: QuiverA, vectors: list[list[AlgebraElement]]) -> list[ModuleCheck]:
+    """Degreewise check, `vectors[d]` a basis of (R^G)_d, that {e_0..e_{n-1},
+    alpha_0..alpha_{n-1}} is a basis of R over R^G: the vectors
+    e_i * (R^G)_d and alpha_i * (R^G)_{d-1} jointly have full rank n(d+1)
+    and their individual ranks add up to it (so the sum is direct)."""
     n = q.n
-    basis = basis or invariant_basis(group, D)
     out = []
-    for d in range(D + 1):
-        prev = basis.vectors[d - 1] if d else []
-        parts = [[(AlgebraElement.idempotent(q, i) * v).terms for v in basis.vectors[d]] for i in range(n)]
+    for d, basis in enumerate(vectors):
+        prev = vectors[d - 1] if d else []
+        parts = [[(AlgebraElement.idempotent(q, i) * v).terms for v in basis] for i in range(n)]
         parts += [[(AlgebraElement.arrow(q, i) * v).terms for v in prev] for i in range(n)]
         total = rank(row for part in parts for row in part)
         part_sum = sum(rank(part) for part in parts)
@@ -530,25 +478,22 @@ def verify_free_module(group: FiniteGroup, D: int, basis: InvariantBasis | None 
     return out
 
 
-def verify_shift_summand(group: FiniteGroup, D: int, basis: InvariantBasis | None = None) -> list[ModuleCheck]:
-    """Witness the degree-shift isomorphism e_0 R^G -> alpha_{n-1} R^G given
-    by left multiplication with alpha_{n-1}: for every basis vector v it
-    sends each term (0, l, k) of e_0 v to (n-1, l+1, k) with the same
-    coefficient, so it is injective in every degree, and onto by
-    construction.  The endomorphism ring of R over R^G therefore contains
-    a map of negative degree."""
-    q = group.quiver
+def verify_shift_summand(q: QuiverA, vectors: list[list[AlgebraElement]]) -> list[ModuleCheck]:
+    """Witness, `vectors[d]` a basis of (R^G)_d, the degree-shift isomorphism
+    e_0 R^G -> alpha_{n-1} R^G given by left multiplication with
+    alpha_{n-1}: for every basis vector v it sends each term (0, l, k) of
+    e_0 v to (n-1, l+1, k) with the same coefficient, so it is injective in
+    every degree, and onto by construction.  The endomorphism ring of R over
+    R^G therefore contains a map of negative degree."""
     n = q.n
-    basis = basis or invariant_basis(group, D)
     e0 = AlgebraElement.idempotent(q, 0)
     alpha = AlgebraElement.arrow(q, n - 1)
     out = []
-    for d in range(D + 1):
-        vectors = basis.vectors[d]
+    for d, basis in enumerate(vectors):
         bad = sum(
             (alpha * v).terms != {NFMonomial(n - 1, m.nonstars + 1, m.stars): c for m, c in (e0 * v).terms.items()}
-            for v in vectors
+            for v in basis
         )
-        detail = f"alpha_{n - 1} v is not the shift of e_0 v for {bad} of {len(vectors)} basis vectors"
+        detail = f"alpha_{n - 1} v is not the shift of e_0 v for {bad} of {len(basis)} basis vectors"
         out.append(ModuleCheck(d, not bad, detail if bad else ""))
     return out

@@ -15,7 +15,7 @@ The scalar of an element on a canonical monomial is zeta_m to the sum of
 the exponents along its word: l nonstars from the source, then the stars
 back over the last of them.  Each sum is a difference of periodic prefix
 sums of e and e_star, so `word_exponents` gives it in O(1) per monomial,
-for the orbit walk of `invariants` and the cut rows of `smash` alike.
+for Burnside's count in `invariants` and the cut rows of `smash` alike.
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@ what it is the oracle for, adapters that read a kernel's span for the
 tests that compare kernels, and the ideal build that many tests share."""
 
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
 from auslab.linalg import SignedPartition
-from auslab.preproj import NFMonomial
+from auslab.preproj import AlgebraElement, NFMonomial
 from auslab.quiver import ArrowRef, Word
 from auslab.scalars import root
 from auslab.smash import IdealTruncation
@@ -246,3 +247,36 @@ def burnside_dims(group, D: int) -> list[int]:
         assert fixed % order == 0
         dims.append(fixed // order)
     return dims
+
+
+def orbit_walk(group, d: int) -> list[AlgebraElement]:
+    """Oracle for Burnside's count and for the closed-form orbit sums the
+    structure checks read: the twisted orbit sums of the contributing orbits
+    of the degree-d monomials (j, l, d - l), in `nf_basis` order of the
+    monomial each orbit is walked from, each image once, scaled by the first
+    element sending (j, l) there.  A monomial is its key (source, nonstar
+    count), and an element's scalar on it its exponent k over zeta_m
+    (`Automorphism.word_exponents`, one call per element and start vertex),
+    compared as k M / m over zeta_M, M the group's conductor.  Only terms of
+    contributing orbits become field values, `root(m, k)`."""
+    q, n, elements = group.quiver, group.quiver.n, group.elements
+    moves = [(g.rot, g.refl, group.conductor // g.m) for g in elements]
+    ls, zero = range(d + 1), [0] * (d + 1)
+    out, seen, vertex = [], set(), None
+    for j, l in product(range(n), range(d, -1, -1)):
+        if (j, l) in seen:
+            continue
+        if j != vertex:
+            vertex, exps = j, [g.word_exponents(j, d, ls) if g.m != 1 else zero for g in elements]
+        terms, fixed = {}, True
+        for gi, (rot, refl, f) in enumerate(moves):
+            key = ((rot - j) % n, d - l) if refl else ((rot + j) % n, l)
+            s = exps[gi][l] * f
+            if terms.setdefault(key, (s, gi))[0] != s:
+                fixed = False
+        seen.update(terms)
+        if fixed:
+            out.append(AlgebraElement(q, {
+                NFMonomial(i, k, d - k): root(elements[gi].m, exps[gi][l]) for (i, k), (_, gi) in terms.items()
+            }))
+    return out

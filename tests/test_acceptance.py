@@ -36,7 +36,7 @@ from auslab.symmetry import (
     scalar_powers,
     w_subgroup,
 )
-from reference import adjacency_matrix, build_ideal, mat_mul, oracle_basis
+from reference import adjacency_matrix, build_ideal, mat_mul, oracle_basis, orbit_walk
 
 SCAN_NS = [3, 4, 5, 6]
 
@@ -229,9 +229,10 @@ def test_criterion_8_presentations_and_freeness():
     assert rep.bijective_through == 16, rep.failures
 
     for group in (dihedral_group(QuiverA(3)), w_subgroup(QuiverA(4))):
-        free = verify_free_module(group, 12)
+        vectors = [orbit_walk(group, d) for d in range(13)]
+        free = verify_free_module(group.quiver, vectors)
         assert all(c.ok for c in free), [c.detail for c in free if not c.ok]
-        shift = verify_shift_summand(group, 12)
+        shift = verify_shift_summand(group.quiver, vectors)
         assert all(c.ok for c in shift), [c.detail for c in shift if not c.ok]
     _report(8, "presentations and freeness", True, "degree 16 / 12")
 

@@ -22,7 +22,7 @@ from auslab.cli import (
 )
 from auslab.quiver import QuiverA
 from auslab.symmetry import CapExceededError, FiniteGroup, build_subgroup, dihedral_group, rotation, subgroup_keys
-from reference import adjacency_matrix, xi, xi_star
+from reference import adjacency_matrix, orbit_walk, xi, xi_star
 
 
 def test_parse_group_basic():
@@ -755,8 +755,8 @@ def test_invariants_pinned(tmp_path, n, group, degree, digest):
     ],
 )
 def test_invariants_build_no_field_value_or_orbit_sum(tmp_path, monkeypatch, n, group, degree):
-    # dims and matrix_dims are counted: with every field value, algebra
-    # element and orbit walk refused, the payload is the same
+    # dims and matrix_dims are counted: with every field value and algebra
+    # element refused, the payload is the same
     argv = ["invariants", "--n", n, "--group", group, "--degree", degree, "--out", str(tmp_path)]
     report = tmp_path / f"invariants_n{n}.json"
     assert main(argv) == 0
@@ -766,9 +766,8 @@ def test_invariants_build_no_field_value_or_orbit_sum(tmp_path, monkeypatch, n, 
     def refuse(*args, **kwargs):
         raise AssertionError("built")
 
-    monkeypatch.setattr("auslab.invariants.root", refuse)
+    monkeypatch.setattr("auslab.scalars.root", refuse)
     monkeypatch.setattr("auslab.preproj.AlgebraElement.__init__", refuse)
-    monkeypatch.setattr("auslab.invariants._orbit_walk", refuse)
     assert main(argv) == 0
     assert json.loads(report.read_text())["payload"] == want
 
@@ -838,28 +837,61 @@ def test_invariants_at_large_n_classify_in_closed_form(tmp_path):
 ORDER_192 = "rot(1),scalar(4;1,0,0;3,0,0)"    # 64 of its elements fix every vertex
 
 
-def test_invariants_walk_is_checked_once_the_group_is_built(tmp_path, capsys):
-    from auslab.invariants import INVARIANT_TERM_LIMIT, INVARIANT_WALK_LIMIT
+def test_invariants_of_a_scalar_group_run_to_the_term_limit(tmp_path):
+    # degrees 101 to 445 were refused while the invariants walked orbits;
+    # each run's dims through degree 100 are the payload pinned then
+    from auslab.invariants import INVARIANT_TERM_LIMIT
 
-    # the walk limit sits between degrees 100 and 101 for this group, and
-    # degree 445 is inside the term limit
-    assert 64 * 3 * 101 * 102 // 2 <= INVARIANT_WALK_LIMIT < 64 * 3 * 102 * 103 // 2
     assert 3 * 446 * 447 // 2 <= INVARIANT_TERM_LIMIT
-    for degree in ("101", "445"):
-        started = time.monotonic()
-        assert main(["invariants", "--n", "3", "--group", ORDER_192, "--degree", degree, "--out", str(tmp_path)]) == 1
-        assert time.monotonic() - started < 1
-        err = capsys.readouterr().err
-        assert f"n = 3 through degree {degree}" in err and "order 192" in err and f"limit of {INVARIANT_WALK_LIMIT}" in err
+    for degree in (100, 101, 445):
+        assert main(["invariants", "--n", "3", "--group", ORDER_192, "--degree", str(degree), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "invariants_n3.json").read_text())["payload"]
+        assert payload["degree"] == degree and len(payload["dims"]) == degree + 1
+        payload.update(degree=100, dims=payload["dims"][:101])
+        digest = hashlib.sha256(canonical_payload_bytes(payload)).hexdigest()
+        assert digest == "b3b340574faa76197b8bcc863887590e500f0af37c0fe34a6350360a5b3ed7d0"
+
+
+# twelve independent involutions at n = 11: N = (Z/2)^12, the most
+# generators N can have under the 4096-element cap
+_UNITS = [[int(i == k) for i in range(11)] for k in range(11)]
+INVOLUTIONS_12 = ",".join(
+    f"scalar(2;{','.join(map(str, e))};{','.join(map(str, e_star))})"
+    for e, e_star in [(u, u) for u in _UNITS] + [([0] * 11, [1] * 11)]
+)
+
+
+def test_invariants_run_the_counts_worst_case_at_the_term_limit(tmp_path):
+    from auslab.invariants import INVARIANT_TERM_LIMIT
+
+    group, _ = build_group(INVOLUTIONS_12, 11)
+    assert len(group) == len(group.n_elements) == 4096 and len(group.n_gens) == 12
+    assert 11 * 233 * 234 // 2 <= INVARIANT_TERM_LIMIT < 11 * 234 * 235 // 2
+    assert main(["invariants", "--n", "11", "--group", INVOLUTIONS_12, "--degree", "232", "--out", str(tmp_path)]) == 0
+    dims = json.loads((tmp_path / "invariants_n11.json").read_text())["payload"]["dims"]
+    assert len(dims) == 233
+    assert dims[:7] == [len(orbit_walk(group, d)) for d in range(7)]
+
+
+@pytest.mark.parametrize(
+    "n, group, degree, terms",
+    [
+        ("3", ORDER_192, "446", 300384),
+        ("11", INVOLUTIONS_12, "233", 302445),
+        ("8", "rot(1),refl(0)", "273", 301400),
+        ("4", "refl(0),scalar(4;1,2,3,1;3,2,1,3)", "386", 300312),
+        ("100", "rot(0)", "76", 300300),
+        ("3", "rot(1),refl(0)", "100000", 15000450003),
+    ],
+)
+def test_invariants_term_limit_refusals_are_kept(tmp_path, capsys, n, group, degree, terms):
+    # the refusals and messages of the term limit while the orbit walk had
+    # its own limit besides
+    assert main(["invariants", "--n", n, "--group", group, "--degree", degree, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invariants at n = {n} through degree {degree} may hold {terms} basis terms, over the limit of 300000\n"
+    )
     assert not list(tmp_path.iterdir())
-
-
-def test_invariants_run_at_the_walk_the_limit_allows(tmp_path):
-    dims = []
-    for degree in ("24", "100"):
-        assert main(["invariants", "--n", "3", "--group", ORDER_192, "--degree", degree, "--out", str(tmp_path)]) == 0
-        dims.append(json.loads((tmp_path / "invariants_n3.json").read_text())["payload"]["dims"])
-    assert len(dims[1]) == 101 and dims[1][:25] == dims[0]
 
 
 def test_verify_smash_size_is_checked_up_front(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from reference import burnside_dims
+from reference import burnside_dims, orbit_walk
 from test_symmetry import group_specs
 
 from auslab.cli import build_group
@@ -15,6 +15,7 @@ from auslab.invariants import (
     orbit_monomials,
     orbit_of,
     orbit_sum,
+    orbit_sums,
     reynolds,
     s_elements,
     series_coefficients,
@@ -114,15 +115,16 @@ def test_invariant_dims_reflection_subgroup():
         assert basis.matrix_dims(d) == swap_matrix_series_coefficient(d)
 
 
-def _echelon_matrix_dims(basis, d):
-    """Parity-block ranks of the degree-d basis vectors, by elimination."""
-    n = basis.group.quiver.n
-    index = {m: k for k, m in enumerate(nf_basis(basis.group.quiver, d))}
+def _echelon_matrix_dims(group, d):
+    """Parity-block ranks of the walked degree-d orbit sums, by elimination."""
+    n = group.quiver.n
+    index = {m: k for k, m in enumerate(nf_basis(group.quiver, d))}
+    vectors = orbit_walk(group, d)
     out = [[0, 0], [0, 0]]
     for p in (0, 1):
         for t in (0, 1):
             ech = FieldEchelon()
-            for v in basis.vectors[d]:
+            for v in vectors:
                 row = {index[m]: c for m, c in v.terms.items() if m.source % 2 == p and m.target(n) % 2 == t}
                 if row:
                     ech.insert(row)
@@ -141,7 +143,7 @@ def test_matrix_dims_are_the_parity_block_ranks(n):
             continue
         basis = invariant_basis(group, 16)
         for d in range(17):
-            assert basis.matrix_dims(d) == _echelon_matrix_dims(basis, d), (n, key, d)
+            assert basis.matrix_dims(d) == _echelon_matrix_dims(group, d), (n, key, d)
         checked += 1
     assert checked > 1
 
@@ -156,9 +158,8 @@ def test_invariant_dims_scalar_group():
 def test_every_basis_vector_is_fixed():
     q = QuiverA(4)
     for group in (dihedral_group(q), w_subgroup(q)):
-        basis = invariant_basis(group, 5)
-        for vecs in basis.vectors:
-            for v in vecs:
+        for d in range(6):
+            for v in orbit_walk(group, d):
                 for g in group.elements:
                     assert apply(g, v) == v
 
@@ -198,8 +199,9 @@ def test_presentation_two_vertex():
 
 def test_free_module_dihedral():
     q = QuiverA(3)
-    checks = verify_free_module(dihedral_group(q), 8)
-    assert all(c.ok for c in checks)
+    group = dihedral_group(q)
+    checks = verify_free_module(q, [orbit_walk(group, d) for d in range(9)])
+    assert len(checks) == 9 and all(c.ok for c in checks)
     # the degree-2 dimension count: 3*2 + 3*1 = 9 = dim R_2
     basis = invariant_basis(dihedral_group(q), 3)
     assert 3 * basis.dims[2] + 3 * basis.dims[1] == 9
@@ -207,8 +209,9 @@ def test_free_module_dihedral():
 
 def test_free_module_reflection_subgroup():
     q = QuiverA(4)
-    checks = verify_free_module(w_subgroup(q), 8)
-    assert all(c.ok for c in checks)
+    group = w_subgroup(q)
+    checks = verify_free_module(q, [orbit_walk(group, d) for d in range(9)])
+    assert len(checks) == 9 and all(c.ok for c in checks)
 
 
 def test_checks_report_the_ranks_where_they_fail():
@@ -216,7 +219,7 @@ def test_checks_report_the_ranks_where_they_fail():
     # and s1, s2 do not span them: the failures carry the ranks found
     q = QuiverA(4)
     rotations = generate_group([rotation(q, 1)])
-    checks = verify_free_module(rotations, 2)
+    checks = verify_free_module(q, [orbit_walk(rotations, d) for d in range(3)])
     assert [c.ok for c in checks] == [True, False, False]
     assert checks[1].detail == "rank 8, direct-sum count 12, expected 8"
     rep = verify_presentation_dihedral(4, 2, invariant_basis(rotations, 2))
@@ -226,8 +229,8 @@ def test_checks_report_the_ranks_where_they_fail():
 
 def test_shift_summand():
     for group in (dihedral_group(QuiverA(3)), w_subgroup(QuiverA(4))):
-        checks = verify_shift_summand(group, 8)
-        assert all(c.ok for c in checks)
+        checks = verify_shift_summand(group.quiver, [orbit_walk(group, d) for d in range(9)])
+        assert len(checks) == 9 and all(c.ok for c in checks)
         assert checks[0].degree == 0
 
 
@@ -236,10 +239,10 @@ def test_shift_summand_fails_with_the_wrong_arrow(monkeypatch):
     # entering it, is not the shift of e_0 R^G: every degree fails
     q = QuiverA(4)
     group = dihedral_group(q)
-    basis = invariant_basis(group, 4)
+    vectors = [orbit_walk(group, d) for d in range(5)]
     alpha_0 = AlgebraElement.monomial(q, NFMonomial(0, 1, 0))
     monkeypatch.setattr(AlgebraElement, "arrow", staticmethod(lambda q, i, starred=False: alpha_0))
-    checks = verify_shift_summand(group, 4, basis)
+    checks = verify_shift_summand(q, vectors)
     assert [c.ok for c in checks] == [False] * 5
     assert checks[2].detail == "alpha_3 v is not the shift of e_0 v for 2 of 2 basis vectors"
 
@@ -289,9 +292,9 @@ def test_orbit_sums_are_the_reynolds_basis(n, key, D, terms):
     q = group.quiver
     basis = invariant_basis(group, D)
     for d in range(D + 1):
-        ref = _reynolds_basis(group, d)
-        assert basis.vectors[d] == ref
-        for got, want in zip(basis.vectors[d], ref):
+        ref, walked = _reynolds_basis(group, d), orbit_walk(group, d)
+        assert walked == ref and basis.dims[d] == len(ref)
+        for got, want in zip(walked, ref):
             assert {m: type(c) for m, c in got.terms.items()} == {m: type(c) for m, c in want.terms.items()}
     mons = nf_basis(q, D)
     x = AlgebraElement(q, {mons[i % len(mons)]: Fraction(a, b) for i, a, b in terms})
@@ -309,12 +312,11 @@ def test_twisted_orbit_sums_are_the_reynolds_basis(case):
         group, _ = build_group(spec, n, cap=64)
     except CapExceededError:
         assume(False)
-    basis = invariant_basis(group, 4)
+    walked = [orbit_walk(group, d) for d in range(5)]
     for d in range(5):
-        assert basis.vectors[d] == _reynolds_basis(group, d)
-    # built once, one per orbit that Burnside's count counts
-    assert basis.vectors is basis.vectors
-    assert basis.dims == [len(v) for v in basis.vectors]
+        assert walked[d] == _reynolds_basis(group, d)
+    # one per orbit that Burnside's count counts
+    assert invariant_basis(group, 4).dims == [len(v) for v in walked]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -332,7 +334,7 @@ def test_counted_dims_are_the_walked_orbit_sums(case):
     except CapExceededError:
         assume(False)
     basis = invariant_basis(group, 12)
-    assert basis.dims == [len(v) for v in basis.vectors]
+    assert basis.dims == [len(orbit_walk(group, d)) for d in range(13)]
     # Burnside's sums are multiples of |T| before the division, by source
     # parity too where T keeps it
     t_order = len(group) // len(group.n_elements)
@@ -340,7 +342,7 @@ def test_counted_dims_are_the_walked_orbit_sums(case):
     if n % 2 == 0 and all(g.rot % 2 == 0 for g in group.elements):
         for d in range(13):
             assert basis.fixed[d][0] % t_order == 0
-            assert basis.matrix_dims(d) == _echelon_matrix_dims(basis, d), d
+            assert basis.matrix_dims(d) == _echelon_matrix_dims(group, d), d
 
 
 def test_invariant_dims_are_burnsides_count():
@@ -357,18 +359,16 @@ def test_twisted_orbit_sums_drop_orbits_with_a_scaling_stabilizer():
     # scale monomials their elements fix, so most orbits drop out
     group, _ = build_group("rot(2),refl(1),scalar(4;1,0,0,0;3,0,0,0)", 4)
     assert len(group) == 64 and len(group.n_elements) == 16
-    basis = invariant_basis(group, 4)
     for d in range(5):
-        assert basis.vectors[d] == _reynolds_basis(group, d)
-    assert basis.dims == [1, 1, 1, 1, 1]
+        assert orbit_walk(group, d) == _reynolds_basis(group, d)
+    assert invariant_basis(group, 4).dims == [1, 1, 1, 1, 1]
     # -1 on every arrow fixes each monomial and scales the odd-degree ones
     # by -1, so in degree 1 the rotation orbit {alpha_0, alpha_1, alpha_2}
     # and its star counterpart drop out
     group, _ = build_group("rot(1),scalar(2;1,1,1;1,1,1)", 3)
-    basis = invariant_basis(group, 2)
-    assert basis.vectors[1] == _reynolds_basis(group, 1) == []
-    assert basis.vectors[2] == _reynolds_basis(group, 2)
-    assert sorted(len(v.terms) for v in basis.vectors[2]) == [3, 3, 3]
+    assert orbit_walk(group, 1) == _reynolds_basis(group, 1) == []
+    assert orbit_walk(group, 2) == _reynolds_basis(group, 2)
+    assert sorted(len(v.terms) for v in orbit_walk(group, 2)) == [3, 3, 3]
 
 
 def _orbit_sums_by_images(group, d):
@@ -403,11 +403,10 @@ def test_twisted_orbit_sums_past_the_wrap(n, spec):
     group, _ = build_group(spec, n)
     assert group.has_scalars
     D = 2 * n + 3
-    basis = invariant_basis(group, D)
     for d in range(D + 1):
-        ref = _orbit_sums_by_images(group, d)
-        assert basis.vectors[d] == ref == _reynolds_basis(group, d)
-        for got, want in zip(basis.vectors[d], ref):
+        ref, walked = _orbit_sums_by_images(group, d), orbit_walk(group, d)
+        assert walked == ref == _reynolds_basis(group, d)
+        for got, want in zip(walked, ref):
             assert [(m, type(c)) for m, c in got.terms.items()] == [(m, type(c)) for m, c in want.terms.items()]
 
 
@@ -416,3 +415,27 @@ def test_matrix_dims_need_even_n():
     basis = invariant_basis(dihedral_group(QuiverA(5)), 2)
     with pytest.raises(ValueError, match="n even"):
         basis.matrix_dims(2)
+
+
+def test_matrix_dims_need_parity_kept():
+    # D_4's rotation by 1 moves every vertex to the other parity, so no
+    # parity block is an invariant subspace
+    basis = invariant_basis(dihedral_group(QuiverA(4)), 2)
+    with pytest.raises(ValueError, match="every element of even rotation"):
+        basis.matrix_dims(2)
+
+
+def test_closed_form_orbit_sums_are_the_walked_ones():
+    # the structure checks read the closed-form orbit sums of D_n and, over
+    # both source parities, of W: the same vectors the walk builds
+    for n in range(3, 13):
+        q = QuiverA(n)
+        cases = [(dihedral_group(q), (None,))] + ([(w_subgroup(q), (0, 1))] if n % 2 == 0 else [])
+        for group, parities in cases:
+            for d in range(13):
+                closed, walked = orbit_sums(q, d, parities), orbit_walk(group, d)
+                assert sorted(closed, key=_support) == sorted(walked, key=_support), (n, parities, d)
+
+
+def _support(v):
+    return sorted(v.terms)

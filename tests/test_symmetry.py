@@ -550,6 +550,21 @@ def test_cayley_table_matches_the_action(case, rng):
     assert _scalar_theorem_bound(group) == _value_theorem_bound(group)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(group_specs())
+@example((4, "rot(2),refl(1),scalar(4;1,0,0,0;3,0,0,0)"))
+def test_each_generator_of_n_at_least_doubles_it(case):
+    # N grows by a whole coset for each generator it keeps, so under the
+    # 4096-element cap it has at most 12 generators: the bound the
+    # invariants' term limit rests on
+    n, spec = case
+    try:
+        group, _ = build_group(spec, n)
+    except CapExceededError:
+        assume(False)
+    assert 2 ** len(group.n_gens) <= len(group.n_elements)
+
+
 def _exponent_by_arrows(g, x):
     """Reference: g's exponents summed arrow by arrow along the canonical
     word of x, mod g's conductor."""
