@@ -837,19 +837,36 @@ def test_invariants_at_large_n_classify_in_closed_form(tmp_path):
 ORDER_192 = "rot(1),scalar(4;1,0,0;3,0,0)"    # 64 of its elements fix every vertex
 
 
-def test_invariants_of_a_scalar_group_run_to_the_term_limit(tmp_path):
-    # degrees 101 to 445 were refused while the invariants walked orbits;
-    # each run's dims through degree 100 are the payload pinned then
+ORDER_192_DIGEST = "b3b340574faa76197b8bcc863887590e500f0af37c0fe34a6350360a5b3ed7d0"
+
+
+def _order_192_run(tmp_path, degree):
+    # runs ORDER_192 through the degree and returns its payload, checking
+    # that its dims through degree 100 are the payload pinned while the
+    # invariants walked orbits
+    assert main(["invariants", "--n", "3", "--group", ORDER_192, "--degree", str(degree), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "invariants_n3.json").read_text())["payload"]
+    assert payload["degree"] == degree and len(payload["dims"]) == degree + 1
+    if degree >= 100:
+        pinned = dict(payload, degree=100, dims=payload["dims"][:101])
+        assert hashlib.sha256(canonical_payload_bytes(pinned)).hexdigest() == ORDER_192_DIGEST
+    return payload
+
+
+def test_invariants_walk_is_checked_once_the_group_is_built(tmp_path):
+    # the orbit walk's limit, checked once the group was built, refused this
+    # group at degrees 101 to 445; the dimensions are counted now, so only
+    # the term limit, checked before the group is built, bounds them
     from auslab.invariants import INVARIANT_TERM_LIMIT
 
     assert 3 * 446 * 447 // 2 <= INVARIANT_TERM_LIMIT
-    for degree in (100, 101, 445):
-        assert main(["invariants", "--n", "3", "--group", ORDER_192, "--degree", str(degree), "--out", str(tmp_path)]) == 0
-        payload = json.loads((tmp_path / "invariants_n3.json").read_text())["payload"]
-        assert payload["degree"] == degree and len(payload["dims"]) == degree + 1
-        payload.update(degree=100, dims=payload["dims"][:101])
-        digest = hashlib.sha256(canonical_payload_bytes(payload)).hexdigest()
-        assert digest == "b3b340574faa76197b8bcc863887590e500f0af37c0fe34a6350360a5b3ed7d0"
+    for degree in (101, 445):
+        _order_192_run(tmp_path, degree)
+
+
+def test_invariants_run_at_the_walk_the_limit_allows(tmp_path):
+    dims = [_order_192_run(tmp_path, degree)["dims"] for degree in (24, 100)]
+    assert len(dims[1]) == 101 and dims[1][:25] == dims[0]
 
 
 # twelve independent involutions at n = 11: N = (Z/2)^12, the most
