@@ -26,6 +26,7 @@ from . import __version__
 from .invariants import (
     check_basis_size,
     check_orbit_sum_relations,
+    check_presentation_size,
     invariant_basis,
     keeps_parity,
     orbit_monomials,
@@ -295,6 +296,8 @@ def cmd_invariants(args) -> int:
     started = time.monotonic()
     degree = _default_degree(args.degree, 16)
     check_basis_size(args.n, degree)
+    if args.check_presentation:
+        check_presentation_size(args.n, degree)
     group, spec = build_group(args.group, args.n)
     # A subgroup of D_n holding every vertex-fixing reflection holds the
     # subgroup W they generate: it is D_n at order 2n, or W at order n.

@@ -16,10 +16,12 @@ of word classes: the reduced basis is {w - min(class w)} over non-minimal
 words, the complement basis is the set of class minima under the monomial
 order (degree, source, then lex on arrows with nonstars before stars), and
 reduction of a word is lookup of its class minimum.  The classes of degree
-d+1 follow from those of degree d by a union-find over labels (class of a
-prefix or suffix, plus the arrow beyond it), so the oracle's cost grows
-with the number of classes, not of words.  The oracle is authoritative;
-tests hold the closed form to it, and hold it to a word-by-word merge.
+d+1 follow from those of degree d by a union-find over R-labels (class of
+a prefix, plus the last arrow); each L-label (first arrow, plus class of
+the suffix) is attached to the first R-label met through it, so the
+oracle's cost grows with the number of classes, not of words.  The oracle
+is authoritative; tests hold the closed form to it, and hold it to a
+word-by-word merge.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ from typing import NamedTuple
 
 from .quiver import ArrowRef, QuiverA, Word
 
-# The oracle stores 4nk class labels at each degree k, 2nd(d+1) through
-# degree d.  At this limit (n = 3 through degree 407, n = 20 through 157)
-# `hilbert --matrix` takes about 2 s and 55 MB on a 2-core x86-64 guest
-# under Python 3.11.
+# The oracle builds 4nk class labels at each degree k, 2nd(d+1) through
+# degree d, and keeps about half of them: the R-labels of every degree and
+# the L-labels of the last.  At this limit (n = 3 through degree 407, n = 20
+# through 157) `hilbert --matrix` takes 0.5-0.6 s and 47 MB on a 2-core
+# x86-64 guest under Python 3.11.
 ORACLE_LABEL_LIMIT = 1_000_000
 
 # `hilbert` keeps an n x n dimension matrix per degree, n^2 (D+1) entries
@@ -201,23 +204,36 @@ class RelationIdealOracle:
     words of degree d+1 are therefore in one class exactly when a chain of
     shared labels joins them: the R-label (class of the first d arrows,
     last arrow bit) or the L-label (first arrow bit, class of the last d
-    arrows).  A word a*m*b with m of degree d-1 joins its two labels, and
-    both depend only on (a, [m], b), so one union per (class at d-1, a, b)
-    builds the classes.  Not assumed: the closed form of the classes, their
-    number, or which words share one.
+    arrows).  A word a*m*b with m of degree d-1 is an edge between its two
+    labels, and both depend only on (a, [m], b), so one edge per (class at
+    d-1, a, b) builds the classes.  Not assumed: the closed form of the
+    classes, their number, or which words share one.
+
+    Every edge joins an R-label to an L-label, so the union-find runs over
+    R-labels only: an L-label is attached to the first R-label met through
+    it, each later edge through it unions its R-label with that one, and
+    its class is that R-label's.  Every L-label meets an edge.  At degree
+    1, the L-label (a, e_j) meets exactly one: the arrow a into j.  At
+    degree d >= 2, the L-label (a, c') lies over a class c' of degree d-1,
+    which is a union of R-labels (c, b), and the arrow a into the source of
+    c exists (each vertex has one nonstar and one star arrow in), so the
+    edge (c, a, b) meets it.
 
     Classes of degree d are numbered by their minima in order; `_rcls[d]`
-    and `_lcls[d]` give the class of R-label 2c+b and of L-label 2c+a, and a
-    class's minimum is the least 2 * min(c) + b over its R-labels.
+    gives the class of R-label 2c+b and `_lcls` that of L-label 2c+a at the
+    last built degree, the only one the next build reads.  A class's
+    minimum is the least 2 * min(c) + b over its R-labels, so the least
+    R-label of a component carries it: unions link the larger root under
+    the smaller, and the root is that least R-label.
     """
 
     quiver: QuiverA
-    _mins: dict[int, list[int]] = field(default_factory=dict)  # degree -> sorted class minima
-    _rcls: dict[int, list[int]] = field(default_factory=dict)  # degree -> class of R-label 2c+b
-    _lcls: dict[int, list[int]] = field(default_factory=dict)  # degree -> class of L-label 2c+a
+    _mins: list[list[int]] = field(default_factory=list)  # degree -> sorted class minima
+    _rcls: list[list[int]] = field(default_factory=list)  # degree -> class of R-label 2c+b
+    _lcls: list[int] = field(default_factory=list)        # class of L-label 2c+a, last built degree
 
     def built_through(self) -> int:
-        return max(self._mins, default=-1)
+        return len(self._mins) - 1
 
     def extend(self, d: int) -> None:
         # Checked before any degree is built.
@@ -255,51 +271,63 @@ class RelationIdealOracle:
     # -- construction ----------------------------------------------------------
 
     def _build_next(self) -> None:
-        d = self.built_through() + 1
+        d = len(self._mins)
         n = self.quiver.n
         if d == 0:
-            self._mins[0] = list(range(n))      # the trivial paths e_i
+            self._mins.append(list(range(n)))   # the trivial paths e_i
+            self._rcls.append([])
             return
         prev = self._mins[d - 1]
-        labels = 2 * len(prev)                  # R-label r is node r, L-label l is node labels + l
-        parent = list(range(2 * labels))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            parent[find(x)] = find(y)
-
+        labels = 2 * len(prev)
+        parent = list(range(labels))            # union-find over R-labels; parent[x] <= x
+        at = [-1] * labels                      # L-label -> first R-label met through it
         if d == 1:
             # alpha_i runs from i to i+1, alpha_{i-1}* from i to i-1.
             for i in range(n):
-                union(2 * i, labels + 2 * ((i + 1) % n))
-                union(2 * i + 1, labels + 2 * ((i - 1) % n) + 1)
+                at[2 * ((i + 1) % n)] = 2 * i
+                at[2 * ((i - 1) % n) + 1] = 2 * i + 1
         else:
-            lcls, rcls = self._lcls[d - 1], self._rcls[d - 1]
-            for c in range(len(self._mins[d - 2])):
-                for a in (0, 1):
-                    for b in (0, 1):
-                        union(2 * lcls[2 * c + a] + b, labels + 2 * rcls[2 * c + b] + a)
-        if d == 2:
-            # Vertex relations e_i Omega e_i: alpha_i alpha_i* (code 01)
-            # equals alpha_{i-1}* alpha_{i-1} (code 10); in degree 2 the
-            # R-label of a word is its flat id.
-            for i in range(n):
-                union(i * 4 + 1, i * 4 + 2)
+            if d == 2:
+                # Vertex relations e_i Omega e_i: alpha_i alpha_i* (code 01)
+                # equals alpha_{i-1}* alpha_{i-1} (code 10); in degree 2 the
+                # R-label of a word is its flat id, and both are still roots.
+                for i in range(n):
+                    parent[i * 4 + 2] = i * 4 + 1
+            # The edge (c, a, b), c a class of degree d-2, joins R-label
+            # x = 2 * lcls[2c+a] + b to L-label l = 2 * rcls[2c+b] + a; the
+            # four pairs below are (a, b) = (0, 0), (0, 1), (1, 0), (1, 1).
+            lit, rit = iter(self._lcls), iter(self._rcls[d - 1])
+            for l0, l1, r0, r1 in zip(lit, lit, rit, rit):
+                for x, l in ((2 * l0, 2 * r0), (2 * l0 + 1, 2 * r1), (2 * l1, 2 * r0 + 1), (2 * l1 + 1, 2 * r1 + 1)):
+                    y = at[l]
+                    if y < 0:
+                        at[l] = x
+                        continue
+                    # Path halving: parent[x] is assigned before x is rebound.
+                    while parent[x] != x:
+                        parent[x] = x = parent[parent[x]]
+                    while parent[y] != y:
+                        parent[y] = y = parent[parent[y]]
+                    if x < y:
+                        parent[y] = x
+                    elif y < x:
+                        parent[x] = y
 
-        # 2 * prev[r >> 1] + (r & 1) grows with r: the first R-label met in a
-        # component carries its minimum, and classes come out in order.
-        first: dict[int, int] = {}
-        for r in range(labels):
-            first.setdefault(find(r), r)
-        number = {root: i for i, root in enumerate(first)}
-        cls = [number[find(x)] for x in range(2 * labels)]
-        self._mins[d] = [2 * prev[r >> 1] + (r & 1) for r in first.values()]
-        self._rcls[d], self._lcls[d] = cls[:labels], cls[labels:]
+        # parent[x] <= x, so in one forward pass each root, its component's
+        # least R-label, is numbered in order, and every other R-label reads
+        # its class through its parent, numbered already.  The numbering
+        # follows the minima, since 2 * prev[x >> 1] + (x & 1) grows with x.
+        mins = []
+        for x in range(labels):
+            p = parent[x]
+            if p == x:
+                parent[x] = len(mins)
+                mins.append(2 * prev[x >> 1] + (x & 1))
+            else:
+                parent[x] = parent[p]
+        self._mins.append(mins)
+        self._rcls.append(parent)
+        self._lcls = [parent[x] for x in at]
 
     def _class(self, d: int, flat: int) -> int:
         """Class of a word: the class of each prefix, longest last."""
@@ -336,7 +364,7 @@ class RelationIdealOracle:
         out = [[0] * n for _ in range(n)]
         for r in self._mins[d]:
             src, code = divmod(r, 1 << d)
-            stars = bin(code).count("1")
+            stars = code.bit_count()
             tgt = (src + d - 2 * stars) % n
             out[src][tgt] += 1
         return out

@@ -542,6 +542,42 @@ def test_structure_checks_need_a_maximal_reflection_group(tmp_path, capsys, n, g
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "n, group, degree",
+    [
+        (3, "rot(1),refl(0)", 34),
+        (8, "rot(2),refl(0)", 26),
+        (40, "rot(1),refl(0)", 16),
+        (2238, "rot(2),refl(0)", 0),      # the products behind well_defined run at every degree
+        (3000, "rot(1),refl(0)", 0),      # refused before D_3000 would pass the group cap
+    ],
+)
+def test_presentation_check_is_refused_up_front(tmp_path, capsys, n, group, degree):
+    from auslab.invariants import PRESENTATION_STEP_LIMIT
+
+    argv = ["invariants", "--n", str(n), "--group", group, "--degree", str(degree), "--check-presentation"]
+    started = time.monotonic()
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert time.monotonic() - started < 1
+    err = capsys.readouterr().err
+    assert f"n = {n} through degree {degree}" in err and f"limit of {PRESENTATION_STEP_LIMIT}" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "n, group, degree, target",
+    [
+        (3, "rot(1),refl(0)", 33, "polynomial_two_vars"),
+        (8, "rot(2),refl(0)", 25, "two_vertex_quiver"),
+    ],
+)
+def test_presentation_check_runs_at_the_sizes_its_limit_allows(tmp_path, n, group, degree, target):
+    argv = ["invariants", "--n", str(n), "--group", group, "--degree", str(degree), "--check-presentation"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    presentation = json.loads((tmp_path / f"invariants_n{n}.json").read_text())["payload"]["presentation"]
+    assert presentation["target"] == target and presentation["bijective_through"] == degree
+
+
 def test_free_module_check_on_the_full_dihedral_group(tmp_path):
     argv = ["invariants", "--n", "3", "--group", "rot(1),refl(0)", "--degree", "6", "--check-free-module"]
     assert main(argv + ["--out", str(tmp_path)]) == 0

@@ -252,6 +252,13 @@ def test_presentation_two_vertex_n6():
     assert rep.ok and rep.bijective_through == 8
 
 
+@pytest.mark.parametrize("verify", [verify_presentation_dihedral, verify_presentation_two_vertex])
+def test_presentation_checks_refuse_before_any_work(verify):
+    # D_40 through degree 24 would take about 8 s
+    with pytest.raises(MemoryError, match="presentation check at n = 40 through degree 24"):
+        verify(40, 24)
+
+
 def _reynolds_basis(group, d):
     """Reference: Reynolds images of the degree-d monomials, row-reduced."""
     q = group.quiver

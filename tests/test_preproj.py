@@ -92,6 +92,23 @@ def test_label_recursion_matches_word_level_union_find(n):
             assert minima[oracle.reduce_word(oracle.decode(d, flat))] == rep[flat]
 
 
+@pytest.mark.parametrize("n", [3, 4, 7, 8])
+def test_l_labels_carry_the_class_of_their_words(n):
+    """At the last built degree d, L-label 2c+a has the class of the word
+    a*m, m the minimum of class c in degree d-1: a nonstar arrow a = 0
+    enters m's source s from s-1, a star arrow a = 1 from s+1."""
+    oracle = RelationIdealOracle(QuiverA(n))
+    for d in range(1, 13):
+        oracle.extend(d)
+        want = []
+        for m in oracle.minima(d - 1):
+            s, code = divmod(m, 1 << (d - 1))
+            for a in (0, 1):
+                flat = (((s + 2 * a - 1) % n) << d) + (a << (d - 1)) + code
+                want.append(oracle.reduce_word(oracle.decode(d, flat)))
+        assert oracle._lcls == want
+
+
 def test_degree_two_against_explicit_row_reduction():
     """Independent mini-oracle: the three vertex relations, row-reduced by a
     plain field echelon over the 12 free words of degree 2."""
@@ -143,7 +160,7 @@ def test_higher_degrees_against_explicit_row_reduction(n, d):
 
 
 def test_oracle_builds_through_its_largest_degree():
-    # 2 * 3 * 407 * 408 stored class labels, the most the label limit admits
+    # 2 * 3 * 407 * 408 class labels built, the most the label limit admits
     q = QuiverA(3)
     oracle = RelationIdealOracle(q)
     oracle.extend(407)
