@@ -25,6 +25,7 @@ from math import gcd
 from . import __version__
 from .invariants import (
     check_basis_size,
+    check_free_module_size,
     check_orbit_sum_relations,
     check_presentation_size,
     invariant_basis,
@@ -34,8 +35,7 @@ from .invariants import (
     orbit_sums,
     reynolds,
     verify_free_module,
-    verify_presentation_dihedral,
-    verify_presentation_two_vertex,
+    verify_presentation,
     verify_shift_summand,
 )
 from .preproj import AlgebraElement, NFMonomial, RelationIdealOracle, check_matrix_entries, hilbert, nf_basis
@@ -298,16 +298,17 @@ def cmd_invariants(args) -> int:
     check_basis_size(args.n, degree)
     if args.check_presentation:
         check_presentation_size(args.n, degree)
+    if args.check_free_module:
+        check_free_module_size(args.n, min(degree, 12))
     group, spec = build_group(args.group, args.n)
     # A subgroup of D_n holding every vertex-fixing reflection holds the
-    # subgroup W they generate: it is D_n at order 2n, or W at order n.
-    verify_presentation = None
+    # subgroup W they generate: it is D_n at order 2n, or W at order n.  Both
+    # checks read its orbit sums over each source parity: D_n's one, (None,),
+    # or W's two, (0, 1).
+    parities = None
     if not group.has_scalars and classify_auslander(args.n, group) == "not_iso":
-        verify_presentation = {
-            2 * args.n: verify_presentation_dihedral,
-            args.n: verify_presentation_two_vertex,
-        }[len(group)]
-    if (args.check_presentation or args.check_free_module) and not verify_presentation:
+        parities = {2 * args.n: (None,), args.n: (0, 1)}[len(group)]
+    if (args.check_presentation or args.check_free_module) and not parities:
         print(
             "presentation and free-module checks exist for the full dihedral "
             "group and the vertex-reflection subgroup only",
@@ -326,7 +327,7 @@ def cmd_invariants(args) -> int:
         payload["matrix_dims"] = [basis.matrix_dims(d) for d in range(degree + 1)]
     failures = []
     if args.check_presentation:
-        pres = verify_presentation(args.n, degree, basis)
+        pres = verify_presentation(parities, args.n, degree, basis)
         payload["presentation"] = {
             "target": pres.target,
             "well_defined": pres.well_defined,
@@ -338,10 +339,8 @@ def cmd_invariants(args) -> int:
         if not pres.ok:
             failures.append("presentation check failed")
     if args.check_free_module:
-        # the checks read the closed-form orbit sums through degree 12 only:
-        # D_n's, or W's over each source parity
+        # the checks read the closed-form orbit sums through degree 12 only
         q = group.quiver
-        parities = (None,) if len(group) == 2 * args.n else (0, 1)
         vectors = [orbit_sums(q, d, parities) for d in range(min(degree, 12) + 1)]
         free = verify_free_module(q, vectors)
         shift = verify_shift_summand(q, vectors)

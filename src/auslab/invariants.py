@@ -1,5 +1,5 @@
-"""Invariant rings R^G: orbit-sum bases, Reynolds averaging, and the
-presentations of the two maximal fixed rings.
+"""Invariant rings R^G: orbit-sum bases, Reynolds averaging, and the one
+presentation of the two maximal fixed rings.
 
 Every group element sends a monomial to a root of unity times a monomial,
 so each graded piece of R^G has the twisted orbit sums of the monomial basis
@@ -14,16 +14,19 @@ whose invariants are the plain orbit sums `orbit_sum(q, l, k, parity)` in
 closed form, so they read those and no orbit is ever walked.  `reynolds`
 averaging stays for `verify` and as the tests' reference.
 
-For the full dihedral group the fixed ring is a commutative polynomial ring
-on one generator in degree 1 and one in degree 2; for the index-two
-reflection subgroup (n even) it is the path algebra of a two-vertex quiver
-with degree-1 arrows u1, u2 and degree-2 loops v1, v2 modulo
-(v1 u1 - u1 v2, v2 u2 - u2 v1).  Both claims are machine-checked
-degreewise.
+The fixed rings of the full dihedral group and (n even) of its
+vertex-reflection subgroup W have one presentation over the source
+parities of their orbit sums, D_n's one, (None,), and W's two, (0, 1): the
+quiver with one vertex p per parity, a degree-1 arrow u_p = s1^p to the
+next parity p', a degree-2 loop v_p = s2^p, and the relations
+v_p u_p = u_p v_p'.  One vertex gives the commutative polynomial ring
+k[s1, s2]; two give kQ / (v1 u1 - u1 v2, v2 u2 - u2 v1).  Both are
+machine-checked degreewise, as are the orbit-sum products behind them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -256,8 +259,11 @@ RELATION_STEP_LIMIT = 2_500_000
 
 def check_orbit_sum_relations(n: int, D: int) -> RelationReport:
     """Verify the multiplication rules of orbit sums up to total degree D by
-    exact closed-form products: degree-shift products, diagonal powers, the
-    commutation of s1 and s2, and (n even) their parity-graded refinements.
+    exact closed-form products, over the source parities of D_n, (None,),
+    and for n even of W, (0, 1): at each vertex p with next parity p', the
+    relation v_p u_p = u_p v_p' of `verify_presentation`, u_p u_p' =
+    v_p + 2 O(1,1)^p, the degree shifts u_p O(l,k)^p', for two vertices
+    u_p O(l,k)^p = 0, and the diagonal powers (O(1,1)^p)^m = O(m,m)^p.
     Refused up front over RELATION_STEP_LIMIT."""
     steps = ((D // 2 + 1) * ((D + 1) // 2) + 3) * (2 - n % 2) * n * (n + 110)
     if steps > RELATION_STEP_LIMIT:
@@ -267,63 +273,29 @@ def check_orbit_sum_relations(n: int, D: int) -> RelationReport:
         )
     q = QuiverA(n)
     report = RelationReport(n, D)
-    s0, s1, s2 = s_elements(q)
-    o11 = orbit_sum(q, 1, 1)
-    report.add("s1*s2 = s2*s1", s1 * s2, s2 * s1)
-    report.add("s1^2 = s2 + 2*O(1,1)", s1 * s1, s2 + o11.scale(Fraction(2)))
-
-    for total in range(0, D):
-        for k in range(0, total // 2 + 1):
-            l = total - k
-            report.add(
-                f"O(1,0)*O({l},{k})",
-                s1 * orbit_sum(q, l, k),
-                _degree_shift_product(q, l, k, None),
-            )
-    power = AlgebraElement.one(q)
-    for m in range(1, D // 2 + 1):
-        power = power * o11
-        report.add(f"O(1,1)^{m} = O({m},{m})", power, orbit_sum(q, m, m))
-
-    if n % 2 == 0:
-        even, odd = 0, 1
-        s0e, s1e, s2e = s_elements(q, even)
-        s0o, s1o, s2o = s_elements(q, odd)
-        o11e = orbit_sum(q, 1, 1, even)
-        o11o = orbit_sum(q, 1, 1, odd)
-        report.add("s2*s1 = s1*s2'", s2e * s1e, s1e * s2o)
-        report.add("s2'*s1' = s1'*s2", s2o * s1o, s1o * s2e)
-        report.add(
-            "s1*s1' = s2 + 2*O(1,1)^even", s1e * s1o, s2e + o11e.scale(Fraction(2))
-        )
-        report.add(
-            "s1'*s1 = s2' + 2*O(1,1)^odd", s1o * s1e, s2o + o11o.scale(Fraction(2))
-        )
-        for p in (even, odd):
-            opp = 1 - p
-            s1p = s_elements(q, p)[1]
-            for total in range(0, D):
-                for k in range(0, total // 2 + 1):
+    for parities in ((None,), (0, 1))[: 2 - n % 2]:
+        s = {p: s_elements(q, p) for p in parities}
+        succ = dict(zip(parities, reversed(parities)))
+        for p in parities:
+            t, t2 = ("", "") if p is None else (f"^{p}", f"^{succ[p]}")
+            e, s1, s2 = s[p]
+            o11 = orbit_sum(q, 1, 1, p)
+            report.add(f"s2{t}*s1{t} = s1{t}*s2{t2}", s2 * s1, s1 * s[succ[p]][2])
+            report.add(f"s1{t}*s1{t2} = s2{t} + 2*O(1,1){t}", s1 * s[succ[p]][1], s2 + o11.scale(Fraction(2)))
+            for total in range(D):
+                for k in range(total // 2 + 1):
                     l = total - k
                     report.add(
-                        f"O(1,0)^{p}*O({l},{k})^{opp}",
-                        s1p * orbit_sum(q, l, k, opp),
+                        f"O(1,0){t}*O({l},{k}){t2}",
+                        s1 * orbit_sum(q, l, k, succ[p]),
                         _degree_shift_product(q, l, k, p),
                     )
-                    report.add(
-                        f"O(1,0)^{p}*O({l},{k})^{p} = 0",
-                        s1p * orbit_sum(q, l, k, p),
-                        AlgebraElement.zero(q),
-                    )
-            powerp = s_elements(q, p)[0]
-            o11p = orbit_sum(q, 1, 1, p)
+                    if p is not None:
+                        report.add(f"O(1,0){t}*O({l},{k}){t} = 0", s1 * orbit_sum(q, l, k, p), AlgebraElement.zero(q))
+            power = e
             for m in range(1, D // 2 + 1):
-                powerp = powerp * o11p
-                report.add(
-                    f"(O(1,1)^{p})^{m} = O({m},{m})^{p}",
-                    powerp,
-                    orbit_sum(q, m, m, p),
-                )
+                power = power * o11
+                report.add(f"(O(1,1){t})^{m} = O({m},{m}){t}", power, orbit_sum(q, m, m, p))
     return report
 
 
@@ -345,15 +317,19 @@ class PresentationReport:
         return self.well_defined and self.dims_match_series and not self.failures
 
 
-# A presentation check builds its images of degree d by about d^3/6
-# products of a generator (2n terms) with an image of degree e < d (n(e+1)
-# terms).  Through degree D they loop over about 2n^2 (D+1)^4/24 term pairs,
-# and the 2n (D+1)^4/24 pairs that match carry arithmetic worth about 110
-# pairs more; the products behind `well_defined` loop over 8n^2 more:
+# A presentation check builds each normal word of degree d once, as a
+# generator u_p (2n terms) times a word of degree d-1 (about n d terms):
+# about d/2 products a degree.  The limit counts the words as if each were
+# built from the generators alone, about d^3/6 products of a generator with
+# an image of degree e < d, which bounds that work with room to spare and
+# keeps the inputs refused fixed: 2n^2 (D+1)^4/24 term pairs through degree
+# D, the 2n (D+1)^4/24 that match carrying arithmetic worth about 110 pairs
+# more, and 8n^2 for the products behind `well_defined`:
 # n (2 (n + 110) (D+1)^4/24 + 8n) steps.  At this limit (n = 3 through
 # degree 33, n = 8 through 25, n = 40 through 15, n = 100 through 11) a
-# whole `invariants --check-presentation` run takes 1.2-1.8 s on a 2-core
-# x86-64 guest under Python 3.11, as does D_2048 at degree 0.
+# whole `invariants --check-presentation` run takes 0.6-1.0 s on a 2-core
+# x86-64 guest under Python 3.11; D_2048 at degree 0, where the products
+# behind `well_defined` are all the work, takes 1.5-2.0 s.
 PRESENTATION_STEP_LIMIT = 40_000_000
 
 
@@ -368,40 +344,71 @@ def check_presentation_size(n: int, D: int) -> None:
         )
 
 
-def verify_presentation_dihedral(n: int, D: int, basis: InvariantBasis | None = None) -> PresentationReport:
-    """Check that s1, s2 generate the full fixed ring freely as a commutative
-    polynomial ring: the monomials s1^a s2^b of each degree map onto a basis
-    of the invariants, whose dimensions match 1/((1-t)(1-t^2)).  Refused up
-    front over PRESENTATION_STEP_LIMIT."""
+def swap_matrix_series_coefficient(d: int) -> list[list[int]]:
+    """Degree-d coefficient of (I - swap*t)^-1 (I - I*t^2)^-1."""
+    c = d // 2 + 1
+    return [[c, 0], [0, c]] if d % 2 == 0 else [[0, c], [c, 0]]
+
+
+def verify_presentation(
+    parities: tuple[int | None, ...], n: int, D: int, basis: InvariantBasis | None = None
+) -> PresentationReport:
+    """Check the fixed ring of D_n (`parities` (None,)) or of the
+    vertex-reflection subgroup W (`parities` (0, 1), n even) against the
+    quiver with one vertex p per parity, an arrow u_p = s1^p to the next
+    parity p', a loop v_p = s2^p, and the relations v_p u_p = u_p v_p'; one
+    vertex gives the polynomial ring k[s1, s2].  The relations must map to
+    zero, and the normal words (u-chain, then loop power) must map
+    degreewise onto a basis of the invariants, whose dimensions match
+    len(parities) / ((1-t)(1-t^2)); for two vertices the parity blocks must
+    match the swap-matrix series.  Refused up front over
+    PRESENTATION_STEP_LIMIT."""
+    one = len(parities) == 1
+    if not one and n % 2:
+        raise ValueError("the two-vertex presentation needs n even")
     check_presentation_size(n, D)
     q = QuiverA(n)
-    basis = basis or invariant_basis(dihedral_group(q), D)
-    _, s1, s2 = s_elements(q)
-    well_defined = s1 * s2 == s2 * s1
-    expected = series_coefficients([1, 2], D)
+    basis = basis or invariant_basis(dihedral_group(q) if one else w_subgroup(q), D)
+    s = {p: s_elements(q, p) for p in parities}
+    succ = dict(zip(parities, reversed(parities)))
+    well_defined = all(s[p][2] * s[p][1] == s[p][1] * s[succ[p]][2] for p in parities)
+    expected = series_coefficients([1, 2], D, numerator=len(parities))
     failures = []
     bij = -1
-    s2_pows = [AlgebraElement.one(q)]
-    for _ in range(D // 2):
-        s2_pows.append(s2_pows[-1] * s2)
+    loop = {p: s[p][0] for p in parities}          # v_p^(d/2) at even d
+    words = {p: [] for p in parities}              # (image, end vertex) of each normal word from p
     for d in range(D + 1):
-        images = []
-        for b in range(d // 2 + 1):
-            x = s2_pows[b]
-            for _ in range(d - 2 * b):
-                x = s1 * x
-            images.append(x)
-        r = rank(x.terms for x in images)
+        # a word of degree d >= 1 from p is u_p times a word of degree d-1 from p'
+        words = {p: [(s[p][1] * x, end) for x, end in words[succ[p]]] for p in parities}
+        if d % 2 == 0:
+            for p in parities:
+                if d:
+                    loop[p] = loop[p] * s[p][2]
+                words[p].append((loop[p], p))
+        images = [x for p in parities for x, _ in words[p]]
+        # an image off degree d lies outside the invariants of degree d
+        r = rank(x.terms for x in images if all(m.degree == d for m in x.terms))
         inv_dim = basis.dims[d]
+        if not one:
+            matrix = basis.matrix_dims(d)
+            swap = swap_matrix_series_coefficient(d)
+            blocks = [[0, 0], [0, 0]]
+            for p in parities:
+                for _, end in words[p]:
+                    blocks[p][end] += 1
+            if matrix != swap:
+                failures.append(f"degree {d}: invariant matrix dims {matrix} != {swap}")
+            if blocks != swap:
+                failures.append(f"degree {d}: quotient block dims {blocks} != {swap}")
         if not (r == len(images) == inv_dim == expected[d]):
             failures.append(
-                f"degree {d}: image rank {r}, free dim {len(images)}, "
-                f"invariant dim {inv_dim}, series {expected[d]}"
+                f"degree {d}: image rank {r}, {'free' if one else 'quotient'} dim {len(images)}, "
+                f"invariant dim {inv_dim}" + (f", series {expected[d]}" if one else "")
             )
-        elif bij == d - 1:
+        elif not failures:
             bij = d
     return PresentationReport(
-        target="polynomial_two_vars",
+        target="polynomial_two_vars" if one else "two_vertex_quiver",
         well_defined=well_defined,
         bijective_through=bij,
         dims_match_series=basis.dims[: D + 1] == expected,
@@ -409,74 +416,33 @@ def verify_presentation_dihedral(n: int, D: int, basis: InvariantBasis | None = 
     )
 
 
-def swap_matrix_series_coefficient(d: int) -> list[list[int]]:
-    """Degree-d coefficient of (I - swap*t)^-1 (I - I*t^2)^-1."""
-    c = d // 2 + 1
-    return [[c, 0], [0, c]] if d % 2 == 0 else [[0, c], [c, 0]]
-
-
-def verify_presentation_two_vertex(n: int, D: int, basis: InvariantBasis | None = None) -> PresentationReport:
-    """Check the fixed ring of the vertex-reflection subgroup (n even)
-    against the two-vertex quiver presentation: the defining relations map
-    to zero and the quotient's normal words (u-chain then loop power) map
-    degreewise onto the invariants, matching the swap-matrix series.
-    Refused up front over PRESENTATION_STEP_LIMIT."""
-    if n % 2:
-        raise ValueError("the two-vertex presentation needs n even")
-    check_presentation_size(n, D)
-    q = QuiverA(n)
-    basis = basis or invariant_basis(w_subgroup(q), D)
-    s = {0: s_elements(q, 0), 1: s_elements(q, 1)}
-
-    rel1 = s[0][2] * s[0][1] - s[0][1] * s[1][2]      # v1 u1 - u1 v2
-    rel2 = s[1][2] * s[1][1] - s[1][1] * s[0][2]      # v2 u2 - u2 v1
-    well_defined = rel1.is_zero() and rel2.is_zero()
-
-    failures = []
-    bij = -1
-    totals = series_coefficients([1, 2], D, numerator=2)
-    dims_ok = basis.dims[: D + 1] == totals
-    for d in range(D + 1):
-        images = []
-        block_counts = [[0, 0], [0, 0]]
-        for p in (0, 1):
-            for b in range(d // 2 + 1):
-                x = s[p][0]
-                parity = p
-                for _ in range(d - 2 * b):
-                    x = x * s[parity][1]
-                    parity = 1 - parity
-                for _ in range(b):
-                    x = x * s[parity][2]
-                images.append(x)
-                block_counts[p][parity] += 1
-        r = rank(x.terms for x in images)
-        inv_dim = basis.dims[d]
-        matrix = basis.matrix_dims(d)
-        swap = swap_matrix_series_coefficient(d)
-        if matrix != swap:
-            failures.append(f"degree {d}: invariant matrix dims {matrix} != {swap}")
-        if block_counts != swap:
-            failures.append(f"degree {d}: quotient block dims {block_counts} != {swap}")
-        if not (r == len(images) == inv_dim):
-            failures.append(
-                f"degree {d}: image rank {r}, quotient dim {len(images)}, "
-                f"invariant dim {inv_dim}"
-            )
-        elif not failures and bij == d - 1:
-            bij = d
-    return PresentationReport(
-        target="two_vertex_quiver",
-        well_defined=well_defined,
-        bijective_through=bij,
-        dims_match_series=dims_ok,
-        failures=failures,
-    )
+verify_presentation_dihedral = functools.partial(verify_presentation, (None,))
+verify_presentation_two_vertex = functools.partial(verify_presentation, (0, 1))
 
 
 # ---------------------------------------------------------------------------
 # Module structure of R over R^G
 # ---------------------------------------------------------------------------
+
+
+# A free-module check through degree D reads the n (D+1)(D+2)/2 terms of
+# its basis vectors once, and row-reduces rows of at most two terms, about
+# two per term, once jointly and once per part.  At this limit (n = 439
+# through degree 12, n = 952 through 7, n = 2666 through 4) a whole
+# `invariants --check-free-module` run takes 0.8-1.5 s on a 2-core x86-64
+# guest under Python 3.11.
+FREE_MODULE_TERM_LIMIT = 40_000
+
+
+def check_free_module_size(n: int, D: int) -> None:
+    """Refuse a free-module check through degree D at n over
+    FREE_MODULE_TERM_LIMIT, before any work."""
+    terms = n * (D + 1) * (D + 2) // 2
+    if terms > FREE_MODULE_TERM_LIMIT:
+        raise MemoryError(
+            f"free-module check at n = {n} through degree {D} reads {terms} basis terms, "
+            f"over the limit of {FREE_MODULE_TERM_LIMIT}"
+        )
 
 
 @dataclass
@@ -490,18 +456,29 @@ def verify_free_module(q: QuiverA, vectors: list[list[AlgebraElement]]) -> list[
     """Degreewise check, `vectors[d]` a basis of (R^G)_d, that {e_0..e_{n-1},
     alpha_0..alpha_{n-1}} is a basis of R over R^G: the vectors
     e_i * (R^G)_d and alpha_i * (R^G)_{d-1} jointly have full rank n(d+1)
-    and their individual ranks add up to it (so the sum is direct)."""
+    and their individual ranks add up to it (so the sum is direct).  Both
+    are read off each vector's terms by source: e_i v keeps the terms from
+    i, and alpha_i v shifts those from i+1 to (i, l+1, k).  Refused up
+    front over FREE_MODULE_TERM_LIMIT."""
     n = q.n
+    check_free_module_size(n, len(vectors) - 1)
     out = []
+    prev = [[] for _ in range(n)]
     for d, basis in enumerate(vectors):
-        prev = vectors[d - 1] if d else []
-        parts = [[(AlgebraElement.idempotent(q, i) * v).terms for v in basis] for i in range(n)]
-        parts += [[(AlgebraElement.arrow(q, i) * v).terms for v in prev] for i in range(n)]
+        by_source = [[{} for _ in basis] for _ in range(n)]    # [i][j]: the terms of e_i v_j
+        for j, v in enumerate(basis):
+            for m, c in v.terms.items():
+                by_source[m.source][j][m] = c
+        parts = by_source + [
+            [{NFMonomial(i, m.nonstars + 1, m.stars): c for m, c in row.items()} for row in prev[(i + 1) % n]]
+            for i in range(n)
+        ]
         total = rank(row for part in parts for row in part)
         part_sum = sum(rank(part) for part in parts)
         ok = total == n * (d + 1) == part_sum
         detail = f"rank {total}, direct-sum count {part_sum}, expected {n * (d + 1)}"
         out.append(ModuleCheck(d, ok, "" if ok else detail))
+        prev = by_source
     return out
 
 

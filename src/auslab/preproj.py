@@ -164,9 +164,6 @@ class AlgebraElement:
 
     # -- queries -------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
@@ -244,6 +241,16 @@ class RelationIdealOracle:
                 f"the oracle's limit of {ORACLE_LABEL_LIMIT}; the oracle is for desk-scale degrees"
             )
         while self.built_through() < d:
+            # Checked again before each degree on the labels built through
+            # it, 4 per class of each degree below: on correct classes this
+            # is the count above, but a fault that splits them grows it as 2^d.
+            built = 4 * sum(map(len, self._mins))
+            if built > ORACLE_LABEL_LIMIT:
+                raise MemoryError(
+                    f"degree {self.built_through() + 1} would bring the class labels built at "
+                    f"n = {self.quiver.n} to {built}, over the oracle's limit of "
+                    f"{ORACLE_LABEL_LIMIT}; its classes do not follow the closed form"
+                )
             self._build_next()
 
     # -- word encoding -------------------------------------------------------

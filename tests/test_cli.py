@@ -585,6 +585,35 @@ def test_free_module_check_on_the_full_dihedral_group(tmp_path):
     assert payload["free_module_ok_through"] == 6
 
 
+@pytest.mark.parametrize(
+    "n, group, degree",
+    [
+        (440, "rot(1),refl(0)", 12),
+        (440, "rot(1),refl(0)", 20),      # the check reads through degree 12 only
+        (4096, "rot(2),refl(0)", 4),
+        (3000, "rot(1),refl(0)", 12),     # refused before D_3000 would pass the group cap
+    ],
+)
+def test_free_module_check_is_refused_up_front(tmp_path, capsys, n, group, degree):
+    from auslab.invariants import FREE_MODULE_TERM_LIMIT
+
+    argv = ["invariants", "--n", str(n), "--group", group, "--degree", str(degree), "--check-free-module"]
+    started = time.monotonic()
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert time.monotonic() - started < 1
+    err = capsys.readouterr().err
+    assert f"free-module check at n = {n} through degree {min(degree, 12)}" in err
+    assert f"limit of {FREE_MODULE_TERM_LIMIT}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_free_module_check_runs_at_the_size_its_limit_allows(tmp_path):
+    argv = ["invariants", "--n", "439", "--group", "rot(1),refl(0)", "--degree", "12", "--check-free-module"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "invariants_n439.json").read_text())["payload"]
+    assert payload["free_module_ok_through"] == payload["shift_summand_ok_through"] == 12
+
+
 def test_oracle_degree_limit_is_checked_up_front(capsys):
     from auslab.preproj import ORACLE_LABEL_LIMIT, RelationIdealOracle
 

@@ -182,6 +182,9 @@ def test_orbit_sum_relations_hold(n):
     report = check_orbit_sum_relations(n, 10)
     failure = report.first_failure()
     assert report.all_hold, failure and f"{failure.name}: {failure.detail}"
+    # D_n's 37 checks, and for n even W's 134: both vertices' own 37, and
+    # u_p O(l,k)^p = 0 for each of the 30 degree shifts at each vertex
+    assert len(report.checks) == (37 if n % 2 else 37 + 2 * 37 + 2 * 30)
 
 
 def test_presentation_dihedral():
@@ -225,6 +228,18 @@ def test_checks_report_the_ranks_where_they_fail():
     rep = verify_presentation_dihedral(4, 2, invariant_basis(rotations, 2))
     assert not rep.ok and rep.bijective_through == 0
     assert rep.failures[0] == "degree 1: image rank 1, free dim 1, invariant dim 2, series 1"
+    # the rotations by rho^2 alone have more invariants than W in each
+    # parity block from degree 1 on, while W's relations still hold
+    rep = verify_presentation_two_vertex(4, 3, invariant_basis(generate_group([rotation(q, 2)]), 3))
+    assert rep.well_defined and rep.bijective_through == 0 and not rep.dims_match_series
+    assert rep.failures == [
+        "degree 1: invariant matrix dims [[0, 2], [2, 0]] != [[0, 1], [1, 0]]",
+        "degree 1: image rank 2, quotient dim 2, invariant dim 4",
+        "degree 2: invariant matrix dims [[3, 0], [0, 3]] != [[2, 0], [0, 2]]",
+        "degree 2: image rank 4, quotient dim 4, invariant dim 6",
+        "degree 3: invariant matrix dims [[0, 4], [4, 0]] != [[0, 2], [2, 0]]",
+        "degree 3: image rank 4, quotient dim 4, invariant dim 8",
+    ]
 
 
 def test_shift_summand():
@@ -252,7 +267,11 @@ def test_presentation_two_vertex_n6():
     assert rep.ok and rep.bijective_through == 8
 
 
-@pytest.mark.parametrize("verify", [verify_presentation_dihedral, verify_presentation_two_vertex])
+@pytest.mark.parametrize(
+    "verify",
+    [verify_presentation_dihedral, verify_presentation_two_vertex],
+    ids=["verify_presentation_dihedral", "verify_presentation_two_vertex"],
+)
 def test_presentation_checks_refuse_before_any_work(verify):
     # D_40 through degree 24 would take about 8 s
     with pytest.raises(MemoryError, match="presentation check at n = 40 through degree 24"):
@@ -267,7 +286,7 @@ def _reynolds_basis(group, d):
     ech = FieldEchelon()
     for m in basis:
         img = reynolds(group, AlgebraElement.monomial(q, m))
-        if not img.is_zero():
+        if img.terms:
             ech.insert({index[x]: c for x, c in img.terms.items()})
     return [
         AlgebraElement(q, {basis[i]: c for i, c in ech.pivots[lead].items()})

@@ -5,6 +5,7 @@ import pytest
 
 from auslab.linalg import FieldEchelon
 from auslab.preproj import (
+    ORACLE_LABEL_LIMIT,
     AlgebraElement,
     NFMonomial,
     RelationIdealOracle,
@@ -172,6 +173,30 @@ def test_oracle_builds_through_its_largest_degree():
         oracle.extend(408)
 
 
+def test_oracle_refuses_classes_that_split(monkeypatch):
+    # A build that links no labels gives every R-label its own class, so the
+    # classes double each degree.  The closed-form count admits degree 407
+    # at n = 3; the labels built must stop the build at the first degree
+    # that would pass the limit.
+    build = RelationIdealOracle._build_next
+    built = []
+
+    def split(self):
+        if not self._mins:
+            return build(self)
+        labels = 2 * len(self._mins[-1])
+        built.append(2 * labels)
+        assert sum(built) <= ORACLE_LABEL_LIMIT, "built past the label limit"
+        self._mins.append(list(range(labels)))
+        self._rcls.append(list(range(labels)))
+        self._lcls = list(range(labels))
+
+    monkeypatch.setattr(RelationIdealOracle, "_build_next", split)
+    with pytest.raises(MemoryError, match="n = 3"):
+        RelationIdealOracle(QuiverA(3)).extend(407)
+    assert sum(built) <= ORACLE_LABEL_LIMIT < sum(built) + 2 * built[-1]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_nf_monomials_form_oracle_basis(n):
     q = QuiverA(n)
@@ -206,7 +231,7 @@ def test_multiply_examples():
     q = QuiverA(3)
     m = AlgebraElement.monomial
     assert m(q, NFMonomial(0, 1, 0)) * m(q, NFMonomial(1, 1, 0)) == m(q, NFMonomial(0, 2, 0))
-    assert (m(q, NFMonomial(0, 1, 0)) * m(q, NFMonomial(2, 1, 0))).is_zero()
+    assert m(q, NFMonomial(0, 1, 0)) * m(q, NFMonomial(2, 1, 0)) == AlgebraElement.zero(q)
     assert m(q, NFMonomial(0, 2, 1)) * m(q, NFMonomial(1, 0, 1)) == m(q, NFMonomial(0, 2, 2))
 
 
@@ -221,7 +246,7 @@ def test_products_match_oracle_reduction(n):
                     w = q.compose(m1.word(q), m2.word(q))
                     prod = AlgebraElement.monomial(q, m1) * AlgebraElement.monomial(q, m2)
                     if w is None:
-                        assert prod.is_zero()
+                        assert prod == AlgebraElement.zero(q)
                         continue
                     (mono, coeff), = prod.terms.items()
                     assert coeff == 1

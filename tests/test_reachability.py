@@ -35,6 +35,7 @@ ALLOWLIST = {
     "smash.IdealTruncation.built_through": TRACED,
     "smash.SmashElement.zero": NAIVE,
     "smash.SmashElement.unit": NAIVE,
+    "preproj.AlgebraElement.one": NAIVE,      # SmashElement.unit's
     "smash.SmashElement.__add__": NAIVE,
     "smash.SmashElement.__neg__": NAIVE,
     "smash.SmashElement.__sub__": NAIVE,
