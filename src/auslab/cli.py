@@ -17,9 +17,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd
 
 from . import __version__
@@ -81,29 +82,22 @@ class GroupSpecError(ValueError):
 
 @dataclass
 class GroupSpec:
-    """Parsed generator list: rot(a) | refl(j) | scalar(m; e...; e*...)."""
+    """Parsed generator list: rot(a) | refl(j) | scalar(m; e...; e*...),
+    with each term's character offset in the spec text."""
 
-    text: str
     terms: list[tuple]
+    offsets: list[int]
 
     def canonical(self) -> str:
-        parts = []
-        for t in self.terms:
-            if t[0] == "rot":
-                parts.append(f"rot({t[1]})")
-            elif t[0] == "refl":
-                parts.append(f"refl({t[1]})")
-            else:
-                _, m, exps, star_exps = t
-                parts.append(
-                    f"scalar({m};{','.join(map(str, exps))};{','.join(map(str, star_exps))})"
-                )
-        return ",".join(parts)
+        def arg(x) -> str:
+            return ",".join(map(str, x)) if isinstance(x, list) else str(x)
+
+        return ",".join(f"{t[0]}({';'.join(map(arg, t[1:]))})" for t in self.terms)
 
     def elaborate(self, n: int) -> list[Automorphism]:
         q = QuiverA(n)
         gens = []
-        for t in self.terms:
+        for t, offset in zip(self.terms, self.offsets):
             if t[0] == "rot":
                 gens.append(rotation(q, t[1] % n))
             elif t[0] == "refl":
@@ -114,101 +108,44 @@ class GroupSpec:
                     raise GroupSpecError(
                         f"scalar term needs {n} exponents per list, got "
                         f"{len(exps)} and {len(star_exps)}",
-                        self.text.find("scalar"),
+                        offset,
                     )
                 gens.append(scalar_powers(q, m, exps, star_exps))
         return gens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str):
-        raise GroupSpecError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            self.error("expected an integer")
-        return int(self.text[start : self.pos])
-
-    def int_list(self) -> list[int]:
-        out = [self.integer()]
-        while self.peek() == ",":
-            self.pos += 1
-            out.append(self.integer())
-        return out
-
-    def name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a generator name (rot, refl, scalar)")
-        return self.text[start : self.pos]
-
-    def term(self) -> tuple:
-        self.skip_ws()
-        start = self.pos
-        kind = self.name()
-        if kind == "rot":
-            self.expect("(")
-            a = self.integer()
-            self.expect(")")
-            return ("rot", a)
-        if kind == "refl":
-            self.expect("(")
-            j = self.integer()
-            self.expect(")")
-            return ("refl", j)
-        if kind == "scalar":
-            self.expect("(")
-            m = self.integer()
-            if m < 1:
-                self.error("scalar conductor must be >= 1 (roots of unity are nonzero)")
-            self.expect(";")
-            exps = self.int_list()
-            self.expect(";")
-            star_exps = self.int_list()
-            self.expect(")")
-            return ("scalar", m, exps, star_exps)
-        raise GroupSpecError(f"unknown generator {kind!r}", start)
-
-    def parse(self) -> GroupSpec:
-        terms = [self.term()]
-        while self.peek() == ",":
-            self.pos += 1
-            terms.append(self.term())
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return GroupSpec(self.text, terms)
+# A term: a name, then ( and ;-separated lists of ,-separated integers, with
+# whitespace anywhere between tokens.  \d is a decimal digit, which int reads.
+_INTS = r"\s*-?\d+\s*(?:,\s*-?\d+\s*)*"
+_TERM = re.compile(rf"(\w+)\s*\(({_INTS}(?:;{_INTS})*)\)\s*")
+_FORMS = "rot(a), refl(j) or scalar(m; e...; e*...)"
 
 
 def parse_group(text: str) -> GroupSpec:
-    return _Parser(text).parse()
+    terms, offsets, pos = [], [], 0
+    while True:
+        pos = len(text) - len(text[pos:].lstrip())
+        match = _TERM.match(text, pos)
+        if not match:
+            raise GroupSpecError(f"expected {_FORMS}", pos)
+        name, lists = match[1], [[int(x) for x in part.split(",")] for part in match[2].split(";")]
+        if name in ("rot", "refl") and len(lists) == 1 == len(lists[0]):
+            terms.append((name, lists[0][0]))
+        elif name == "scalar" and len(lists) == 3 and len(lists[0]) == 1:
+            if lists[0][0] < 1:
+                raise GroupSpecError("scalar conductor must be >= 1 (roots of unity are nonzero)", pos)
+            terms.append((name, lists[0][0], lists[1], lists[2]))
+        elif name in ("rot", "refl", "scalar"):
+            raise GroupSpecError(f"expected {_FORMS}", pos)
+        else:
+            raise GroupSpecError(f"unknown generator {name!r}", pos)
+        offsets.append(pos)
+        pos = match.end()
+        if pos == len(text):
+            return GroupSpec(terms, offsets)
+        if text[pos] != ",":
+            raise GroupSpecError("expected ',' between terms", pos)
+        pos += 1
 
 
 def build_group(spec_text: str, n: int, cap: int = 4096):
@@ -328,13 +265,7 @@ def cmd_invariants(args) -> int:
     failures = []
     if args.check_presentation:
         pres = verify_presentation(parities, args.n, degree, basis)
-        payload["presentation"] = {
-            "target": pres.target,
-            "well_defined": pres.well_defined,
-            "bijective_through": pres.bijective_through,
-            "dims_match_series": pres.dims_match_series,
-            "failures": pres.failures,
-        }
+        payload["presentation"] = asdict(pres)
         failures += pres.failures
         if not pres.ok:
             failures.append("presentation check failed")

@@ -250,10 +250,13 @@ def _degree_shift_product(q: QuiverA, l: int, k: int, parity: int | None) -> Alg
 
 
 # `check_orbit_sum_relations` forms (D//2 + 1)((D+1)//2) + 3 products of
-# orbit sums and of s1 and s2, twice as many for even n, each n^2 term
-# matches plus coefficient arithmetic worth about 110n more: n(n + 110) steps.
-# At this limit (n = 3 through degree 170, n = 4 through 103, n = 200 through
-# 8, n = 859 or 592 at degree 0) the check takes 0.6 to 1.1 s on a 2-core x86-64 guest under Python 3.11.
+# orbit sums and of s1 and s2, twice as many for even n, each counted as n^2
+# term pairs plus coefficient arithmetic worth about 110n more: n(n + 110)
+# steps.  A product visits only the pairs that match, about n of them, so at
+# large n the count overstates the work; it is kept so that the same inputs
+# are refused.  At this limit (n = 3 through degree 170, n = 4 through 103,
+# n = 200 through 7, n = 859 or 592 at degree 0) the check takes 0.06 to
+# 1.4 s on a 2-core x86-64 guest under Python 3.11.
 RELATION_STEP_LIMIT = 2_500_000
 
 
@@ -325,11 +328,12 @@ class PresentationReport:
 # keeps the inputs refused fixed: 2n^2 (D+1)^4/24 term pairs through degree
 # D, the 2n (D+1)^4/24 that match carrying arithmetic worth about 110 pairs
 # more, and 8n^2 for the products behind `well_defined`:
-# n (2 (n + 110) (D+1)^4/24 + 8n) steps.  At this limit (n = 3 through
-# degree 33, n = 8 through 25, n = 40 through 15, n = 100 through 11) a
-# whole `invariants --check-presentation` run takes 0.6-1.0 s on a 2-core
-# x86-64 guest under Python 3.11; D_2048 at degree 0, where the products
-# behind `well_defined` are all the work, takes 1.5-2.0 s.
+# n (2 (n + 110) (D+1)^4/24 + 8n) steps.  A product visits only the pairs
+# that match, so the pair terms overstate the work at large n.  At this
+# limit (n = 3 through degree 33, n = 8 through 25, n = 40 through 15,
+# n = 100 through 11) a whole `invariants --check-presentation` run takes
+# 0.5-0.9 s on a 2-core x86-64 guest under Python 3.11; D_2048 at degree 0,
+# where the products behind `well_defined` are all the work, takes 0.2 s.
 PRESENTATION_STEP_LIMIT = 40_000_000
 
 

@@ -148,12 +148,13 @@ class AlgebraElement:
             return self.scale(other)
         self._check(other)
         n = self.quiver.n
+        # other's terms by source, so a product costs its terms plus its matches
+        by_source: dict[int, list] = {}
+        for m2, c2 in other.terms.items():
+            by_source.setdefault(m2.source, []).append((m2, c2))
         out: dict[NFMonomial, object] = {}
         for m1, c1 in self.terms.items():
-            tgt = (m1.source + m1.nonstars - m1.stars) % n
-            for m2, c2 in other.terms.items():
-                if m2.source != tgt:
-                    continue
+            for m2, c2 in by_source.get((m1.source + m1.nonstars - m1.stars) % n, ()):
                 m = NFMonomial(m1.source, m1.nonstars + m2.nonstars, m1.stars + m2.stars)
                 acc = out.get(m, 0) + c1 * c2
                 if acc:

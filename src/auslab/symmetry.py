@@ -7,9 +7,10 @@ permutes vertices; since the doubled quiver is schurian, each arrow must
 land on the unique arrow between the image vertices, scaled by its scalar.
 Rotations are star-preserving, reflections star-inverting, and the
 vertex-fixing diagonal family has a homological determinant: the common
-value xi_i * xi_i*.  `validate` decides in closed form, on the exponents,
-whether the parametrized map preserves the preprojective relation; the
-tests hold it to the image of the relation in the free algebra.
+value xi_i * xi_i* = zeta_m^(e_i + e_i*).  `validate` decides in closed
+form, on the exponents, whether the parametrized map preserves the
+preprojective relation; the tests hold it to the image of the relation in
+the free algebra.
 
 The scalar of an element on a canonical monomial is zeta_m to the sum of
 the exponents along its word: l nonstars from the source, then the stars
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .preproj import AlgebraElement, NFMonomial
 from .quiver import QuiverA
@@ -169,21 +170,16 @@ def scalar_powers(q: QuiverA, m: int, e: Sequence[int], e_star: Sequence[int]) -
 # -- validation ----------------------------------------------------------------
 
 
-class Validation(NamedTuple):
-    kind: str                       # star_preserving | star_inverting | scalar_diag
-    omega: object                   # homological determinant xi_i * xi_i*
-    relation_scalar: object         # c with sigma(Omega) = c * Omega
-
-
-def validate(g: Automorphism) -> Validation:
+def validate(g: Automorphism) -> None:
     """Check that g preserves the preprojective relation Omega, the sum over
     i of alpha_i alpha_i* - alpha_i* alpha_i.  g sends both terms at vertex
     i to xi_i * xi_i* times a term of Omega at the image vertex, with the
     same sign for a rotation and the opposite sign for a reflection (which
     swaps the two kinds).  So sigma(Omega) is proportional to Omega exactly
     when the exponents e_i + e_i* agree mod m, at s say, and then
-    sigma(Omega) = +-zeta_m^s Omega.  Raises NotAnAutomorphismError naming
-    the first product that differs otherwise."""
+    sigma(Omega) = +-zeta_m^s Omega; zeta_m^s is the homological
+    determinant.  Raises NotAnAutomorphismError naming the first product
+    that differs otherwise."""
     sums = [(k + k_star) % g.m for k, k_star in zip(g.e, g.e_star)]
     for i, s in enumerate(sums):
         if s != sums[0]:
@@ -191,10 +187,6 @@ def validate(g: Automorphism) -> Validation:
                 f"sigma(Omega) is not proportional to Omega: xi_{i} * xi_{i}* = "
                 f"zeta_{g.m}^{s} differs from xi_0 * xi_0* = zeta_{g.m}^{sums[0]}"
             )
-    omega = root(g.m, sums[0])
-    if g.refl:
-        return Validation("star_inverting", omega, -omega)
-    return Validation("scalar_diag" if g.rot == 0 else "star_preserving", omega, omega)
 
 
 def apply(g: Automorphism, x: AlgebraElement) -> AlgebraElement:
@@ -334,7 +326,8 @@ def generate_group(generators: Sequence[Automorphism], cap: int = 512) -> Finite
     over the lcm M of their conductors, so every scalar of the group lies in
     Q or Q(zeta_M).  The vertex-fixing generators span an abelian group whose
     exponent, the lcm of their orders, divides |G|, so an lcm over the cap is
-    refused before validation builds Q(zeta_m) for any m."""
+    refused, with that lcm in its message, before any generator is validated.
+    Validation reads the exponents alone and builds no Q(zeta_m)."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator (the identity for the trivial group)")

@@ -8,6 +8,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auslab.cli import (
     GroupSpecError,
@@ -69,11 +71,55 @@ def test_parse_group_errors_carry_offsets():
         parse_group("rot(1) refl(0)")
     with pytest.raises(GroupSpecError):
         parse_group("scalar(0;1;1)")
+    # a superscript two is a digit to str.isdigit but not a decimal digit
+    with pytest.raises(GroupSpecError):
+        parse_group("rot(²)")
+
+
+def _pad(draw) -> str:
+    return "".join(draw(st.lists(st.sampled_from(" \t\n"), max_size=2)))
+
+
+def _spelled(draw, k: int) -> str:
+    """k with a random sign of zero, leading zeros and surrounding whitespace."""
+    sign = "-" if k < 0 or (k == 0 and draw(st.booleans())) else ""
+    return f"{_pad(draw)}{sign}{'0' * draw(st.integers(0, 2))}{abs(k)}{_pad(draw)}"
+
+
+@st.composite
+def spelled_specs(draw):
+    """(text, canonical): a spec of one to three terms spelled with random
+    whitespace, leading zeros and -0, and the same spec written plainly."""
+    spelled, plain = [], []
+    for kind in draw(st.lists(st.sampled_from(["rot", "refl", "scalar"]), min_size=1, max_size=3)):
+        if kind == "scalar":
+            k = draw(st.integers(1, 4))
+            exps = st.lists(st.integers(-12, 12), min_size=k, max_size=k)
+            lists = [[draw(st.integers(1, 12))], draw(exps), draw(exps)]
+        else:
+            lists = [[draw(st.integers(-12, 12))]]
+        args = ";".join(",".join(_spelled(draw, x) for x in xs) for xs in lists)
+        spelled.append(f"{_pad(draw)}{kind}{_pad(draw)}({args}){_pad(draw)}")
+        plain.append(f"{kind}({';'.join(','.join(map(str, xs)) for xs in lists)})")
+    return ",".join(spelled), ",".join(plain)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spelled_specs())
+def test_a_spec_parses_to_the_terms_of_its_canonical_form(case):
+    text, plain = case
+    spec = parse_group(text)
+    assert spec.canonical() == plain
+    assert parse_group(plain).terms == spec.terms
 
 
 def test_scalar_arity_checked_at_elaboration():
     with pytest.raises(GroupSpecError):
         build_group("scalar(2;1,1;1,1)", 3)
+    # the error names the offset of the faulty term, not of the first scalar
+    with pytest.raises(GroupSpecError) as exc:
+        build_group("scalar(2;1,1,1;1,1,1),scalar(2;1,1;1,1)", 3)
+    assert exc.value.offset == 22
 
 
 def test_cli_usage_error_exit_code():
@@ -832,6 +878,7 @@ def test_invariants_build_no_field_value_or_orbit_sum(tmp_path, monkeypatch, n, 
         raise AssertionError("built")
 
     monkeypatch.setattr("auslab.scalars.root", refuse)
+    monkeypatch.setattr("auslab.symmetry.root", refuse)
     monkeypatch.setattr("auslab.preproj.AlgebraElement.__init__", refuse)
     assert main(argv) == 0
     assert json.loads(report.read_text())["payload"] == want
